@@ -27,9 +27,13 @@ import numpy as np
 
 from .estimators import (
     LN_2PIE,
+    METHOD_MC,
     ScalarEstimate,
+    _mean_and_se,
+    _std_error,
     conditional_entropy,
     entropy,
+    entropy_power,
     fisher,
     gaussian_fisher,
     projective_fisher,
@@ -38,8 +42,12 @@ from .exceptions import DimensionError, PreconditionError
 from .matrices import (
     DET_MATCH_RTOL,
     SpdMatrix,
+    _bergstrom_ratios,
+    _check_lambda,
+    _kyfan_ratios,
     _logdet_raw,
-    _minor_logdet,
+    _same_dim,
+    _sum_logdets,
     make_bonnesen_equality_pair,
 )
 from .mixtures import GaussianMixture, MarkovTriple
@@ -70,6 +78,10 @@ class CheckConfig:
     abs_tol: float = 1e-9
     eq_tol: float = 1e-10
     rel_stderr_cap: float = 0.10
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError(f"need at least 2 Monte-Carlo samples, got m={self.m}")
 
 
 @dataclass
@@ -178,34 +190,6 @@ def _finish(
     )
 
 
-def _same_dim(x: GaussianMixture, y: GaussianMixture) -> int:
-    if x.dim != y.dim:
-        raise DimensionError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    return x.dim
-
-
-def _exp_est(est: ScalarEstimate, factor: float) -> tuple[float, float]:
-    """exp(factor * h) with the delta-method standard error."""
-    value = math.exp(factor * est.value)
-    return value, abs(factor) * value * est.std_error
-
-
-def _npow(gm, cfg, rng):
-    """Entropy power N = exp(2h/n), closed form or MC by inspection."""
-    return _exp_est(entropy(gm, cfg.m, rng), 2.0 / gm.dim)
-
-
-def _e2h(gm, cfg, rng):
-    """exp(2h), the n-th power of the entropy power."""
-    return _exp_est(entropy(gm, cfg.m, rng), 2.0)
-
-
-def _cond_ratio(gm, given, k, cfg, rng):
-    """exp((2/k) h(rest | given)); for k = n - |given| this is the ratio
-    N(X)^n / N_{n-1}(marginal)^{n-1} style quantity driving the checks."""
-    return _exp_est(conditional_entropy(gm, given, cfg.m, rng), 2.0 / k)
-
-
 def _combine(x: GaussianMixture, y: GaussianMixture, sx: float, sy: float) -> GaussianMixture:
     """Law of sx * X + sy * Y, skipping a factor when its scale is zero."""
     if sx == 0.0:
@@ -219,11 +203,18 @@ def _quadrature(*errors: float) -> float:
     return float(np.sqrt(np.sum(np.square(errors))))
 
 
-def _check_lambda(lam: float) -> float:
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    return lam
+def _sum_report(name, iid, n, x, y, term, cfg, t0) -> InequalityReport:
+    """Superadditivity under convolution: term(X+Y) >= term(X) + term(Y).
+
+    ``term(law, rng)`` returns a ScalarEstimate; the three terms draw from
+    the RNG roles "sum", "x" and "y".
+    """
+    s, tx, ty = (
+        term(law, _rng(cfg, name, iid, role))
+        for law, role in ((x.convolve(y), "sum"), (x, "x"), (y, "y"))
+    )
+    stderr = _quadrature(s.std_error, tx.std_error, ty.std_error)
+    return _finish(name, iid, n, None, s.value, tx.value + ty.value, stderr, cfg, t0)
 
 
 # --------------------------------------------------------------------------
@@ -241,12 +232,8 @@ def check_epi(
     t0 = time.perf_counter()
     n = _same_dim(x, y)
     iid = instance_id or _tag(x, y)
-    w = x.convolve(y)
-    lv, lse = _npow(w, cfg, _rng(cfg, "epi", iid, "sum"))
-    xv, xse = _npow(x, cfg, _rng(cfg, "epi", iid, "x"))
-    yv, yse = _npow(y, cfg, _rng(cfg, "epi", iid, "y"))
-    return _finish(
-        "epi", iid, n, None, lv, xv + yv, _quadrature(lse, xse, yse), cfg, t0
+    return _sum_report(
+        "epi", iid, n, x, y, lambda gm, rng: entropy_power(entropy(gm, cfg.m, rng), n), cfg, t0
     )
 
 
@@ -302,19 +289,13 @@ def check_entropic_bergstrom(
     """
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
-    n = _same_dim(x, y)
-    if n < 2:
-        raise DimensionError("needs dimension at least 2")
+    n = _same_dim(x, y, 2)
     iid = instance_id or _tag(x, y)
-    given = range(n - 1)
-    w = x.convolve(y)
-    lv, lse = _cond_ratio(w, given, 1, cfg, _rng(cfg, "entropic_bergstrom", iid, "sum"))
-    xv, xse = _cond_ratio(x, given, 1, cfg, _rng(cfg, "entropic_bergstrom", iid, "x"))
-    yv, yse = _cond_ratio(y, given, 1, cfg, _rng(cfg, "entropic_bergstrom", iid, "y"))
-    return _finish(
-        "entropic_bergstrom",
-        iid, n, None, lv, xv + yv, _quadrature(lse, xse, yse), cfg, t0,
-    )
+
+    def ratio(gm: GaussianMixture, rng) -> ScalarEstimate:
+        return entropy_power(conditional_entropy(gm, range(n - 1), cfg.m, rng), 1)
+
+    return _sum_report("entropic_bergstrom", iid, n, x, y, ratio, cfg, t0)
 
 
 def _convex_split_report(
@@ -327,30 +308,34 @@ def _convex_split_report(
     k: int,
     cfg: CheckConfig,
     instance_id: str | None,
+    t0: float | None = None,
 ) -> InequalityReport:
-    """Shared engine for the lambda-weighted conditional forms.
+    """Shared engine for the lambda-weighted forms.
 
-    Checks exp((2/k) h_cond(sqrt(wx) X + sqrt(wy) Y)) >= wx * exp((2/k)
-    h_cond(X)) + wy * exp((2/k) h_cond(Y)).  Endpoint weights reuse a single
-    estimate on both sides, so the gap there is exactly zero.
+    Checks exp((2/k) h_c(sqrt(wx) X + sqrt(wy) Y)) >= wx * exp((2/k) h_c(X))
+    + wy * exp((2/k) h_c(Y)), where h_c conditions on the coordinates in
+    ``given`` and is the plain entropy when ``given`` is empty.  Endpoint
+    weights reuse a single estimate on both sides, so the gap there is
+    exactly zero.
     """
-    t0 = time.perf_counter()
-    n = _same_dim(x, y)
-    if n < 2:
-        raise DimensionError("needs dimension at least 2")
+    t0 = time.perf_counter() if t0 is None else t0
+    n = _same_dim(x, y, 2)
     iid = instance_id or _tag(x, y)
     wx = float(weight_x)
     wy = 1.0 - wx
+
+    def power(gm: GaussianMixture, role: str) -> ScalarEstimate:
+        rng = _rng(cfg, name, iid, role)
+        h = conditional_entropy(gm, given, cfg.m, rng) if given else entropy(gm, cfg.m, rng)
+        return entropy_power(h, k)
+
     if wx == 1.0 or wy == 1.0:
-        side = x if wx == 1.0 else y
-        v, _ = _cond_ratio(side, given, k, cfg, _rng(cfg, name, iid, "endpoint"))
+        v = power(x if wx == 1.0 else y, "endpoint").value
         return _finish(name, iid, n, lam, v, v, 0.0, cfg, t0)
-    w = _combine(x, y, math.sqrt(wx), math.sqrt(wy))
-    lv, lse = _cond_ratio(w, given, k, cfg, _rng(cfg, name, iid, "sum"))
-    xv, xse = _cond_ratio(x, given, k, cfg, _rng(cfg, name, iid, "x"))
-    yv, yse = _cond_ratio(y, given, k, cfg, _rng(cfg, name, iid, "y"))
-    stderr = _quadrature(lse, wx * xse, wy * yse)
-    return _finish(name, iid, n, lam, lv, wx * xv + wy * yv, stderr, cfg, t0)
+    lhs = power(_combine(x, y, math.sqrt(wx), math.sqrt(wy)), "sum")
+    px, py = power(x, "x"), power(y, "y")
+    stderr = _quadrature(lhs.std_error, wx * px.std_error, wy * py.std_error)
+    return _finish(name, iid, n, lam, lhs.value, wx * px.value + wy * py.value, stderr, cfg, t0)
 
 
 def check_conditional_form(
@@ -363,11 +348,9 @@ def check_conditional_form(
     """Conditional-entropy form: exp(2 h of last coord of
     sqrt(1-lam) X + sqrt(lam) Y given the rest) dominates the convex
     combination (1-lam) exp(2 h(X_n|X^{n-1})) + lam exp(2 h(Y_n|Y^{n-1}))."""
-    cfg = _cfg(cfg)
     lam = _check_lambda(lam)
-    given = range(x.dim - 1) if x.dim >= 2 else range(0)
     return _convex_split_report(
-        "conditional_form", x, y, 1.0 - lam, lam, given, 1, cfg, instance_id
+        "conditional_form", x, y, 1.0 - lam, lam, range(x.dim - 1), 1, _cfg(cfg), instance_id
     )
 
 
@@ -380,11 +363,9 @@ def check_lambda_form(
 ) -> InequalityReport:
     """Ratio form along the lambda path: the ratio N^n / N_{n-1}^{n-1} of
     sqrt(lam) X + sqrt(1-lam) Y dominates lam * ratio(X) + (1-lam) * ratio(Y)."""
-    cfg = _cfg(cfg)
     lam = _check_lambda(lam)
-    given = range(x.dim - 1) if x.dim >= 2 else range(0)
     return _convex_split_report(
-        "lambda_form", x, y, lam, lam, given, 1, cfg, instance_id
+        "lambda_form", x, y, lam, lam, range(x.dim - 1), 1, _cfg(cfg), instance_id
     )
 
 
@@ -402,7 +383,6 @@ def check_entropic_kyfan(
     For Gaussians this reduces, after reordering so the complement leads,
     to the k-th-root determinant-ratio gap of the scaled covariance pair.
     """
-    cfg = _cfg(cfg)
     lam = _check_lambda(lam)
     n = _same_dim(x, y)
     subset = sorted(int(i) for i in subset)
@@ -414,7 +394,7 @@ def check_entropic_kyfan(
         raise IndexError(f"coordinates {subset} out of range for dimension {n}")
     given = [i for i in range(n) if i not in subset]
     return _convex_split_report(
-        "entropic_kyfan", x, y, 1.0 - lam, lam, given, len(subset), cfg, instance_id
+        "entropic_kyfan", x, y, 1.0 - lam, lam, given, len(subset), _cfg(cfg), instance_id
     )
 
 
@@ -447,9 +427,7 @@ def check_entropic_bonnesen(
     cfg = _cfg(cfg)
     lam = _check_lambda(lam)
     t0 = time.perf_counter()
-    n = _same_dim(x, y)
-    if n < 2:
-        raise DimensionError("needs dimension at least 2")
+    n = _same_dim(x, y, 2)
     iid = instance_id or _tag(x, y)
 
     mx = x.marginal(range(n - 1))
@@ -465,19 +443,8 @@ def check_entropic_bonnesen(
                 f"prefix entropies differ: h(X^{n-1}) = {hx.value!r}, "
                 f"h(Y^{n-1}) = {hy.value!r} (tolerance {tol!r})"
             )
-
-    wx = 1.0 - lam
-    if wx == 1.0 or lam == 1.0:
-        side = x if wx == 1.0 else y
-        v, _ = _e2h(side, cfg, _rng(cfg, "entropic_bonnesen", iid, "endpoint"))
-        return _finish("entropic_bonnesen", iid, n, lam, v, v, 0.0, cfg, t0)
-    w = _combine(x, y, math.sqrt(wx), math.sqrt(lam))
-    lv, lse = _e2h(w, cfg, _rng(cfg, "entropic_bonnesen", iid, "sum"))
-    xv, xse = _e2h(x, cfg, _rng(cfg, "entropic_bonnesen", iid, "x"))
-    yv, yse = _e2h(y, cfg, _rng(cfg, "entropic_bonnesen", iid, "y"))
-    stderr = _quadrature(lse, wx * xse, lam * yse)
-    return _finish(
-        "entropic_bonnesen", iid, n, lam, lv, wx * xv + lam * yv, stderr, cfg, t0
+    return _convex_split_report(
+        "entropic_bonnesen", x, y, 1.0 - lam, lam, (), 1, cfg, iid, t0
     )
 
 
@@ -505,11 +472,7 @@ def check_equality_case_bonnesen(
             rng = rng_from_tokens(cfg.seed, "equality_case_bonnesen", "pair")
         pair = make_bonnesen_equality_pair(n, rng)
     s1, s2 = pair
-    if s1.dim != s2.dim:
-        raise DimensionError(f"dimension mismatch: {s1.dim} vs {s2.dim}")
-    n = s1.dim
-    if n < 2:
-        raise DimensionError("needs dimension at least 2")
+    n = _same_dim(s1, s2, 2)
     d1 = math.exp(_logdet_raw(s1.entries[: n - 1, : n - 1]))
     d2 = math.exp(_logdet_raw(s2.entries[: n - 1, : n - 1]))
     if abs(d1 - d2) > DET_MATCH_RTOL * max(abs(d1), abs(d2)):
@@ -564,6 +527,37 @@ def _delta_stderr(fn, mu: np.ndarray, cov: np.ndarray) -> float:
     return float(np.sqrt(max(grad @ cov @ grad, 0.0)))
 
 
+def _entropy_powers(v, n: int) -> tuple[float, float]:
+    """(N, N_{n-1}) from the entropies h(X) = v[0] and h(X^{n-1}) = v[1]."""
+    return math.exp(2.0 * v[0] / n), math.exp(2.0 * v[1] / (n - 1))
+
+
+def _iso_terms(name: str, iid: str, x: GaussianMixture, cfg: CheckConfig, with_fisher: bool):
+    """The entropy powers (N, N_{n-1}) of X and of its (n-1)-prefix.
+
+    A Gaussian gets them exactly, with ``None`` for the statistics.  Otherwise
+    they come from the per-sample -log f(X) and -log f_{n-1}(X^{n-1}), plus
+    |score(X)|^2 when ``with_fisher``, on one set of draws; the means of those
+    statistics and the covariance of the means are returned with them.
+    """
+    n = x.dim
+    if n < 2:
+        raise DimensionError("needs dimension at least 2")
+    if x.is_gaussian:
+        cov = x.components[0].cov
+        npow = math.exp(LN_2PIE + cov.log_det / n)
+        npow_m = math.exp(LN_2PIE + _logdet_raw(cov.entries[: n - 1, : n - 1]) / (n - 1))
+        return (npow, npow_m), None, None
+    pts = x.sample(_rng(cfg, name, iid, "mc"), cfg.m)
+    rows = [-x.log_density(pts), -x.marginal(range(n - 1)).log_density(pts[:, : n - 1])]
+    if with_fisher:
+        s = x.score(pts)
+        rows.append(np.einsum("ij,ij->i", s, s))
+    stats = np.stack(rows)
+    mu = stats.mean(axis=1)
+    return _entropy_powers(mu, n), mu, np.cov(stats, ddof=1) / cfg.m
+
+
 def check_isoperimetric_sharp(
     x: GaussianMixture,
     cfg: CheckConfig | None = None,
@@ -576,40 +570,20 @@ def check_isoperimetric_sharp(
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
     n = x.dim
-    if n < 2:
-        raise DimensionError("needs dimension at least 2")
     iid = instance_id or _tag(x)
-    if x.is_gaussian:
-        cov = x.components[0].cov
-        fi = gaussian_fisher(x.components[0]).value
-        npow = math.exp(LN_2PIE + cov.log_det / n)
-        ld_m = _logdet_raw(cov.entries[: n - 1, : n - 1])
-        npow_m = math.exp(LN_2PIE + ld_m / (n - 1))
-        lhs = fi * npow
+    (npow, npow_m), mu, cov = _iso_terms("isoperimetric_sharp", iid, x, cfg, True)
+    if mu is None:
+        lhs = gaussian_fisher(x.components[0]).value * npow
         return _finish(
             "isoperimetric_sharp", iid, n, None, lhs, _iso_bound(n, npow, npow_m), 0.0, cfg, t0
         )
-    rng = _rng(cfg, "isoperimetric_sharp", iid, "mc")
-    pts = x.sample(rng, cfg.m)
-    marg = x.marginal(range(n - 1))
-    s = x.score(pts)
-    trip = np.stack(
-        [
-            -x.log_density(pts),
-            -marg.log_density(pts[:, : n - 1]),
-            np.einsum("ij,ij->i", s, s),
-        ]
-    )
-    mu = trip.mean(axis=1)
-    cov3 = np.cov(trip, ddof=1) / cfg.m
 
     def gap_fn(v):
-        npow = math.exp(2.0 * v[0] / n)
-        npow_m = math.exp(2.0 * v[1] / (n - 1))
+        npow, npow_m = _entropy_powers(v, n)
         return v[2] * npow - _iso_bound(n, npow, npow_m)
 
-    stderr = _delta_stderr(gap_fn, mu, cov3)
-    lhs = mu[2] * math.exp(2.0 * mu[0] / n)
+    stderr = _delta_stderr(gap_fn, mu, cov)
+    lhs = mu[2] * npow
     rhs = lhs - gap_fn(mu)
     return _finish("isoperimetric_sharp", iid, n, None, lhs, rhs, stderr, cfg, t0)
 
@@ -625,31 +599,14 @@ def check_isoperimetric_dominance(
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
     n = x.dim
-    if n < 2:
-        raise DimensionError("needs dimension at least 2")
     iid = instance_id or _tag(x)
-    rhs = TWO_PI_E * n
-    if x.is_gaussian:
-        cov = x.components[0].cov
-        npow = math.exp(LN_2PIE + cov.log_det / n)
-        ld_m = _logdet_raw(cov.entries[: n - 1, : n - 1])
-        npow_m = math.exp(LN_2PIE + ld_m / (n - 1))
-        return _finish(
-            "isoperimetric_dominance", iid, n, None, _iso_bound(n, npow, npow_m), rhs, 0.0, cfg, t0
-        )
-    rng = _rng(cfg, "isoperimetric_dominance", iid, "mc")
-    pts = x.sample(rng, cfg.m)
-    marg = x.marginal(range(n - 1))
-    duo = np.stack([-x.log_density(pts), -marg.log_density(pts[:, : n - 1])])
-    mu = duo.mean(axis=1)
-    cov2 = np.cov(duo, ddof=1) / cfg.m
-
-    def bound_fn(v):
-        return _iso_bound(n, math.exp(2.0 * v[0] / n), math.exp(2.0 * v[1] / (n - 1)))
-
-    stderr = _delta_stderr(bound_fn, mu, cov2)
+    (npow, npow_m), mu, cov = _iso_terms("isoperimetric_dominance", iid, x, cfg, False)
+    stderr = 0.0
+    if mu is not None:
+        stderr = _delta_stderr(lambda v: _iso_bound(n, *_entropy_powers(v, n)), mu, cov)
     return _finish(
-        "isoperimetric_dominance", iid, n, None, bound_fn(mu), rhs, stderr, cfg, t0
+        "isoperimetric_dominance", iid, n, None,
+        _iso_bound(n, npow, npow_m), TWO_PI_E * n, stderr, cfg, t0,
     )
 
 
@@ -700,33 +657,23 @@ def check_de_bruijn(
     z = rng.standard_normal((cfg.m, n))
     shifts = (t - dt, t, t + dt)
     laws = {s: x.convolve(GaussianMixture.gaussian(np.zeros(n), s * eye)) for s in shifts}
-    pts = {}
-    for s in shifts:
-        out = np.empty((cfg.m, n))
-        for c, comp in enumerate(x.components):
-            sel = idx == c
-            if np.any(sel):
-                chol = np.linalg.cholesky(comp.cov.entries + s * eye)
-                out[sel] = comp.mean + z[sel] @ chol.T
-        pts[s] = out
+    pts = {s: law._place(idx, z) for s, law in laws.items()}
     diff = (
         -laws[t + dt].log_density(pts[t + dt]) + laws[t - dt].log_density(pts[t - dt])
     ) / (2.0 * dt)
     sc = laws[t].score(pts[t])
     half_sq = 0.5 * np.einsum("ij,ij->i", sc, sc)
-    paired = diff - half_sq
-    stderr = float(np.std(paired, ddof=1) / np.sqrt(cfg.m))
     return _finish(
         "de_bruijn",
         iid, n, None,
-        float(diff.mean()), float(half_sq.mean()), stderr, cfg, t0,
+        float(diff.mean()), float(half_sq.mean()), _std_error(diff - half_sq), cfg, t0,
         extra_eq_tol=extra,
     )
 
 
-def _inverse_fisher(est: ScalarEstimate) -> tuple[float, float]:
+def _inverse_fisher(est: ScalarEstimate) -> ScalarEstimate:
     value = 1.0 / est.value
-    return value, est.std_error / est.value**2
+    return ScalarEstimate(value, est.std_error / est.value**2, est.n_samples, est.method)
 
 
 def check_blachman_stam(
@@ -741,12 +688,9 @@ def check_blachman_stam(
     t0 = time.perf_counter()
     n = _same_dim(x, y)
     iid = instance_id or _tag(x, y)
-    w = x.convolve(y)
-    lv, lse = _inverse_fisher(fisher(w, cfg.m, _rng(cfg, "blachman_stam", iid, "sum")))
-    xv, xse = _inverse_fisher(fisher(x, cfg.m, _rng(cfg, "blachman_stam", iid, "x")))
-    yv, yse = _inverse_fisher(fisher(y, cfg.m, _rng(cfg, "blachman_stam", iid, "y")))
-    return _finish(
-        "blachman_stam", iid, n, None, lv, xv + yv, _quadrature(lse, xse, yse), cfg, t0
+    return _sum_report(
+        "blachman_stam", iid, n, x, y,
+        lambda gm, rng: _inverse_fisher(fisher(gm, cfg.m, rng)), cfg, t0,
     )
 
 
@@ -765,18 +709,9 @@ def check_projective_fisher(
     t0 = time.perf_counter()
     n = _same_dim(x, y)
     iid = instance_id or _tag(x, y, np.asarray(u, dtype=float))
-    w = x.convolve(y)
-    lv, lse = _inverse_fisher(
-        projective_fisher(w, u, cfg.m, _rng(cfg, "projective_fisher", iid, "sum"))
-    )
-    xv, xse = _inverse_fisher(
-        projective_fisher(x, u, cfg.m, _rng(cfg, "projective_fisher", iid, "x"))
-    )
-    yv, yse = _inverse_fisher(
-        projective_fisher(y, u, cfg.m, _rng(cfg, "projective_fisher", iid, "y"))
-    )
-    return _finish(
-        "projective_fisher", iid, n, None, lv, xv + yv, _quadrature(lse, xse, yse), cfg, t0
+    return _sum_report(
+        "projective_fisher", iid, n, x, y,
+        lambda gm, rng: _inverse_fisher(projective_fisher(gm, u, cfg.m, rng)), cfg, t0,
     )
 
 
@@ -875,17 +810,17 @@ def check_sphere_identity(
     z = rng.standard_normal((cfg.m, n))
     u = z / np.linalg.norm(z, axis=1, keepdims=True)
     vals = (u @ v) ** 2
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(cfg.m))
     return _finish(
         "sphere_identity",
         iid, n, None,
-        float(vals.mean()), float(v @ v) / n, stderr, cfg, t0,
+        float(vals.mean()), float(v @ v) / n, _std_error(vals), cfg, t0,
     )
 
 
 def _score_second_moment(gm: GaussianMixture, m: int, rng, folds: int = 10):
-    """Second-moment matrix of the score, its trace estimate, and per-fold
-    partial sums for jackknifing derived quantities."""
+    """Second-moment matrix of the score, its trace estimate, and the
+    leave-one-fold-out matrices (None on the closed-form route) for
+    jackknifing derived quantities."""
     if gm.is_gaussian:
         inv_chol = np.linalg.solve(gm.components[0].cov.chol, np.eye(gm.dim))
         mat = inv_chol.T @ inv_chol
@@ -893,13 +828,13 @@ def _score_second_moment(gm: GaussianMixture, m: int, rng, folds: int = 10):
     pts = gm.sample(rng, m)
     s = gm.score(pts)
     mat = s.T @ s / m
-    sq = np.einsum("ij,ij->i", s, s)
-    tr = ScalarEstimate(
-        float(sq.mean()), float(np.std(sq, ddof=1) / np.sqrt(m)), m, "plug_in_mc"
-    )
-    bounds = np.array_split(np.arange(m), folds)
-    partial = [(s[f].T @ s[f], f.size) for f in bounds if f.size]
-    return mat, tr, (mat * m, partial)
+    total = mat * m
+    left_out = [
+        (total - s[f].T @ s[f]) / (m - f.size)
+        for f in np.array_split(np.arange(m), folds)
+        if f.size
+    ]
+    return mat, _mean_and_se(np.einsum("ij,ij->i", s, s), METHOD_MC), left_out
 
 
 def check_stam_recovery(
@@ -929,10 +864,10 @@ def check_stam_recovery(
     dirs = rng_dirs.standard_normal((m_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    mat_x, fish_x, folds_x = _score_second_moment(
+    mat_x, fish_x, left_x = _score_second_moment(
         x, cfg.m, _rng(cfg, "stam_recovery", iid, "x")
     )
-    mat_y, fish_y, folds_y = _score_second_moment(
+    mat_y, fish_y, left_y = _score_second_moment(
         y, cfg.m, _rng(cfg, "stam_recovery", iid, "y")
     )
     fish_sum = fisher(x.convolve(y), cfg.m, _rng(cfg, "stam_recovery", iid, "sum"))
@@ -941,7 +876,7 @@ def check_stam_recovery(
     py = np.einsum("di,ij,dj->d", dirs, mat_y, dirs)
 
     ident_vals = n * px
-    ident_se = float(np.std(ident_vals, ddof=1) / np.sqrt(m_dirs))
+    ident_se = _std_error(ident_vals)
     ident_target = float(np.trace(mat_x))
     ident_ok = abs(float(ident_vals.mean()) - ident_target) <= (
         cfg.eq_tol * max(1.0, abs(ident_target)) + cfg.z * ident_se
@@ -950,31 +885,14 @@ def check_stam_recovery(
     harm = 1.0 / (1.0 / px + 1.0 / py)
     mid_vals = n * harm
     mid = float(mid_vals.mean())
-    se_dirs = float(np.std(mid_vals, ddof=1) / np.sqrt(m_dirs))
+    se_dirs = _std_error(mid_vals)
 
     se_jack = 0.0
-    if folds_x is not None or folds_y is not None:
-        def fold_mats(folds, full_mat):
-            if folds is None:
-                return None
-            total, partial = folds
-            return total, partial
-
-        fx = fold_mats(folds_x, mat_x)
-        fy = fold_mats(folds_y, mat_y)
-        n_folds = len(fx[1]) if fx is not None else len(fy[1])
+    if left_x is not None or left_y is not None:
         mids = []
-        for f in range(n_folds):
-            def deleted(info, mat):
-                if info is None:
-                    return mat
-                total, partial = info
-                part_sum, count = partial[f]
-                denom = sum(c for _, c in partial) - count
-                return (total - part_sum) / denom
-
-            mx = deleted(fx, mat_x)
-            my = deleted(fy, mat_y)
+        for f in range(len(left_x if left_x is not None else left_y)):
+            mx = mat_x if left_x is None else left_x[f]
+            my = mat_y if left_y is None else left_y[f]
             pxf = np.einsum("di,ij,dj->d", dirs, mx, dirs)
             pyf = np.einsum("di,ij,dj->d", dirs, my, dirs)
             mids.append(n * float(np.mean(1.0 / (1.0 / pxf + 1.0 / pyf))))
@@ -987,10 +905,9 @@ def check_stam_recovery(
     stderr = _quadrature(se_mid, fish_sum.std_error)
     verdict = classify(mid, fish_sum.value, stderr, cfg)
 
-    top_v, top_se = _inverse_fisher(fish_x)
-    top_w, top_we = _inverse_fisher(fish_y)
-    top = 1.0 / (top_v + top_w)
-    top_err = top**2 * _quadrature(top_se, top_we)
+    inv_x, inv_y = _inverse_fisher(fish_x), _inverse_fisher(fish_y)
+    top = 1.0 / (inv_x.value + inv_y.value)
+    top_err = top**2 * _quadrature(inv_x.std_error, inv_y.std_error)
     gap2 = top - mid
     scale2 = max(abs(top), abs(mid), 1.0)
     if gap2 < -(cfg.abs_tol * scale2 + cfg.z * _quadrature(top_err, se_mid)):
@@ -1017,19 +934,14 @@ def check_matrix_bergstrom(
     exact closed-form report."""
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
-    n = a.dim
-    if b.dim != n:
-        raise DimensionError(f"dimension mismatch: {n} vs {b.dim}")
+    n = _same_dim(a, b)
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for dimension {n}")
     iid = instance_id or f"{_tag(a, b)}-i{i}"
-    s = a.entries + b.entries
-    lhs = float(np.exp(_logdet_raw(s) - _minor_logdet(s, i)))
-    rhs = float(
-        np.exp(a.log_det - _minor_logdet(a.entries, i))
-        + np.exp(b.log_det - _minor_logdet(b.entries, i))
+    term_s, term_a, term_b = _bergstrom_ratios(*_sum_logdets(a, b), i)
+    return _finish(
+        "matrix_bergstrom", iid, n, None, float(term_s), float(term_a + term_b), 0.0, cfg, t0
     )
-    return _finish("matrix_bergstrom", iid, n, None, lhs, rhs, 0.0, cfg, t0)
 
 
 def check_matrix_kyfan(
@@ -1043,20 +955,14 @@ def check_matrix_kyfan(
     as an exact closed-form report."""
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
-    n = a.dim
-    if b.dim != n:
-        raise DimensionError(f"dimension mismatch: {n} vs {b.dim}")
+    n = _same_dim(a, b)
     if not 1 <= k <= n - 1:
         raise DimensionError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     iid = instance_id or f"{_tag(a, b)}-k{k}"
-    size = n - k
-    s = a.entries + b.entries
-    lhs = float(np.exp((_logdet_raw(s) - _logdet_raw(s[:size, :size])) / k))
-    rhs = float(
-        np.exp((a.log_det - _logdet_raw(a.entries[:size, :size])) / k)
-        + np.exp((b.log_det - _logdet_raw(b.entries[:size, :size])) / k)
+    term_s, term_a, term_b = _kyfan_ratios(*_sum_logdets(a, b), k)
+    return _finish(
+        "matrix_kyfan", iid, n, None, float(term_s), float(term_a + term_b), 0.0, cfg, t0
     )
-    return _finish("matrix_kyfan", iid, n, None, lhs, rhs, 0.0, cfg, t0)
 
 
 # --------------------------------------------------------------------------
@@ -1100,9 +1006,7 @@ def lambda_concavity_scan(
     """Evaluate the ratio curve on a uniform lambda grid and flag interior
     points whose second difference is negative beyond noise."""
     cfg = _cfg(cfg)
-    n = _same_dim(x, y)
-    if n < 2:
-        raise DimensionError("needs dimension at least 2")
+    n = _same_dim(x, y, 2)
     if grid < 5:
         raise ValueError("grid must have at least 5 points")
     iid = instance_id or _tag(x, y)
@@ -1112,9 +1016,9 @@ def lambda_concavity_scan(
     errors = np.empty(grid)
     for j, lam in enumerate(lambdas):
         w = _combine(x, y, math.sqrt(lam), math.sqrt(1.0 - lam))
-        values[j], errors[j] = _cond_ratio(
-            w, given, 1, cfg, _rng(cfg, "lambda_scan", iid, f"lam-{j}")
-        )
+        h = conditional_entropy(w, given, cfg.m, _rng(cfg, "lambda_scan", iid, f"lam-{j}"))
+        est = entropy_power(h, 1)
+        values[j], errors[j] = est.value, est.std_error
     # concave curves keep the margin nonnegative; a significantly negative
     # margin is a concavity counterexample worth reporting
     second = 2.0 * values[1:-1] - values[2:] - values[:-2]

@@ -23,6 +23,8 @@ from .checks import CheckConfig, lambda_concavity_scan
 from .exceptions import ConfigError
 from .runner import (
     REGISTRY,
+    CheckRequest,
+    _as_int,
     config_from_dict,
     default_config,
     generate_instance,
@@ -109,12 +111,10 @@ def _cmd_check(args) -> int:
         known = ", ".join(sorted(REGISTRY))
         raise ConfigError(f"unknown check {args.name!r}; known checks: {known}")
     config = default_config(seed=args.seed)
-    config.mc_samples = args.samples
+    config.mc_samples = _as_int(args.samples, "samples", minimum=2)
     entry = REGISTRY[args.name]
     dim = max(args.dim, entry.min_dim)
-    config.checks = [
-        type(config.checks[0])(args.name, (dim,), args.instances, None, dict(entry.defaults))
-    ]
+    config.checks = [CheckRequest(args.name, (dim,), args.instances, None, dict(entry.defaults))]
     report, code = run_suite(config)
     for record in report["records"]:
         lam = "" if record["lambda"] is None else f" lambda={record['lambda']:.3g}"
@@ -135,7 +135,7 @@ def _cmd_scan(args) -> int:
     if args.grid < 5:
         raise ConfigError("scan-lambda needs --grid >= 5")
     x, y = generate_instance("mixture_pair", args.dim, 0, args.seed)
-    cfg = CheckConfig(m=args.samples, seed=args.seed)
+    cfg = CheckConfig(m=_as_int(args.samples, "samples", minimum=2), seed=args.seed)
     scan = lambda_concavity_scan(x, y, grid=args.grid, cfg=cfg)
     payload = scan.to_dict()
     if args.out:

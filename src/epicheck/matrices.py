@@ -36,21 +36,18 @@ class SpdMatrix:
             raise DimensionError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise DimensionError("matrix dimension must be at least 1")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))
         if np.any(np.abs(a - a.T) > tol):
             raise ValueError("matrix is not symmetric to 1e-12 relative tolerance")
         a = 0.5 * (a + a.T)
-        try:
-            chol = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "Cholesky factorization failed: matrix is not positive definite"
-            ) from exc
+        chol = _cholesky(a)
         a.setflags(write=False)
         chol.setflags(write=False)
         self.entries = a
         self.chol = chol
-        self._log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+        self._log_det = _chol_logdet(chol)
 
     @property
     def dim(self) -> int:
@@ -65,14 +62,38 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
-def _logdet_raw(a: np.ndarray) -> float:
+def _cholesky(a: np.ndarray) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
             "Cholesky factorization failed: matrix is not positive definite"
         ) from exc
+
+
+def _chol_logdet(chol: np.ndarray) -> float:
+    """log det of L L' from its Cholesky factor L: twice the log-sum of the pivots."""
     return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+
+
+def _logdet_raw(a: np.ndarray) -> float:
+    return _chol_logdet(_cholesky(a))
+
+
+def _same_dim(a, b, min_dim: int = 1) -> int:
+    """Common dimension of two matrices or laws, required to be >= min_dim."""
+    if a.dim != b.dim:
+        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if a.dim < min_dim:
+        raise DimensionError(f"needs dimension at least {min_dim}")
+    return a.dim
+
+
+def _check_lambda(lam) -> float:
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    return lam
 
 
 def _as_spd(m) -> SpdMatrix:
@@ -120,14 +141,25 @@ def schur_complement_last(m) -> float:
     return float(m.entries[-1, -1] - t @ t)
 
 
-def _pair_dims(a: SpdMatrix, b: SpdMatrix) -> int:
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return a.dim
-
-
 def _minor_logdet(a: np.ndarray, i: int) -> float:
     return _logdet_raw(np.delete(np.delete(a, i, axis=0), i, axis=1))
+
+
+def _sum_logdets(a: SpdMatrix, b: SpdMatrix) -> tuple:
+    """Entries of (A+B, A, B) and their log-determinants."""
+    s = a.entries + b.entries
+    return (s, a.entries, b.entries), (_logdet_raw(s), a.log_det, b.log_det)
+
+
+def _bergstrom_ratios(mats, lds, i: int) -> list:
+    """det(M) / det(M_i) for each matrix M, from its log-determinant."""
+    return [np.exp(ld - _minor_logdet(m, i)) for m, ld in zip(mats, lds)]
+
+
+def _kyfan_ratios(mats, lds, k: int) -> list:
+    """(det(M) / det(leading (n-k) block))^(1/k) for each matrix M."""
+    size = mats[0].shape[0] - k
+    return [np.exp((ld - _logdet_raw(m[:size, :size])) / k) for m, ld in zip(mats, lds)]
 
 
 def bergstrom_gap(a: SpdMatrix, b: SpdMatrix, i: int) -> float:
@@ -136,15 +168,10 @@ def bergstrom_gap(a: SpdMatrix, b: SpdMatrix, i: int) -> float:
     Returns det(A+B)/det((A+B)_i) - det(A)/det(A_i) - det(B)/det(B_i),
     which is nonnegative for SPD inputs.
     """
-    n = _pair_dims(a, b)
-    if n < 2:
-        raise DimensionError("gap needs dimension at least 2")
+    n = _same_dim(a, b, 2)
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for dimension {n}")
-    s = a.entries + b.entries
-    term_s = np.exp(_logdet_raw(s) - _minor_logdet(s, i))
-    term_a = np.exp(a.log_det - _minor_logdet(a.entries, i))
-    term_b = np.exp(b.log_det - _minor_logdet(b.entries, i))
+    term_s, term_a, term_b = _bergstrom_ratios(*_sum_logdets(a, b), i)
     return float(term_s - term_a - term_b)
 
 
@@ -154,18 +181,12 @@ def bergstrom_gap_all(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     Shares the three full-determinant factorizations across indices, so it
     is the cheap way to sweep all minors of an instance pair.
     """
-    n = _pair_dims(a, b)
-    if n < 2:
-        raise DimensionError("gap needs dimension at least 2")
-    s = a.entries + b.entries
-    ld_s, ld_a, ld_b = _logdet_raw(s), a.log_det, b.log_det
+    n = _same_dim(a, b, 2)
+    mats, lds = _sum_logdets(a, b)
     out = np.empty(n)
     for i in range(n):
-        out[i] = (
-            np.exp(ld_s - _minor_logdet(s, i))
-            - np.exp(ld_a - _minor_logdet(a.entries, i))
-            - np.exp(ld_b - _minor_logdet(b.entries, i))
-        )
+        term_s, term_a, term_b = _bergstrom_ratios(mats, lds, i)
+        out[i] = term_s - term_a - term_b
     return out
 
 
@@ -176,32 +197,21 @@ def kyfan_gap(a: SpdMatrix, b: SpdMatrix, k: int) -> float:
     ratio dominates the sum of the individual ratios.  k = 1 coincides with
     the row/column-deletion gap at the last index.
     """
-    n = _pair_dims(a, b)
+    n = _same_dim(a, b)
     if not 1 <= k <= n - 1:
         raise DimensionError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    size = n - k
-    s = a.entries + b.entries
-    term_s = np.exp((_logdet_raw(s) - _logdet_raw(s[:size, :size])) / k)
-    term_a = np.exp((a.log_det - _logdet_raw(a.entries[:size, :size])) / k)
-    term_b = np.exp((b.log_det - _logdet_raw(b.entries[:size, :size])) / k)
+    term_s, term_a, term_b = _kyfan_ratios(*_sum_logdets(a, b), k)
     return float(term_s - term_a - term_b)
 
 
 def kyfan_gap_all(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     """Vector of k-th-root gaps for every k in 1..n-1."""
-    n = _pair_dims(a, b)
-    if n < 2:
-        raise DimensionError("gap needs dimension at least 2")
-    s = a.entries + b.entries
-    ld_s, ld_a, ld_b = _logdet_raw(s), a.log_det, b.log_det
+    n = _same_dim(a, b, 2)
+    mats, lds = _sum_logdets(a, b)
     out = np.empty(n - 1)
     for k in range(1, n):
-        size = n - k
-        out[k - 1] = (
-            np.exp((ld_s - _logdet_raw(s[:size, :size])) / k)
-            - np.exp((ld_a - _logdet_raw(a.entries[:size, :size])) / k)
-            - np.exp((ld_b - _logdet_raw(b.entries[:size, :size])) / k)
-        )
+        term_s, term_a, term_b = _kyfan_ratios(mats, lds, k)
+        out[k - 1] = term_s - term_a - term_b
     return out
 
 
@@ -212,13 +222,10 @@ def bonnesen_linear_gap(a: SpdMatrix, b: SpdMatrix, lam: float, i: int) -> float
     hypothesis det(lam A + (1-lam) B) - lam det A - (1-lam) det B is
     nonnegative, and zero at the endpoints.
     """
-    n = _pair_dims(a, b)
-    if n < 2:
-        raise DimensionError("gap needs dimension at least 2")
+    n = _same_dim(a, b, 2)
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for dimension {n}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    lam = _check_lambda(lam)
     det_ai = np.exp(_minor_logdet(a.entries, i))
     det_bi = np.exp(_minor_logdet(b.entries, i))
     if abs(det_ai - det_bi) > DET_MATCH_RTOL * max(abs(det_ai), abs(det_bi)):

@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from .exceptions import DegenerateLawError, DimensionError
-from .matrices import SpdMatrix
+from .matrices import SpdMatrix, _chol_logdet
 
 LN_2PI = float(np.log(2.0 * np.pi))
 WEIGHT_TOL = 1e-12
@@ -40,6 +40,8 @@ class GaussianComponent:
             raise DimensionError(
                 f"mean shape {mean.shape} does not match covariance dimension {cov.dim}"
             )
+        if not np.isfinite(mean).all():
+            raise ValueError("mean entries must be finite")
         mean.setflags(write=False)
         self.mean = mean
         self.cov = cov
@@ -82,8 +84,8 @@ class GaussianMixture:
             raise DimensionError(
                 f"{w.shape[0]} weights for {len(components)} components"
             )
-        if np.any(w <= 0.0):
-            raise ValueError("mixture weights must be strictly positive")
+        if not np.isfinite(w).all() or np.any(w <= 0.0):
+            raise ValueError("mixture weights must be finite and strictly positive")
         if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
             raise ValueError("mixture weights must sum to 1 within 1e-12")
         dim = components[0].dim
@@ -149,8 +151,12 @@ class GaussianMixture:
         if m < 1:
             raise ValueError("sample count must be positive")
         idx = rng.choice(self.n_components, size=m, p=self.weights)
-        z = rng.standard_normal((m, self.dim))
-        out = np.empty((m, self.dim))
+        return self._place(idx, rng.standard_normal((m, self.dim)))
+
+    def _place(self, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Map standard normal rows ``z`` through the components named by
+        ``idx``; laws with one component layout can share the draws."""
+        out = np.empty(z.shape)
         for c, comp in enumerate(self.components):
             sel = idx == c
             if np.any(sel):
@@ -236,7 +242,7 @@ class GaussianMixture:
             diff = prefix - comp.mean[:-1]
             y = solve_triangular(lp, diff, lower=True)
             t = solve_triangular(lp, v, lower=True)
-            ld_p = 2.0 * float(np.sum(np.log(np.diagonal(lp))))
+            ld_p = _chol_logdet(lp)
             log_w[c] = np.log(self.weights[c]) - 0.5 * (
                 y @ y + (n - 1) * LN_2PI + ld_p
             )
@@ -293,8 +299,8 @@ class MarkovTriple:
 
     def __init__(self, probs, x_given_z, y_given_z) -> None:
         p = np.array(probs, dtype=float).reshape(-1)
-        if p.size < 1 or np.any(p <= 0.0):
-            raise ValueError("label probabilities must be strictly positive")
+        if p.size < 1 or not np.isfinite(p).all() or np.any(p <= 0.0):
+            raise ValueError("label probabilities must be finite and strictly positive")
         if abs(float(p.sum()) - 1.0) > WEIGHT_TOL:
             raise ValueError("label probabilities must sum to 1 within 1e-12")
         x_given_z = list(x_given_z)

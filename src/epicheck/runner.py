@@ -15,6 +15,8 @@ shared_prefix_pair, random_unit_vector
     instance generators, all driven by an explicit Generator.
 generate_instance
     family-name dispatch used by the runner.
+REGISTRY
+    check name -> RegistryEntry, each ``run`` built by the factory ``_runner``.
 config_from_dict, default_config
     build a SuiteConfig, rejecting unknown keys.
 run_suite
@@ -59,7 +61,7 @@ from .checks import (
     check_tm_limit,
 )
 from .exceptions import ConfigError
-from .matrices import SpdMatrix, random_spd
+from .matrices import random_spd
 from .mixtures import GaussianMixture, MarkovTriple
 from .seeding import rng_from_tokens
 
@@ -203,146 +205,122 @@ class RegistryEntry:
     run: object  # (instance, params, cfg, instance_id) -> list[InequalityReport]
 
 
-def _pair_runner(fn):
+def _runner(check, translate=None):
+    """Adapter from a registry entry to ``check``.
+
+    A tuple instance is unpacked into the leading arguments, and ``lambdas``
+    gives one call per lambda, placed after them.  The other params pass
+    straight through as the check's keywords of the same name, unless
+    ``translate(args, params, cfg, iid)`` is given: it then returns the
+    leading arguments and keywords built from the instance and the params.
+    """
+
     def run(inst, params, cfg, iid):
-        x, y = inst
-        return [fn(x, y, cfg=cfg, instance_id=iid)]
-
-    return run
-
-
-def _single_runner(fn):
-    def run(inst, params, cfg, iid):
-        return [fn(inst, cfg=cfg, instance_id=iid)]
-
-    return run
-
-
-def _lambda_runner(fn):
-    def run(inst, params, cfg, iid):
-        x, y = inst
+        args = list(inst) if isinstance(inst, tuple) else [inst]
+        if translate is None:
+            kwargs = {key: value for key, value in params.items() if key != "lambdas"}
+        else:
+            args, kwargs = translate(args, params, cfg, iid)
+        if "lambdas" not in params:
+            return [check(*args, cfg=cfg, instance_id=iid, **kwargs)]
         return [
-            fn(x, y, lam, cfg=cfg, instance_id=iid) for lam in params["lambdas"]
+            check(*args, lam, cfg=cfg, instance_id=iid, **kwargs) for lam in params["lambdas"]
         ]
 
     return run
 
 
-def _run_kyfan(inst, params, cfg, iid):
-    x, y = inst
-    size = params["subset_size"]
-    if size is None:
-        size = min(2, x.dim - 1)
-    subset = range(x.dim - size, x.dim)
-    return [
-        check_entropic_kyfan(x, y, subset, lam, cfg=cfg, instance_id=iid)
-        for lam in params["lambdas"]
-    ]
+def _trailing_subset(args, params, cfg, iid):
+    n = args[0].dim
+    size = min(2, n - 1) if params["subset_size"] is None else params["subset_size"]
+    return args + [range(n - size, n)], {}
 
 
-def _run_equality_case(inst, params, cfg, iid):
-    dim, rng = inst
-    return [check_equality_case_bonnesen(dim, cfg=cfg, rng=rng, instance_id=iid)]
+def _equality_rng(args, params, cfg, iid):
+    dim, rng = args
+    return [dim], {"rng": rng}
 
 
-def _run_de_bruijn(inst, params, cfg, iid):
-    return [check_de_bruijn(inst, t=params["t"], dt=params["dt"], cfg=cfg, instance_id=iid)]
-
-
-def _run_projective(inst, params, cfg, iid):
-    x, y = inst
+def _direction(args, params, cfg, iid):
+    n = args[0].dim
     if params["direction"] == "random":
-        u = random_unit_vector(x.dim, rng_from_tokens(cfg.seed, "instance", "direction", x.dim, iid))
+        u = random_unit_vector(n, rng_from_tokens(cfg.seed, "instance", "direction", n, iid))
     else:
-        u = np.zeros(x.dim)
+        u = np.zeros(n)
         u[-1] = 1.0
-    return [check_projective_fisher(x, y, u, cfg=cfg, instance_id=iid)]
+    return args + [u], {}
 
 
-def _run_tm_limit(inst, params, cfg, iid):
-    return [check_tm_limit(inst, m_values=params["m_values"], cfg=cfg, instance_id=iid)]
-
-
-def _run_sphere(inst, params, cfg, iid):
-    return [check_sphere_identity(inst, cfg=cfg, instance_id=iid)]
-
-
-def _run_stam_recovery(inst, params, cfg, iid):
-    x, y = inst
-    return [check_stam_recovery(x, y, m_dirs=params["m_dirs"], cfg=cfg, instance_id=iid)]
-
-
-def _run_matrix_bergstrom(inst, params, cfg, iid):
-    a, b = inst
+def _deleted_index(args, params, cfg, iid):
     i = params["index"]
-    if i is None:
-        i = a.dim - 1
-    return [check_matrix_bergstrom(a, b, i, cfg=cfg, instance_id=iid)]
+    return args + [args[0].dim - 1 if i is None else i], {}
 
 
-def _run_matrix_kyfan(inst, params, cfg, iid):
-    a, b = inst
+def _block_size(args, params, cfg, iid):
     k = params["k"]
-    if k is None:
-        k = min(2, a.dim - 1)
-    return [check_matrix_kyfan(a, b, k, cfg=cfg, instance_id=iid)]
+    return args + [min(2, args[0].dim - 1) if k is None else k], {}
 
 
 REGISTRY: dict[str, RegistryEntry] = {
-    "epi": RegistryEntry("mixture_pair", 1, frozenset(), {}, _pair_runner(check_epi)),
+    "epi": RegistryEntry("mixture_pair", 1, frozenset(), {}, _runner(check_epi)),
     "conditional_epi": RegistryEntry(
-        "markov_triple", 1, frozenset(), {}, _single_runner(check_conditional_epi)
+        "markov_triple", 1, frozenset(), {}, _runner(check_conditional_epi)
     ),
     "entropic_bergstrom": RegistryEntry(
-        "mixture_pair", 2, frozenset(), {}, _pair_runner(check_entropic_bergstrom)
+        "mixture_pair", 2, frozenset(), {}, _runner(check_entropic_bergstrom)
     ),
     "conditional_form": RegistryEntry(
         "mixture_pair", 2, frozenset({"lambdas"}),
-        {"lambdas": LAMBDA_GRID_DEFAULT}, _lambda_runner(check_conditional_form),
+        {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_conditional_form),
     ),
     "lambda_form": RegistryEntry(
         "mixture_pair", 2, frozenset({"lambdas"}),
-        {"lambdas": LAMBDA_GRID_DEFAULT}, _lambda_runner(check_lambda_form),
+        {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_lambda_form),
     ),
     "entropic_kyfan": RegistryEntry(
         "mixture_pair", 2, frozenset({"lambdas", "subset_size"}),
-        {"lambdas": (0.5,), "subset_size": None}, _run_kyfan,
+        {"lambdas": (0.5,), "subset_size": None},
+        _runner(check_entropic_kyfan, _trailing_subset),
     ),
     "entropic_bonnesen": RegistryEntry(
         "prefix_pair", 2, frozenset({"lambdas"}),
-        {"lambdas": LAMBDA_GRID_DEFAULT}, _lambda_runner(check_entropic_bonnesen),
+        {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_entropic_bonnesen),
     ),
     "equality_case_bonnesen": RegistryEntry(
-        "equality_seed", 2, frozenset(), {}, _run_equality_case
+        "equality_seed", 2, frozenset(), {},
+        _runner(check_equality_case_bonnesen, _equality_rng),
     ),
     "isoperimetric_sharp": RegistryEntry(
-        "mixture_single", 2, frozenset(), {}, _single_runner(check_isoperimetric_sharp)
+        "mixture_single", 2, frozenset(), {}, _runner(check_isoperimetric_sharp)
     ),
     "isoperimetric_dominance": RegistryEntry(
-        "mixture_single", 2, frozenset(), {}, _single_runner(check_isoperimetric_dominance)
+        "mixture_single", 2, frozenset(), {}, _runner(check_isoperimetric_dominance)
     ),
     "de_bruijn": RegistryEntry(
-        "mixture_single", 1, frozenset({"t", "dt"}), {"t": 0.1, "dt": 1e-3}, _run_de_bruijn
+        "mixture_single", 1, frozenset({"t", "dt"}), {"t": 0.1, "dt": 1e-3},
+        _runner(check_de_bruijn),
     ),
     "blachman_stam": RegistryEntry(
-        "mixture_pair", 1, frozenset(), {}, _pair_runner(check_blachman_stam)
+        "mixture_pair", 1, frozenset(), {}, _runner(check_blachman_stam)
     ),
     "projective_fisher": RegistryEntry(
-        "mixture_pair", 1, frozenset({"direction"}), {"direction": "last_axis"}, _run_projective
+        "mixture_pair", 1, frozenset({"direction"}), {"direction": "last_axis"},
+        _runner(check_projective_fisher, _direction),
     ),
     "tm_limit": RegistryEntry(
         "mixture_single", 2, frozenset({"m_values"}),
-        {"m_values": (2, 4, 8, 16, 32, 64)}, _run_tm_limit,
+        {"m_values": (2, 4, 8, 16, 32, 64)}, _runner(check_tm_limit),
     ),
-    "sphere_identity": RegistryEntry("vector", 1, frozenset(), {}, _run_sphere),
+    "sphere_identity": RegistryEntry("vector", 1, frozenset(), {}, _runner(check_sphere_identity)),
     "stam_recovery": RegistryEntry(
-        "mixture_pair", 1, frozenset({"m_dirs"}), {"m_dirs": 256}, _run_stam_recovery
+        "mixture_pair", 1, frozenset({"m_dirs"}), {"m_dirs": 256}, _runner(check_stam_recovery)
     ),
     "matrix_bergstrom": RegistryEntry(
-        "spd_pair", 2, frozenset({"index"}), {"index": None}, _run_matrix_bergstrom
+        "spd_pair", 2, frozenset({"index"}), {"index": None},
+        _runner(check_matrix_bergstrom, _deleted_index),
     ),
     "matrix_kyfan": RegistryEntry(
-        "spd_pair", 2, frozenset({"k"}), {"k": None}, _run_matrix_kyfan
+        "spd_pair", 2, frozenset({"k"}), {"k": None}, _runner(check_matrix_kyfan, _block_size)
     ),
 }
 

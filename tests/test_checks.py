@@ -92,6 +92,12 @@ def two_part(separation=3.0):
 
 
 class TestClassify:
+    @pytest.mark.parametrize("m", [1, 0])
+    def test_config_needs_two_samples(self, m):
+        # one draw has no spread, so its standard error would read as exact
+        with pytest.raises(ValueError, match="at least 2"):
+            CheckConfig(m=m)
+
     def test_inconclusive_takes_precedence(self):
         # stderr above 10% of the larger side silences even a huge deficit
         assert classify(1.0, 2.0, 0.5, CFG) == VERDICT_INCONCLUSIVE

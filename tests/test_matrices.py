@@ -1,6 +1,7 @@
 """Tests for SPD matrices, determinant-ratio gaps, and generators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestSpdMatrix:
     def test_entries_read_only(self):
         with pytest.raises(ValueError):
             A.entries[0, 0] = 9.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_entries_without_warning(self, bad, where):
+        m = np.eye(2)
+        m[where] = m[where[::-1]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                SpdMatrix(m)
 
 
 class TestSubmatrices:

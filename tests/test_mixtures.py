@@ -43,6 +43,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="positive"):
             GaussianMixture([1.0, 0.0], [comp, comp])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [0.5, math.nan], [math.inf, 0.5]])
+    def test_weights_must_be_finite(self, weights):
+        comp = GaussianComponent([0.0], [[1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMixture(weights, [comp, comp])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mean_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMixture.gaussian([bad, 0.0], np.eye(2))
+
     def test_component_dims_must_agree(self):
         with pytest.raises(DimensionError):
             GaussianMixture(
@@ -251,6 +262,12 @@ class TestMarkovTriple:
         g = GaussianMixture.gaussian([0.0], [[1.0]])
         with pytest.raises(ValueError):
             MarkovTriple([0.4, 0.5], [g, g], [g, g])
+
+    @pytest.mark.parametrize("probs", [[math.nan, 0.6], [0.4, math.nan], [math.inf, 0.6]])
+    def test_probs_must_be_finite(self, probs):
+        g = GaussianMixture.gaussian([0.0], [[1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            MarkovTriple(probs, [g, g], [g, g])
 
     def test_length_mismatch(self):
         g = GaussianMixture.gaussian([0.0], [[1.0]])

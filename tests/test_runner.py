@@ -6,15 +6,26 @@ import numpy as np
 import pytest
 
 from epicheck import (
+    CheckConfig,
     ConfigError,
     GaussianMixture,
     MarkovTriple,
     SpdMatrix,
+    check_conditional_form,
+    check_de_bruijn,
+    check_entropic_kyfan,
+    check_equality_case_bonnesen,
+    check_matrix_bergstrom,
+    check_matrix_kyfan,
+    check_projective_fisher,
+    check_stam_recovery,
+    check_tm_limit,
     config_from_dict,
     default_config,
     generate_instance,
     random_markov_triple,
     random_mixture,
+    random_unit_vector,
     proportional_markov_triple,
     report_to_csv,
     run_suite,
@@ -255,6 +266,75 @@ class TestRunSuite:
         assert report["summary"]["always_violated"]["violated"] == 1
 
 
+def _last_axis(n):
+    u = np.zeros(n)
+    u[-1] = 1.0
+    return u
+
+
+def _random_direction(x, cfg, iid):
+    rng = rng_from_tokens(cfg.seed, "instance", "direction", x.dim, iid)
+    return random_unit_vector(x.dim, rng)
+
+
+# (check, dim, params, direct call of the public check on the generated instance)
+REGISTRY_PARAM_CASES = [
+    ("entropic_kyfan", 3, {"subset_size": 1},
+     lambda inst, cfg, iid: [check_entropic_kyfan(*inst, [2], 0.5, cfg, iid)]),
+    ("projective_fisher", 3, {"direction": "random"},
+     lambda inst, cfg, iid: [
+         check_projective_fisher(*inst, _random_direction(inst[0], cfg, iid), cfg, iid)
+     ]),
+    ("projective_fisher", 2, {},
+     lambda inst, cfg, iid: [check_projective_fisher(*inst, _last_axis(2), cfg, iid)]),
+    ("matrix_bergstrom", 3, {"index": 0},
+     lambda inst, cfg, iid: [check_matrix_bergstrom(*inst, 0, cfg, iid)]),
+    ("matrix_kyfan", 3, {"k": 1},
+     lambda inst, cfg, iid: [check_matrix_kyfan(*inst, 1, cfg, iid)]),
+    ("de_bruijn", 2, {"t": 0.3, "dt": 0.01},
+     lambda inst, cfg, iid: [check_de_bruijn(inst, 0.3, 0.01, cfg, iid)]),
+    ("tm_limit", 2, {"m_values": [1, 3, 9]},
+     lambda inst, cfg, iid: [check_tm_limit(inst, [1, 3, 9], cfg, iid)]),
+    ("stam_recovery", 2, {"m_dirs": 32},
+     lambda inst, cfg, iid: [check_stam_recovery(*inst, 32, cfg, iid)]),
+    ("conditional_form", 2, {"lambdas": [0.2, 0.9]},
+     lambda inst, cfg, iid: [check_conditional_form(*inst, lam, cfg, iid) for lam in (0.2, 0.9)]),
+    ("entropic_kyfan", 3, {"lambdas": [0.0, 0.3]},
+     lambda inst, cfg, iid: [
+         check_entropic_kyfan(*inst, [1, 2], lam, cfg, iid) for lam in (0.0, 0.3)
+     ]),
+    ("equality_case_bonnesen", 3, {},
+     lambda inst, cfg, iid: [check_equality_case_bonnesen(inst[0], cfg, inst[1], None, iid)]),
+]
+
+
+class TestRegistryParams:
+    @pytest.mark.parametrize(
+        "name, dim, params, direct",
+        REGISTRY_PARAM_CASES,
+        ids=[f"{c[0]}-{'-'.join(c[2]) or 'default'}" for c in REGISTRY_PARAM_CASES],
+    )
+    def test_suite_records_match_direct_calls(self, name, dim, params, direct):
+        config = config_from_dict(
+            {
+                "seed": 5,
+                "dims": [dim],
+                "mc_samples": 2000,
+                "checks": [{"name": name, "params": params}],
+            }
+        )
+        report, _ = run_suite(config)
+        family = REGISTRY[name].family
+        iid = f"{family}-d{dim}-0"
+        cfg = CheckConfig(m=2000, seed=5)
+        expected = direct(generate_instance(family, dim, 0, 5), cfg, iid)
+
+        def strip(records):
+            return [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
+
+        assert strip(report["records"]) == strip(r.to_dict() for r in expected)
+
+
 class TestReportWriting:
     def test_csv_header_and_empty_lambda(self):
         report, _ = run_suite(small_config())
@@ -338,6 +418,11 @@ class TestCli:
     def test_check_unknown_name(self, capsys):
         assert main(["check", "bogus"]) == 2
         assert "known checks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["check", "sphere_identity"], ["scan-lambda"]])
+    def test_one_sample_is_a_config_error(self, command, capsys):
+        assert main(command + ["--samples", "1"]) == 2
+        assert "samples" in capsys.readouterr().err
 
     def test_check_writes_report(self, tmp_path, capsys):
         out = tmp_path / "one.json"
