@@ -169,6 +169,12 @@ def _rng(cfg: CheckConfig, name: str, instance_id: str, role: str) -> np.random.
     return rng_from_tokens(cfg.seed, name, instance_id, role)
 
 
+def _mc_rng(law, cfg: CheckConfig, name: str, instance_id: str, role: str):
+    """The stream for estimating a term of ``law``; None for a pure Gaussian,
+    whose closed-form route draws nothing."""
+    return None if law.is_gaussian else _rng(cfg, name, instance_id, role)
+
+
 def _finish(
     name: str,
     instance_id: str,
@@ -210,7 +216,7 @@ def _sum_report(name, iid, n, x, y, term, cfg, t0) -> InequalityReport:
     the RNG roles "sum", "x" and "y".
     """
     s, tx, ty = (
-        term(law, _rng(cfg, name, iid, role))
+        term(law, _mc_rng(law, cfg, name, iid, role))
         for law, role in ((x.convolve(y), "sum"), (x, "x"), (y, "y"))
     )
     stderr = _quadrature(s.std_error, tx.std_error, ty.std_error)
@@ -257,7 +263,7 @@ def check_conditional_epi(
         total = 0.0
         var = 0.0
         for z, gm in enumerate(laws):
-            est = entropy(gm, cfg.m, _rng(cfg, "conditional_epi", iid, f"{role}-{z}"))
+            est = entropy(gm, cfg.m, _mc_rng(gm, cfg, "conditional_epi", iid, f"{role}-{z}"))
             p = float(triple.probs[z])
             total += p * est.value
             var += (p * est.std_error) ** 2
@@ -325,7 +331,7 @@ def _convex_split_report(
     wy = 1.0 - wx
 
     def power(gm: GaussianMixture, role: str) -> ScalarEstimate:
-        rng = _rng(cfg, name, iid, role)
+        rng = _mc_rng(gm, cfg, name, iid, role)
         h = conditional_entropy(gm, given, cfg.m, rng) if given else entropy(gm, cfg.m, rng)
         return entropy_power(h, k)
 
@@ -433,8 +439,8 @@ def check_entropic_bonnesen(
     mx = x.marginal(range(n - 1))
     my = y.marginal(range(n - 1))
     if not _same_law(mx, my):
-        hx = entropy(mx, cfg.m, _rng(cfg, "entropic_bonnesen", iid, "pre-x"))
-        hy = entropy(my, cfg.m, _rng(cfg, "entropic_bonnesen", iid, "pre-y"))
+        hx = entropy(mx, cfg.m, _mc_rng(mx, cfg, "entropic_bonnesen", iid, "pre-x"))
+        hy = entropy(my, cfg.m, _mc_rng(my, cfg, "entropic_bonnesen", iid, "pre-y"))
         tol = cfg.eq_tol * max(1.0, abs(hx.value), abs(hy.value)) + cfg.z * _quadrature(
             hx.std_error, hy.std_error
         )
@@ -549,11 +555,9 @@ def _iso_terms(name: str, iid: str, x: GaussianMixture, cfg: CheckConfig, with_f
         npow_m = math.exp(LN_2PIE + _logdet_raw(cov.entries[: n - 1, : n - 1]) / (n - 1))
         return (npow, npow_m), None, None
     pts = x.sample(_rng(cfg, name, iid, "mc"), cfg.m)
-    rows = [-x.log_density(pts), -x.marginal(range(n - 1)).log_density(pts[:, : n - 1])]
-    if with_fisher:
-        s = x.score(pts)
-        rows.append(np.einsum("ij,ij->i", s, s))
-    stats = np.stack(rows)
+    log_f, log_prefix, s = x._kernel(pts, n - 1, with_fisher)
+    fisher_rows = [np.einsum("ij,ij->i", s, s)] if with_fisher else []
+    stats = np.stack([-log_f, -log_prefix] + fisher_rows)
     mu = stats.mean(axis=1)
     return _entropy_powers(mu, n), mu, np.cov(stats, ddof=1) / cfg.m
 
@@ -657,12 +661,9 @@ def check_de_bruijn(
     z = rng.standard_normal((cfg.m, n))
     shifts = (t - dt, t, t + dt)
     laws = {s: x.convolve(GaussianMixture.gaussian(np.zeros(n), s * eye)) for s in shifts}
-    pts = {s: law._place(idx, z) for s, law in laws.items()}
-    diff = (
-        -laws[t + dt].log_density(pts[t + dt]) + laws[t - dt].log_density(pts[t - dt])
-    ) / (2.0 * dt)
-    sc = laws[t].score(pts[t])
-    half_sq = 0.5 * np.einsum("ij,ij->i", sc, sc)
+    out = {s: law._kernel(law._place(idx, z), 0, s == t) for s, law in laws.items()}
+    diff = (-out[t + dt][0] + out[t - dt][0]) / (2.0 * dt)
+    half_sq = 0.5 * np.einsum("ij,ij->i", out[t][2], out[t][2])
     return _finish(
         "de_bruijn",
         iid, n, None,
@@ -742,7 +743,7 @@ def tm_sequence(
     errors = np.empty(len(m_values))
     for j, mv in enumerate(m_values):
         mapped = x.linear_map(compression_map(x.dim, mv))
-        est = fisher(mapped, cfg.m, _rng(cfg, "tm_limit", iid, f"tm-{mv}"))
+        est = fisher(mapped, cfg.m, _mc_rng(mapped, cfg, "tm_limit", iid, f"tm-{mv}"))
         values[j] = est.value / mv**2
         errors[j] = est.std_error / mv**2
     return values, errors
@@ -772,7 +773,7 @@ def check_tm_limit(
     values, errors = tm_sequence(x, m_values, cfg, iid)
     e_last = np.zeros(n)
     e_last[-1] = 1.0
-    target = projective_fisher(x, e_last, cfg.m, _rng(cfg, "tm_limit", iid, "target"))
+    target = projective_fisher(x, e_last, cfg.m, _mc_rng(x, cfg, "tm_limit", iid, "target"))
 
     scale = max(1.0, float(np.max(np.abs(values))))
     monotone = all(
@@ -865,12 +866,13 @@ def check_stam_recovery(
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     mat_x, fish_x, left_x = _score_second_moment(
-        x, cfg.m, _rng(cfg, "stam_recovery", iid, "x")
+        x, cfg.m, _mc_rng(x, cfg, "stam_recovery", iid, "x")
     )
     mat_y, fish_y, left_y = _score_second_moment(
-        y, cfg.m, _rng(cfg, "stam_recovery", iid, "y")
+        y, cfg.m, _mc_rng(y, cfg, "stam_recovery", iid, "y")
     )
-    fish_sum = fisher(x.convolve(y), cfg.m, _rng(cfg, "stam_recovery", iid, "sum"))
+    xy = x.convolve(y)
+    fish_sum = fisher(xy, cfg.m, _mc_rng(xy, cfg, "stam_recovery", iid, "sum"))
 
     px = np.einsum("di,ij,dj->d", dirs, mat_x, dirs)
     py = np.einsum("di,ij,dj->d", dirs, mat_y, dirs)
@@ -1016,7 +1018,7 @@ def lambda_concavity_scan(
     errors = np.empty(grid)
     for j, lam in enumerate(lambdas):
         w = _combine(x, y, math.sqrt(lam), math.sqrt(1.0 - lam))
-        h = conditional_entropy(w, given, cfg.m, _rng(cfg, "lambda_scan", iid, f"lam-{j}"))
+        h = conditional_entropy(w, given, cfg.m, _mc_rng(w, cfg, "lambda_scan", iid, f"lam-{j}"))
         est = entropy_power(h, 1)
         values[j], errors[j] = est.value, est.std_error
     # concave curves keep the margin nonnegative; a significantly negative

@@ -19,7 +19,7 @@ from scipy.special import digamma
 
 from .exceptions import DimensionError
 from .matrices import _logdet_raw
-from .mixtures import LN_2PI, GaussianComponent, GaussianMixture
+from .mixtures import LN_2PI, GaussianComponent, GaussianMixture, _logsumexp
 from .seeding import rng_from_tokens, stable_digest
 
 LN_2PIE = LN_2PI + 1.0
@@ -29,6 +29,7 @@ METHOD_MC = "plug_in_mc"
 METHOD_KNN = "knn"
 
 DEFAULT_SAMPLES = 100_000
+SCORE_BLOCK = 65_536  # points scored at once by conditional_fisher_last, to bound memory
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ def conditional_entropy(
     """h(rest | coordinates in ``given``) = h(joint) - h(marginal).
 
     The Monte-Carlo route evaluates both log-densities on the same draws,
-    so the per-sample difference is paired and the error bar reflects the
+    from one whitening pass with the conditioning coordinates leading, so
+    the per-sample difference is paired and the error bar reflects the
     (much smaller) variance of the difference.
     """
     given = sorted(int(i) for i in given)
@@ -171,10 +173,12 @@ def conditional_entropy(
         return ScalarEstimate(value, 0.0, 0, METHOD_CLOSED)
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
-    marg = gm.marginal(given)
+    # put the conditioning coordinates first, so that they are the prefix
+    order = given + [i for i in range(gm.dim) if i not in given]
+    law = gm if order == list(range(gm.dim)) else gm.marginal(order)
     pts = gm.sample(rng, m)
-    diffs = -gm.log_density(pts) + marg.log_density(pts[:, given])
-    return _mean_and_se(diffs, METHOD_MC)
+    log_f, log_given, _ = law._kernel(pts if law is gm else pts[:, order], len(given))
+    return _mean_and_se(-log_f + log_given, METHOD_MC)
 
 
 def conditional_entropy_last(
@@ -253,17 +257,34 @@ def conditional_fisher_last(
     prefix the 1-D conditional mixture is formed exactly and its Fisher
     information is estimated with the closed-form score on inner samples.
     The error bar is the spread across outer draws, which also absorbs the
-    inner noise.
+    inner noise.  The conditional laws of all prefixes come from one pass
+    over the joint Cholesky factors; only the draws go prefix by prefix, in
+    the order a per-prefix loop makes them.
     """
     if gm.dim < 2:
         raise DimensionError("conditioning needs dimension at least 2")
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
+    if m_inner < 1:
+        raise ValueError("sample count must be positive")
     prefixes = gm.marginal(range(gm.dim - 1)).sample(rng, m_outer)
-    vals = np.empty(m_outer)
+    log_w, means, sds = gm._condition_last(prefixes)
+    weights = np.exp(log_w)
+    weights /= weights.sum(axis=0)
+    pts = np.empty((m_outer, m_inner))
     for j in range(m_outer):
-        cond = gm.conditional_slice(prefixes[j])
-        pts = cond.sample(rng, m_inner)
-        s = cond.score(pts)
-        vals[j] = np.mean(s * s)
+        idx = rng.choice(gm.n_components, size=m_inner, p=weights[:, j])
+        pts[j] = means[idx, j] + rng.standard_normal(m_inner) * sds[idx]
+
+    def terms(rows):  # each prefix's 1-D conditional mixture, one component at a time
+        for lw, mu, sd in zip(log_w[:, rows], means[:, rows], sds):
+            u = (pts[rows] - mu[:, None]) / sd
+            logs = lw[:, None] - 0.5 * (u * u + LN_2PI + 2.0 * np.log(sd))
+            yield logs.reshape(1, -1), (u / sd).reshape(1, -1)
+
+    step = max(1, SCORE_BLOCK // m_inner)
+    vals = np.concatenate([
+        np.mean(_logsumexp(terms(slice(lo, lo + step)))[1].reshape(-1, m_inner) ** 2, axis=1)
+        for lo in range(0, m_outer, step)
+    ])
     return _mean_and_se(vals, METHOD_MC)

@@ -19,13 +19,33 @@ import json
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .exceptions import DegenerateLawError, DimensionError
 from .matrices import SpdMatrix, _chol_logdet
 
 LN_2PI = float(np.log(2.0 * np.pi))
 WEIGHT_TOL = 1e-12
+
+
+def _logsumexp(terms):
+    """log sum_c exp(a_c) over a stream of terms (a_c, g_c), one at a time, and
+    with (d, m) arrays g_c the mean of the g_c weighted by exp(a_c[-1]).  The
+    shift is the largest a_c so far, the rest are summed apart as s, and the
+    result is a* + log1p(s) (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).
+    """
+    top = rest = acc = None
+    for a, g in terms:
+        if top is None:
+            top, rest, acc = a, np.zeros_like(a), g
+            continue
+        up = a > top
+        with np.errstate(invalid="ignore"):  # -inf - -inf: a point no term reaches
+            e = np.fmax(np.exp(-np.abs(a - top)), 0.0)
+        rest = np.where(up, (rest + 1.0) * e, rest + e)
+        if acc is not None:
+            acc = acc * np.where(up[-1], e[-1], 1.0) + g * np.where(up[-1], 1.0, e[-1])
+        top = np.maximum(top, a)
+    return top + np.log1p(rest), (None if acc is None else acc / (1.0 + rest[-1]))
 
 
 class GaussianComponent:
@@ -52,15 +72,7 @@ class GaussianComponent:
 
     def log_density(self, pts: np.ndarray) -> np.ndarray:
         """Log-density at each row of ``pts`` (m, n)."""
-        diff = pts - self.mean
-        w = solve_triangular(self.cov.chol, diff.T, lower=True)
-        quad = np.einsum("ij,ij->j", w, w)
-        return -0.5 * (quad + self.dim * LN_2PI + self.cov.log_det)
-
-    def solve_cov(self, diff_t: np.ndarray) -> np.ndarray:
-        """Sigma^-1 @ diff_t for a stacked (n, m) right-hand side."""
-        low = solve_triangular(self.cov.chol, diff_t, lower=True)
-        return solve_triangular(self.cov.chol.T, low, lower=False)
+        return GaussianMixture([1.0], [self]).log_density(pts)
 
 
 class GaussianMixture:
@@ -118,33 +130,46 @@ class GaussianMixture:
             raise DimensionError(
                 f"points of shape {np.shape(x)} do not match dimension {self.dim}"
             )
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         return pts, single
 
-    def _log_joint(self, pts: np.ndarray) -> np.ndarray:
-        """(K, m) matrix of log w_c + log phi_c(x)."""
-        rows = [
-            np.log(w) + comp.log_density(pts)
-            for w, comp in zip(self.weights, self.components)
-        ]
-        return np.vstack(rows)
+    def _kernel(self, pts: np.ndarray, prefix_len: int = 0, with_score: bool = False):
+        """(log f, log f_k of the first k = ``prefix_len`` coordinates or None,
+        score or None) at finite (m, n) ``pts``, from one whitening per
+        component: z = L^-1 (x - mu), whose first k rows whiten the prefix
+        under the leading block L[:k, :k], and L^-T z = Sigma^-1 (x - mu)."""
+        lengths = (prefix_len, self.dim) if prefix_len else (self.dim,)
+
+        def terms():
+            for w, comp in zip(self.weights, self.components):
+                chol = comp.cov.chol
+                z = solve_triangular(chol, (pts - comp.mean).T, lower=True, check_finite=False)
+                logs = np.empty((len(lengths), pts.shape[0]))
+                for j, k in enumerate(lengths):
+                    quad = np.einsum("ij,ij->j", z[:k], z[:k])
+                    logs[j] = np.log(w) - 0.5 * (quad + k * LN_2PI + _chol_logdet(chol[:k, :k]))
+                if with_score:  # L^-T z = Sigma^-1 (x - mu), minus the component's score
+                    z = solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
+                yield logs, (z if with_score else None)
+
+        logs, mean_score = _logsumexp(terms())
+        return (
+            logs[-1], logs[0] if prefix_len else None,
+            None if mean_score is None else -mean_score.T,
+        )
 
     def log_density(self, x):
         """Exact mixture log-density; stable for arguments as far as |x| ~ 1e6."""
         pts, single = self._as_points(x)
-        out = logsumexp(self._log_joint(pts), axis=0)
+        out = self._kernel(pts)[0]
         return float(out[0]) if single else out
 
     def score(self, x):
         """Gradient of the log-density: responsibility-weighted Gaussian scores."""
         pts, single = self._as_points(x)
-        logs = self._log_joint(pts)
-        logs = logs - logsumexp(logs, axis=0)
-        resp = np.exp(logs)
-        acc = np.zeros_like(pts)
-        for c, comp in enumerate(self.components):
-            diff = pts - comp.mean
-            acc -= resp[c][:, None] * comp.solve_cov(diff.T).T
-        return acc[0] if single else acc
+        out = self._kernel(pts, with_score=True)[2]
+        return out[0] if single else out
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """Draw ``m`` points: categorical component choice, then Cholesky."""
@@ -233,24 +258,28 @@ class GaussianMixture:
             raise DimensionError(
                 f"prefix of shape {prefix.shape} does not match dimension {n - 1}"
             )
-        log_w = np.empty(self.n_components)
-        comps = []
-        for c, comp in enumerate(self.components):
-            p = comp.cov.entries[:-1, :-1]
-            v = comp.cov.entries[:-1, -1]
-            lp = np.linalg.cholesky(p)
-            diff = prefix - comp.mean[:-1]
-            y = solve_triangular(lp, diff, lower=True)
-            t = solve_triangular(lp, v, lower=True)
-            ld_p = _chol_logdet(lp)
-            log_w[c] = np.log(self.weights[c]) - 0.5 * (
-                y @ y + (n - 1) * LN_2PI + ld_p
-            )
-            cond_mean = comp.mean[-1] + t @ y
-            cond_var = comp.cov.entries[-1, -1] - t @ t
-            comps.append(GaussianComponent([cond_mean], [[cond_var]]))
-        w = np.exp(log_w - logsumexp(log_w))
+        if not np.isfinite(prefix).all():
+            raise ValueError("prefix must be finite")
+        log_w, means, sds = self._condition_last(prefix[None, :])
+        w = np.exp(log_w[:, 0])
+        comps = [GaussianComponent([mu], [[sd * sd]]) for mu, sd in zip(means[:, 0], sds)]
         return GaussianMixture(w / w.sum(), comps)
+
+    def _condition_last(self, prefixes: np.ndarray):
+        """Posterior log-weights (K, p), means (K, p) and standard deviations
+        (K,) of the last coordinate given each row of ``prefixes`` (p, n-1).
+        With the joint factor L = [[A, 0], [t', s]], A factors the prefix
+        marginal, the mean is mu_n + t' A^-1 (x - mu_<n) and s is the sd."""
+        log_w = np.empty((self.n_components, prefixes.shape[0]))
+        means = np.empty_like(log_w)
+        for c, (w, comp) in enumerate(zip(self.weights, self.components)):
+            a, t = comp.cov.chol[:-1, :-1], comp.cov.chol[-1, :-1]
+            y = solve_triangular(a, (prefixes - comp.mean[:-1]).T, lower=True, check_finite=False)
+            quad = np.einsum("ij,ij->j", y, y)
+            log_w[c] = np.log(w) - 0.5 * (quad + t.size * LN_2PI + _chol_logdet(a))
+            means[c] = comp.mean[-1] + t @ y
+        sds = np.array([comp.cov.chol[-1, -1] for comp in self.components])
+        return log_w - _logsumexp((row, None) for row in log_w)[0], means, sds
 
     def to_dict(self) -> dict:
         return {

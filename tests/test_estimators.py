@@ -39,6 +39,7 @@ from epicheck import (
     mc_fisher,
     projective_fisher,
     random_mixture,
+    random_spd,
 )
 from epicheck.seeding import rng_from_tokens
 
@@ -299,6 +300,35 @@ class TestConditionalFisherLast:
         proj = projective_fisher(mix, [0.0, 1.0], 100_000, rng_from_tokens(15, "cf"))
         combined = math.hypot(cond.std_error, proj.std_error)
         assert abs(cond.value - proj.value) <= 3.0 * combined + 0.02
+
+    @pytest.mark.parametrize("m_outer, m_inner", [(0, 10), (10, 0)])
+    def test_sample_counts_must_be_positive(self, m_outer, m_inner):
+        with pytest.raises(ValueError, match="positive"):
+            conditional_fisher_last(gauss(np.eye(2)), m_outer, m_inner, rng_from_tokens(0, "cf"))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_prefix_loop(self, dim):
+        # one conditional mixture per prefix, drawn from and scored in turn:
+        # the batched estimator must consume the generator in the same order
+        rng = rng_from_tokens(16, "cf-law", dim)
+        parts = []
+        for _ in range(2):
+            comps = [(rng.normal(size=dim), random_spd(dim, rng, 100.0)) for _ in range(3)]
+            parts.append(GaussianMixture([0.2, 0.3, 0.5], comps))
+        gm = parts[0].convolve(parts[1])
+        assert gm.n_components == 9
+
+        rng = rng_from_tokens(17, "cf", dim)
+        prefixes = gm.marginal(range(dim - 1)).sample(rng, 50)
+        vals = []
+        for prefix in prefixes:
+            cond = gm.conditional_slice(prefix)
+            s = cond.score(cond.sample(rng, 50))
+            vals.append(np.mean(s * s))
+        est = conditional_fisher_last(gm, 50, 50, rng_from_tokens(17, "cf", dim))
+        assert est.value == pytest.approx(np.mean(vals), rel=1e-12)
+        assert est.std_error == pytest.approx(np.std(vals, ddof=1) / np.sqrt(50), rel=1e-12)
+        assert est.n_samples == 50
 
 
 class TestScalingInvariant:

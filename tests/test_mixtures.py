@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from epicheck import (
@@ -18,7 +20,9 @@ from epicheck import (
     MarkovTriple,
     SpdMatrix,
     random_mixture,
+    random_spd,
 )
+from epicheck.mixtures import _logsumexp
 from epicheck.seeding import rng_from_tokens
 
 
@@ -30,6 +34,49 @@ def two_part_mixture() -> GaussianMixture:
             GaussianComponent([1.5, -0.5], [[1.0, 0.0], [0.0, 0.5]]),
         ],
     )
+
+
+def nine_part_mixture() -> GaussianMixture:
+    """K = 9 components in dimension 3, the shape of a 3 x 3 convolution."""
+    rng = rng_from_tokens(0, "nine-part")
+    raw = rng.uniform(0.5, 1.5, size=9)
+    comps = [
+        GaussianComponent(rng.normal(0.0, 2.0, size=3), random_spd(3, rng, 100.0))
+        for _ in range(9)
+    ]
+    return GaussianMixture(raw / raw.sum(), comps)
+
+
+def ill_conditioned_mixture() -> GaussianMixture:
+    """Two components whose covariances have condition number 1e8."""
+    rng = rng_from_tokens(0, "ill-conditioned")
+    comps = []
+    for mean in ([0.0, 0.0, 0.0], [1.0, -2.0, 0.5]):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        comps.append(GaussianComponent(mean, (q * [1e4, 1.0, 1e-4]) @ q.T))
+    return GaussianMixture([0.4, 0.6], comps)
+
+
+def component_log_joint(gm: GaussianMixture, pts: np.ndarray) -> np.ndarray:
+    """(K, m) matrix of log w_c + log phi_c(x), one triangular solve each."""
+    rows = []
+    for w, c in zip(gm.weights, gm.components):
+        z = solve_triangular(c.cov.chol, (pts - c.mean).T, lower=True)
+        quad = np.einsum("ij,ij->j", z, z)
+        rows.append(np.log(w) - 0.5 * (quad + gm.dim * math.log(2 * math.pi) + c.cov.log_det))
+    return np.vstack(rows)
+
+
+def per_component_score(gm: GaussianMixture, pts: np.ndarray) -> np.ndarray:
+    """The score as a two-pass formula: responsibilities from stacked
+    component log-densities, then each component's Sigma^-1 (x - mu)."""
+    logs = component_log_joint(gm, pts)
+    resp = np.exp(logs - logsumexp(logs, axis=0))
+    acc = np.zeros_like(pts)
+    for r, comp in zip(resp, gm.components):
+        low = solve_triangular(comp.cov.chol, (pts - comp.mean).T, lower=True)
+        acc -= r[:, None] * solve_triangular(comp.cov.chol.T, low, lower=False).T
+    return acc
 
 
 class TestConstruction:
@@ -87,6 +134,13 @@ class TestDensity:
         ]
         assert np.allclose(gm.log_density(pts), np.log(np.sum(parts, axis=0)), rtol=1e-10)
 
+    def test_component_log_density_matches_formula(self):
+        gm = nine_part_mixture()
+        pts = gm.sample(rng_from_tokens(3, "density"), 200)
+        for c in gm.components:
+            expected = component_log_joint(GaussianMixture([1.0], [c]), pts)[0]
+            np.testing.assert_allclose(c.log_density(pts), expected, rtol=1e-14)
+
     def test_single_point_returns_scalar(self):
         gm = two_part_mixture()
         out = gm.log_density([0.0, 0.0])
@@ -100,8 +154,101 @@ class TestDensity:
         assert np.all(np.isfinite(vals))
         assert vals[0] < -1e9
 
+    def test_overflowing_quadratic_form_gives_minus_infinity(self):
+        gm = nine_part_mixture()
+        with np.errstate(over="ignore"):
+            vals = gm.log_density(np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert vals[0] == -np.inf and np.isfinite(vals[1])
+
+
+class TestKernel:
+    @pytest.mark.parametrize("make", [nine_part_mixture, ill_conditioned_mixture])
+    def test_prefix_matches_marginal(self, make):
+        gm = make()
+        pts = gm.sample(rng_from_tokens(1, "kernel"), 500)
+        for k in range(1, gm.dim):
+            log_f, log_prefix, score = gm._kernel(pts, k)
+            assert score is None
+            assert np.array_equal(log_f, gm._kernel(pts)[0])
+            expected = gm.marginal(range(k)).log_density(pts[:, :k])
+            np.testing.assert_allclose(log_prefix, expected, rtol=1e-12)
+
+    def test_joint_matches_scipy(self):
+        gm = nine_part_mixture()
+        pts = gm.sample(rng_from_tokens(2, "kernel"), 500)
+        parts = [
+            np.log(w) + multivariate_normal(mean=c.mean, cov=c.cov.entries).logpdf(pts)
+            for w, c in zip(gm.weights, gm.components)
+        ]
+        np.testing.assert_allclose(gm.log_density(pts), logsumexp(parts, axis=0), rtol=1e-10)
+
+    @pytest.mark.parametrize("make", [nine_part_mixture, ill_conditioned_mixture])
+    def test_joint_matches_per_component_formula(self, make):
+        gm = make()
+        pts = gm.sample(rng_from_tokens(3, "kernel"), 500)
+        expected = logsumexp(component_log_joint(gm, pts), axis=0)
+        np.testing.assert_allclose(gm.log_density(pts), expected, rtol=1e-13)
+
+    def test_log_sum_exp_matches_scipy_at_the_edges(self):
+        # weights down to 1e-12, points out to |x| ~ 1e6
+        weights = [1e-12, 1e-6, 1.0 - 1e-6 - 1e-12]
+        gm = GaussianMixture(
+            weights,
+            [
+                GaussianComponent([1e6, 0.0], [[1.0, 0.2], [0.2, 2.0]]),
+                GaussianComponent([0.0, -1e6], [[3.0, 0.0], [0.0, 0.5]]),
+                GaussianComponent([0.0, 0.0], np.eye(2)),
+            ],
+        )
+        pts = np.array(
+            [[1e6, 1.0], [0.0, -1e6], [1e6, -1e6], [-1e6, 1e6], [0.5, 0.5], [1e6, 0.0]]
+        )
+        logs = component_log_joint(gm, pts)
+        expected = logsumexp(logs, axis=0)
+        np.testing.assert_allclose(_logsumexp((row, None) for row in logs)[0], expected,
+                                   rtol=1e-14)
+        np.testing.assert_allclose(gm.log_density(pts), expected, rtol=1e-14)
+
+    def test_log_sum_exp_of_scalars(self):
+        a = np.log([1e-12, 0.3, 0.7 - 1e-12])
+        assert _logsumexp((v, None) for v in a)[0] == pytest.approx(logsumexp(a), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        gm = nine_part_mixture()
+        pts = np.zeros((3, 3))
+        pts[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gm.log_density(pts)
+        with pytest.raises(ValueError, match="finite"):
+            gm.score(pts)
+        with pytest.raises(ValueError, match="finite"):
+            gm.score(pts[1])
+
 
 class TestScore:
+    @pytest.mark.parametrize("make", [nine_part_mixture, ill_conditioned_mixture])
+    def test_matches_per_component_formula(self, make):
+        gm = make()
+        pts = gm.sample(rng_from_tokens(4, "score"), 500)
+        expected = per_component_score(gm, pts)
+        np.testing.assert_allclose(
+            gm.score(pts), expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max()
+        )
+        assert np.array_equal(gm._kernel(pts, 2, True)[2], gm.score(pts))
+
+    def test_matches_central_difference_nine_parts(self):
+        gm = nine_part_mixture()
+        pts = gm.sample(rng_from_tokens(5, "score"), 20)
+        step = 1e-5
+        grad = np.empty_like(pts)
+        for j in range(3):
+            up, dn = pts.copy(), pts.copy()
+            up[:, j] += step
+            dn[:, j] -= step
+            grad[:, j] = (gm.log_density(up) - gm.log_density(dn)) / (2 * step)
+        np.testing.assert_allclose(gm.score(pts), grad, rtol=1e-6, atol=1e-6)
+
     def test_gaussian_score_closed_form(self):
         cov = np.array([[2.0, 1.0], [1.0, 2.0]])
         gm = GaussianMixture.gaussian([0.0, 0.0], cov)
@@ -131,6 +278,20 @@ class TestSampling:
         a = gm.sample(rng_from_tokens(5, "samp"), 100)
         b = gm.sample(rng_from_tokens(5, "samp"), 100)
         assert np.array_equal(a, b)
+
+    def test_draws_match_per_component_placement(self):
+        # the draws every pinned seed depends on: categorical choice, one
+        # normal block, then each component's rows placed through its factor
+        gm = nine_part_mixture()
+        rng = rng_from_tokens(9, "samp")
+        idx = rng.choice(gm.n_components, size=5000, p=gm.weights)
+        z = rng.standard_normal((5000, gm.dim))
+        expected = np.empty(z.shape)
+        for c, comp in enumerate(gm.components):
+            sel = idx == c
+            if np.any(sel):
+                expected[sel] = comp.mean + z[sel] @ comp.cov.chol.T
+        assert np.array_equal(gm.sample(rng_from_tokens(9, "samp"), 5000), expected)
 
     def test_moments_match(self):
         gm = two_part_mixture()
@@ -215,6 +376,11 @@ class TestConditionalSlice:
         assert cond.dim == 1
         assert cond.components[0].mean[0] == pytest.approx(0.5, rel=1e-12)
         assert cond.components[0].cov.entries[0, 0] == pytest.approx(1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_prefix_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            nine_part_mixture().conditional_slice([0.0, bad])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))

@@ -197,7 +197,59 @@ class TestConfigFromDict:
             config_from_dict({"checks": [3]})
 
 
+HOLDS, EQUAL = "holds", "equality_consistent"
+
+
+def _per_dim(name, family, verdict, lam=None):
+    return [(name, f"{family}-d{d}-0", lam, verdict) for d in (2, 3)]
+
+
+def _lambda_grid(name, family):
+    verdicts = (EQUAL, HOLDS, HOLDS, HOLDS, EQUAL)
+    return [
+        (name, f"{family}-d{d}-0", lam, v)
+        for d in (2, 3)
+        for lam, v in zip((0.0, 0.25, 0.5, 0.75, 1.0), verdicts)
+    ]
+
+
+# (check, instance, lambda, verdict) of every record of `epicheck run --seed 42`
+DEFAULT_SUITE_SEED_42 = (
+    _per_dim("epi", "mixture_pair", HOLDS)
+    + _per_dim("conditional_epi", "markov_triple", HOLDS)
+    + _per_dim("entropic_bergstrom", "mixture_pair", HOLDS)
+    + _lambda_grid("conditional_form", "mixture_pair")
+    + _lambda_grid("lambda_form", "mixture_pair")
+    + _per_dim("entropic_kyfan", "mixture_pair", HOLDS, 0.5)
+    + _lambda_grid("entropic_bonnesen", "prefix_pair")
+    + [
+        ("equality_case_bonnesen", "equality_seed-d2-0", 0.05, EQUAL),
+        ("equality_case_bonnesen", "equality_seed-d3-0", 0.15000000000000002, EQUAL),
+    ]
+    + _per_dim("isoperimetric_sharp", "mixture_single", HOLDS)
+    + _per_dim("isoperimetric_dominance", "mixture_single", HOLDS)
+    + _per_dim("de_bruijn", "mixture_single", EQUAL)
+    + _per_dim("blachman_stam", "mixture_pair", HOLDS)
+    + _per_dim("projective_fisher", "mixture_pair", HOLDS)
+    + _per_dim("tm_limit", "mixture_single", EQUAL)
+    + _per_dim("sphere_identity", "vector", EQUAL)
+    + _per_dim("stam_recovery", "mixture_pair", HOLDS)
+    + _per_dim("matrix_bergstrom", "spd_pair", HOLDS)
+    + _per_dim("matrix_kyfan", "spd_pair", HOLDS)
+)
+
+
 class TestRunSuite:
+    def test_default_suite_verdicts_pinned(self):
+        # a speedup may move a gap in its last digits, never a verdict
+        report, code = run_suite(default_config(42))
+        assert code == 0
+        got = [
+            (r["check_name"], r["instance_id"], r["lambda"], r["verdict"])
+            for r in report["records"]
+        ]
+        assert got == DEFAULT_SUITE_SEED_42
+
     def test_report_shape_and_exit_code(self):
         report, code = run_suite(small_config())
         assert code == 0
