@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 
 from .exceptions import DegenerateLawError, DimensionError
 from .matrices import SpdMatrix, _chol_logdet
@@ -32,20 +32,31 @@ def _logsumexp(terms):
     with (d, m) arrays g_c the mean of the g_c weighted by exp(a_c[-1]).  The
     shift is the largest a_c so far, the rest are summed apart as s, and the
     result is a* + log1p(s) (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).
+    Each g_c is consumed: it may be overwritten once the next term is asked for.
     """
     top = rest = acc = None
     for a, g in terms:
         if top is None:
-            top, rest, acc = a, np.zeros_like(a), g
+            top, rest, acc = a, np.zeros_like(a), (None if g is None else g.copy())
             continue
         up = a > top
         with np.errstate(invalid="ignore"):  # -inf - -inf: a point no term reaches
             e = np.fmax(np.exp(-np.abs(a - top)), 0.0)
         rest = np.where(up, (rest + 1.0) * e, rest + e)
         if acc is not None:
-            acc = acc * np.where(up[-1], e[-1], 1.0) + g * np.where(up[-1], 1.0, e[-1])
+            acc *= np.where(up[-1], e[-1], 1.0)
+            g *= np.where(up[-1], 1.0, e[-1])
+            acc += g
         top = np.maximum(top, a)
     return top + np.log1p(rest), (None if acc is None else acc / (1.0 + rest[-1]))
+
+
+def _whiten(chol: np.ndarray, pts: np.ndarray, mean: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """z = L^-1 (x - mu) for the rows x of ``pts`` (m, n), coordinate-major in
+    the C-ordered (n, m) ``buf``: one right-side BLAS solve Z L' = X - mu on
+    the Fortran-ordered (m, n) view of the buffer, done in place."""
+    np.subtract(pts.T, mean[:, None], out=buf)
+    return dtrsm(1.0, chol, buf.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
 
 
 class GaussianComponent:
@@ -138,19 +149,21 @@ class GaussianMixture:
         """(log f, log f_k of the first k = ``prefix_len`` coordinates or None,
         score or None) at finite (m, n) ``pts``, from one whitening per
         component: z = L^-1 (x - mu), whose first k rows whiten the prefix
-        under the leading block L[:k, :k], and L^-T z = Sigma^-1 (x - mu)."""
+        under the leading block L[:k, :k], and L^-T z = Sigma^-1 (x - mu).
+        Every component is whitened in the same (n, m) buffer."""
         lengths = (prefix_len, self.dim) if prefix_len else (self.dim,)
+        buf = np.empty((self.dim, pts.shape[0]))
 
         def terms():
             for w, comp in zip(self.weights, self.components):
                 chol = comp.cov.chol
-                z = solve_triangular(chol, (pts - comp.mean).T, lower=True, check_finite=False)
+                z = _whiten(chol, pts, comp.mean, buf)
                 logs = np.empty((len(lengths), pts.shape[0]))
                 for j, k in enumerate(lengths):
                     quad = np.einsum("ij,ij->j", z[:k], z[:k])
                     logs[j] = np.log(w) - 0.5 * (quad + k * LN_2PI + _chol_logdet(chol[:k, :k]))
                 if with_score:  # L^-T z = Sigma^-1 (x - mu), minus the component's score
-                    z = solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
+                    z = dtrsm(1.0, chol, z.T, side=1, lower=1, trans_a=0, overwrite_b=1).T
                 yield logs, (z if with_score else None)
 
         logs, mean_score = _logsumexp(terms())
@@ -176,17 +189,26 @@ class GaussianMixture:
         if m < 1:
             raise ValueError("sample count must be positive")
         idx = rng.choice(self.n_components, size=m, p=self.weights)
-        return self._place(idx, rng.standard_normal((m, self.dim)))
+        z = rng.standard_normal((m, self.dim))
+        return self._place(idx, z, out=z)
 
-    def _place(self, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def _place(self, idx: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map standard normal rows ``z`` through the components named by
-        ``idx``; laws with one component layout can share the draws."""
-        out = np.empty(z.shape)
-        for c, comp in enumerate(self.components):
-            sel = idx == c
-            if np.any(sel):
-                out[sel] = comp.mean + z[sel] @ comp.cov.chol.T
-        return out
+        ``idx`` into ``out`` (a fresh array by default, or ``z`` itself); laws
+        with one component layout can share the draws.  One stable counting
+        sort on a narrow key groups the rows by component, each group is
+        placed as one contiguous block, and the blocks are scattered back."""
+        order = np.argsort(idx.astype(np.min_scalar_type(self.n_components - 1)), kind="stable")
+        rows = np.take(z, order, axis=0)
+        start = 0
+        for comp, count in zip(self.components, np.bincount(idx, minlength=self.n_components)):
+            block = rows[start:start + count]
+            block[...] = comp.mean + block @ comp.cov.chol.T
+            start += count
+        back = np.empty_like(order)
+        back[order] = np.arange(order.size)
+        # the indices are in range; "clip" only spares take a buffered copy into out
+        return np.take(rows, back, axis=0, out=out, mode="clip")
 
     def convolve(self, other: "GaussianMixture") -> "GaussianMixture":
         """Law of the sum of independent draws: all pairwise components."""
@@ -262,8 +284,12 @@ class GaussianMixture:
             raise ValueError("prefix must be finite")
         log_w, means, sds = self._condition_last(prefix[None, :])
         w = np.exp(log_w[:, 0])
-        comps = [GaussianComponent([mu], [[sd * sd]]) for mu, sd in zip(means[:, 0], sds)]
-        return GaussianMixture(w / w.sum(), comps)
+        # a far component's posterior weight can underflow to 0; the largest is >= 1/K
+        live = w > 0.0
+        comps = [
+            GaussianComponent([mu], [[sd * sd]]) for mu, sd in zip(means[live, 0], sds[live])
+        ]
+        return GaussianMixture(w[live] / w[live].sum(), comps)
 
     def _condition_last(self, prefixes: np.ndarray):
         """Posterior log-weights (K, p), means (K, p) and standard deviations
@@ -272,9 +298,10 @@ class GaussianMixture:
         marginal, the mean is mu_n + t' A^-1 (x - mu_<n) and s is the sd."""
         log_w = np.empty((self.n_components, prefixes.shape[0]))
         means = np.empty_like(log_w)
+        buf = np.empty((self.dim - 1, prefixes.shape[0]))
         for c, (w, comp) in enumerate(zip(self.weights, self.components)):
             a, t = comp.cov.chol[:-1, :-1], comp.cov.chol[-1, :-1]
-            y = solve_triangular(a, (prefixes - comp.mean[:-1]).T, lower=True, check_finite=False)
+            y = _whiten(a, prefixes, comp.mean[:-1], buf)
             quad = np.einsum("ij,ij->j", y, y)
             log_w[c] = np.log(w) - 0.5 * (quad + t.size * LN_2PI + _chol_logdet(a))
             means[c] = comp.mean[-1] + t @ y

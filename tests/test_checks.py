@@ -424,6 +424,23 @@ class TestDeBruijn:
         rep = check_de_bruijn(two_part(), t=0.1, dt=1e-3, cfg=cfg)
         assert rep.verdict == VERDICT_EQUALITY
 
+    def test_shared_normal_block_unchanged(self, monkeypatch):
+        # the three smoothed laws are placed from one (idx, z); none may overwrite z
+        seen = []
+        place = GaussianMixture._place
+
+        def spy(law, idx, z, out=None):
+            seen.append((z, z.copy()))
+            return place(law, idx, z, out)
+
+        monkeypatch.setattr(GaussianMixture, "_place", spy)
+        check_de_bruijn(two_part(), t=0.1, dt=1e-3, cfg=CheckConfig(m=2_000, seed=3))
+        placements = [call for call in seen if call[0].shape == (2_000, 2)]
+        assert len(placements) == 3
+        block, before = placements[0]
+        assert all(z is block for z, _ in placements)
+        assert np.array_equal(block, before)
+
     def test_step_validation(self):
         with pytest.raises(ValueError):
             check_de_bruijn(gauss([[1.0]]), t=0.1, dt=0.0, cfg=CFG)

@@ -1,8 +1,13 @@
 """Tests for Gaussian mixture laws: densities, scores, closure operations,
 conditioning, and serialization."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+import epicheck
 from epicheck import (
     DegenerateLawError,
     DimensionError,
@@ -22,7 +28,8 @@ from epicheck import (
     random_mixture,
     random_spd,
 )
-from epicheck.mixtures import _logsumexp
+from epicheck.matrices import _chol_logdet
+from epicheck.mixtures import LN_2PI, _logsumexp
 from epicheck.seeding import rng_from_tokens
 
 
@@ -55,6 +62,81 @@ def ill_conditioned_mixture() -> GaussianMixture:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         comps.append(GaussianComponent(mean, (q * [1e4, 1.0, 1e-4]) @ q.T))
     return GaussianMixture([0.4, 0.6], comps)
+
+
+def mask_placement(gm: GaussianMixture, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each component's rows of ``z``, picked by a boolean mask on ``idx``,
+    placed through its factor: the draws every pinned seed depends on."""
+    out = np.empty(z.shape)
+    for c, comp in enumerate(gm.components):
+        sel = idx == c
+        if np.any(sel):
+            out[sel] = comp.mean + z[sel] @ comp.cov.chol.T
+    return out
+
+
+def conditioned_mixture(n: int, k: int, cond: float, rng) -> GaussianMixture:
+    """k components in dimension n whose covariances have condition number
+    ``cond`` (eigenvalues log-spaced from 1, random orientations)."""
+    comps = []
+    for _ in range(k):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eig = np.geomspace(1.0, cond, n)
+        comps.append(GaussianComponent(rng.normal(0.0, 2.0, size=n), (q * eig) @ q.T))
+    raw = rng.uniform(0.5, 1.5, size=k)
+    return GaussianMixture(raw / raw.sum(), comps)
+
+
+def solve_triangular_kernel(gm: GaussianMixture, pts: np.ndarray, prefix_len: int):
+    """(log f, log f_k, score) with scipy's ``solve_triangular`` on the
+    transposed residuals (x - mu)', each component whitened row-major."""
+    lengths = (prefix_len, gm.dim)
+
+    def terms():
+        for w, c in zip(gm.weights, gm.components):
+            chol = c.cov.chol
+            z = solve_triangular(chol, (pts - c.mean).T, lower=True, check_finite=False)
+            logs = np.array([
+                np.log(w) - 0.5 * (np.einsum("ij,ij->j", z[:k], z[:k]) + k * LN_2PI
+                                   + _chol_logdet(chol[:k, :k]))
+                for k in lengths
+            ])
+            yield logs, solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
+
+    logs, mean_score = _logsumexp(terms())
+    return logs[1], logs[0], -mean_score.T
+
+
+def longdouble_kernel(gm: GaussianMixture, pts: np.ndarray, prefix_len: int):
+    """(log f, log f_k, score) in extended precision (``np.longdouble``) by
+    forward and back substitution on each component's double Cholesky
+    factor, taken as exact, and rounded to double at the end."""
+    ld = np.longdouble
+    x = pts.astype(ld)
+    ln_2pi = np.log(2 * ld("3.14159265358979323846264338327950288"))
+    logs, sigma_inv = [], []
+    for w, c in zip(gm.weights, gm.components):
+        chol = c.cov.chol.astype(ld)
+        d = x - c.mean.astype(ld)
+        z = np.empty_like(d)
+        for i in range(gm.dim):
+            z[:, i] = (d[:, i] - (z[:, :i] * chol[i, :i]).sum(axis=1)) / chol[i, i]
+        u = np.empty_like(z)
+        for i in reversed(range(gm.dim)):
+            u[:, i] = (z[:, i] - (u[:, i + 1:] * chol[i + 1:, i]).sum(axis=1)) / chol[i, i]
+        log_pivots = np.log(np.diagonal(chol))
+        logs.append([
+            np.log(ld(w)) - 0.5 * ((z[:, :k] ** 2).sum(axis=1) + k * ln_2pi
+                                   + 2 * log_pivots[:k].sum())
+            for k in (gm.dim, prefix_len)
+        ])
+        sigma_inv.append(u)
+    logs = np.array(logs)
+    top = logs.max(axis=0)
+    total = top + np.log(np.exp(logs - top).sum(axis=0))
+    resp = np.exp(logs[:, 0] - total[0])
+    score = -(resp[:, :, None] * np.array(sigma_inv)).sum(axis=0)
+    return total[0].astype(float), total[1].astype(float), score.astype(float)
 
 
 def component_log_joint(gm: GaussianMixture, pts: np.ndarray) -> np.ndarray:
@@ -209,6 +291,63 @@ class TestKernel:
                                    rtol=1e-14)
         np.testing.assert_allclose(gm.log_density(pts), expected, rtol=1e-14)
 
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_accuracy_against_extended_precision(self, n, cond):
+        # For each dimension and condition number, over K = 1..9 and
+        # m in {1, 2, 7, 500} on non-contiguous points: the kernel's largest
+        # error against an extended-precision reference is at most 4 times the
+        # largest error of the solve_triangular path on the same points.  An
+        # error below one ulp counts as one ulp: double output cannot do better.
+        def density_err(a, ref):
+            return np.max(np.abs(a - ref) / np.maximum(np.abs(ref), 1.0))
+
+        def score_err(a, ref):
+            rows = np.linalg.norm(ref, axis=1)
+            return np.max(np.linalg.norm(a - ref, axis=1) / np.maximum(rows, 1e-300))
+
+        errors = np.zeros((2, 3))  # (kernel, solve_triangular) x (log f, log f_k, score)
+        for k in range(1, 10):
+            for m in (1, 2, 7, 500):
+                rng = rng_from_tokens(n, k, m, int(math.log10(cond)), "kernel-accuracy")
+                gm = conditioned_mixture(n, k, cond, rng)
+                pts = gm.sample(rng, 2 * m)[::2]
+                prefix = max(1, n - 1)
+                ref = longdouble_kernel(gm, pts, prefix)
+                for row, out in enumerate((gm._kernel(pts, prefix, True),
+                                           solve_triangular_kernel(gm, pts, prefix))):
+                    errs = [density_err(out[0], ref[0]), density_err(out[1], ref[1]),
+                            score_err(out[2], ref[2])]
+                    errors[row] = np.maximum(errors[row], errs)
+        assert np.all(errors[0] <= 4.0 * np.maximum(errors[1], np.finfo(float).eps)), errors
+
+    def test_bitwise_equal_across_blas_thread_counts(self, tmp_path):
+        # the m = 1e5 solves may run on several BLAS threads
+        gm = nine_part_mixture()
+        (tmp_path / "law.json").write_text(gm.to_json())
+        np.save(tmp_path / "pts.npy", gm.sample(rng_from_tokens(10, "kernel"), 100_000))
+        child = (
+            "import hashlib, sys; import numpy as np; from pathlib import Path\n"
+            "from epicheck import GaussianMixture\n"
+            "d = Path(sys.argv[1])\n"
+            "gm = GaussianMixture.from_json((d / 'law.json').read_text())\n"
+            "out = gm._kernel(np.load(d / 'pts.npy'), 2, True)\n"
+            "print(hashlib.sha256(b''.join(np.ascontiguousarray(a).tobytes() for a in out))"
+            ".hexdigest())\n"
+        )
+        src = str(Path(epicheck.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
+        out = gm._kernel(np.load(tmp_path / "pts.npy"), 2, True)
+        local = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in out))
+        assert digests[0] == local.hexdigest()
+
     def test_log_sum_exp_of_scalars(self):
         a = np.log([1e-12, 0.3, 0.7 - 1e-12])
         assert _logsumexp((v, None) for v in a)[0] == pytest.approx(logsumexp(a), abs=1e-15)
@@ -286,12 +425,22 @@ class TestSampling:
         rng = rng_from_tokens(9, "samp")
         idx = rng.choice(gm.n_components, size=5000, p=gm.weights)
         z = rng.standard_normal((5000, gm.dim))
-        expected = np.empty(z.shape)
-        for c, comp in enumerate(gm.components):
-            sel = idx == c
-            if np.any(sel):
-                expected[sel] = comp.mean + z[sel] @ comp.cov.chol.T
+        expected = mask_placement(gm, idx, z)
         assert np.array_equal(gm.sample(rng_from_tokens(9, "samp"), 5000), expected)
+
+    def test_wide_key_placement_matches_masks(self):
+        # K = 300 needs a 16-bit sort key
+        rng = rng_from_tokens(11, "samp")
+        comps = [GaussianComponent(rng.normal(size=2), random_spd(2, rng)) for _ in range(300)]
+        raw = rng.uniform(0.5, 1.5, size=300)
+        gm = GaussianMixture(raw / raw.sum(), comps)
+        idx = rng.choice(gm.n_components, size=20_000, p=gm.weights)
+        z = rng.standard_normal((20_000, gm.dim))
+        expected = mask_placement(gm, idx, z)
+        kept = z.copy()
+        assert np.array_equal(gm._place(idx, z), expected)
+        assert np.array_equal(z, kept)
+        assert np.array_equal(gm._place(idx, z, out=z), expected)
 
     def test_moments_match(self):
         gm = two_part_mixture()
@@ -381,6 +530,15 @@ class TestConditionalSlice:
     def test_non_finite_prefix_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             nine_part_mixture().conditional_slice([0.0, bad])
+
+    def test_underflowing_posterior_weight_dropped(self):
+        # the far component's posterior weight is exp(-5000): 0 in double
+        gm = GaussianMixture([0.5, 0.5], [([0.0, 0.0], np.eye(2)), ([100.0, 0.0], np.eye(2))])
+        cond = gm.conditional_slice([0.0])
+        assert cond.n_components == 1
+        assert cond.weights[0] == 1.0
+        assert cond.components[0].mean[0] == 0.0
+        assert cond.components[0].cov.entries[0, 0] == 1.0
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
