@@ -19,7 +19,7 @@ from scipy.special import digamma
 
 from .exceptions import DimensionError
 from .matrices import _logdet_raw
-from .mixtures import LN_2PI, GaussianComponent, GaussianMixture, _logsumexp
+from .mixtures import BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _logsumexp
 from .seeding import rng_from_tokens, stable_digest
 
 LN_2PIE = LN_2PI + 1.0
@@ -29,7 +29,6 @@ METHOD_MC = "plug_in_mc"
 METHOD_KNN = "knn"
 
 DEFAULT_SAMPLES = 100_000
-SCORE_BLOCK = 65_536  # points scored at once by conditional_fisher_last, to bound memory
 
 
 @dataclass(frozen=True)
@@ -276,15 +275,26 @@ def conditional_fisher_last(
         idx = rng.choice(gm.n_components, size=m_inner, p=weights[:, j])
         pts[j] = means[idx, j] + rng.standard_normal(m_inner) * sds[idx]
 
-    def terms(rows):  # each prefix's 1-D conditional mixture, one component at a time
-        for lw, mu, sd in zip(log_w[:, rows], means[:, rows], sds):
-            u = (pts[rows] - mu[:, None]) / sd
-            logs = lw[:, None] - 0.5 * (u * u + LN_2PI + 2.0 * np.log(sd))
-            yield logs.reshape(1, -1), (u / sd).reshape(1, -1)
-
-    step = max(1, SCORE_BLOCK // m_inner)
-    vals = np.concatenate([
-        np.mean(_logsumexp(terms(slice(lo, lo + step)))[1].reshape(-1, m_inner) ** 2, axis=1)
-        for lo in range(0, m_outer, step)
-    ])
+    # the prefixes' 1-D conditional mixtures, as many at once as fill BLOCK points
+    step = max(1, BLOCK // m_inner)
+    width = min(m_outer, step) * m_inner
+    terms, scores = np.empty(gm.n_components * width), np.empty(gm.n_components * width)
+    total, mean_score = np.empty(width), np.empty(width)
+    vals = np.empty(m_outer)
+    for lo in range(0, m_outer, step):
+        block = pts[lo:lo + step]
+        b = block.size
+        a = terms[:gm.n_components * b].reshape(-1, 1, b)
+        g = scores[:gm.n_components * b].reshape(-1, 1, b)
+        for c, (lw, mu, sd) in enumerate(zip(log_w[:, lo:lo + step], means[:, lo:lo + step], sds)):
+            u, t = g[c].reshape(block.shape), a[c].reshape(block.shape)
+            np.subtract(block, mu[:, None], out=u)
+            u /= sd
+            np.multiply(u, u, out=t)
+            t *= -0.5
+            t += (lw - 0.5 * LN_2PI - np.log(sd))[:, None]
+            u /= sd
+        _logsumexp(a, total[None, :b], g, mean_score[None, :b])
+        np.square(mean_score[:b], out=mean_score[:b])
+        vals[lo:lo + step] = np.mean(mean_score[:b].reshape(block.shape), axis=1)
     return _mean_and_se(vals, METHOD_MC)

@@ -226,15 +226,24 @@ def bonnesen_linear_gap(a: SpdMatrix, b: SpdMatrix, lam: float, i: int) -> float
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for dimension {n}")
     lam = _check_lambda(lam)
-    det_ai = np.exp(_minor_logdet(a.entries, i))
-    det_bi = np.exp(_minor_logdet(b.entries, i))
-    if abs(det_ai - det_bi) > DET_MATCH_RTOL * max(abs(det_ai), abs(det_bi)):
+    det_ai = _det(_minor_logdet(a.entries, i))
+    det_bi = _det(_minor_logdet(b.entries, i))
+    if not abs(det_ai - det_bi) <= DET_MATCH_RTOL * max(abs(det_ai), abs(det_bi)):
         raise PreconditionError(
             f"minor determinants differ: det(A_{i}) = {det_ai!r}, det(B_{i}) = {det_bi!r}"
         )
     mixed = lam * a.entries + (1.0 - lam) * b.entries
-    det_mixed = np.exp(_logdet_raw(mixed))
-    return float(det_mixed - lam * np.exp(a.log_det) - (1.0 - lam) * np.exp(b.log_det))
+    det_mixed = _det(_logdet_raw(mixed))
+    return det_mixed - lam * _det(a.log_det) - (1.0 - lam) * _det(b.log_det)
+
+
+def _det(log_det: float) -> float:
+    """exp(log_det), or OverflowError where that is not a finite double."""
+    with np.errstate(over="ignore"):
+        det = float(np.exp(log_det))
+    if not np.isfinite(det):
+        raise OverflowError(f"determinant exp({log_det!r}) overflows a double")
+    return det
 
 
 def random_spd(n: int, rng: np.random.Generator, condition_cap: float = 1e3) -> SpdMatrix:

@@ -27,28 +27,38 @@ LN_2PI = float(np.log(2.0 * np.pi))
 WEIGHT_TOL = 1e-12
 
 
-def _logsumexp(terms):
-    """log sum_c exp(a_c) over a stream of terms (a_c, g_c), one at a time, and
-    with (d, m) arrays g_c the mean of the g_c weighted by exp(a_c[-1]).  The
-    shift is the largest a_c so far, the rest are summed apart as s, and the
-    result is a* + log1p(s) (Blanchard, Higham & Higham, IMA J. Numer. Anal. 2021).
-    Each g_c is consumed: it may be overwritten once the next term is asked for.
+BLOCK = 8192  # points per block of the mixture kernel: its scratch memory does not grow with m
+
+
+def _logsumexp(a: np.ndarray, out: np.ndarray, g: np.ndarray | None = None,
+               g_out: np.ndarray | None = None) -> None:
+    """log sum_c exp(a[c]) over the K terms stacked in the C-ordered (K, L, B)
+    ``a``, into (L, B) ``out``, in two passes over the stack: the largest term
+    a*, then a* + log1p(rest), where rest sums exp(a_c - a*) over every term
+    but the first largest (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    2021).  With (K, d, B) ``g``, (d, B) ``g_out`` gets the mean of the g[c]
+    weighted by exp(a[c, -1]).  ``a`` is overwritten.  Where every term is
+    -inf the result is -inf and the mean is g[0].
     """
-    top = rest = acc = None
-    for a, g in terms:
-        if top is None:
-            top, rest, acc = a, np.zeros_like(a), (None if g is None else g.copy())
-            continue
-        up = a > top
-        with np.errstate(invalid="ignore"):  # -inf - -inf: a point no term reaches
-            e = np.fmax(np.exp(-np.abs(a - top)), 0.0)
-        rest = np.where(up, (rest + 1.0) * e, rest + e)
-        if acc is not None:
-            acc *= np.where(up[-1], e[-1], 1.0)
-            g *= np.where(up[-1], 1.0, e[-1])
-            acc += g
-        top = np.maximum(top, a)
-    return top + np.log1p(rest), (None if acc is None else acc / (1.0 + rest[-1]))
+    k = a.shape[0]
+    top = np.max(a, axis=0, out=out)
+    dead = top == -np.inf
+    if dead.any():  # no term reaches these points: the first one stands in alone
+        a[0][dead] = top[dead] = 0.0
+    np.subtract(a, top, out=a)
+    rank = np.equal(a, 0.0, out=np.empty(a.shape, np.min_scalar_type(k)))
+    rank *= np.arange(k, 0, -1, dtype=rank.dtype)[:, None, None]  # K - c at the largest terms
+    first = k - rank.max(axis=0).astype(np.intp)
+    np.minimum(first, k - 1, out=first)  # a NaN term leaves none; the result there is NaN
+    np.exp(a, out=a)
+    if g is not None:
+        np.einsum("kb,kdb->db", a[:, -1], g, out=g_out)
+    a.reshape(-1)[first * first.size + np.arange(first.size).reshape(first.shape)] = 0.0
+    rest = np.sum(a, axis=0)
+    if g is not None:
+        g_out /= 1.0 + rest[-1]
+    out += np.log1p(rest, out=rest)
+    out[dead] = -np.inf
 
 
 def _whiten(chol: np.ndarray, pts: np.ndarray, mean: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -147,30 +157,49 @@ class GaussianMixture:
 
     def _kernel(self, pts: np.ndarray, prefix_len: int = 0, with_score: bool = False):
         """(log f, log f_k of the first k = ``prefix_len`` coordinates or None,
-        score or None) at finite (m, n) ``pts``, from one whitening per
-        component: z = L^-1 (x - mu), whose first k rows whiten the prefix
-        under the leading block L[:k, :k], and L^-T z = Sigma^-1 (x - mu).
-        Every component is whitened in the same (n, m) buffer."""
-        lengths = (prefix_len, self.dim) if prefix_len else (self.dim,)
-        buf = np.empty((self.dim, pts.shape[0]))
-
-        def terms():
-            for w, comp in zip(self.weights, self.components):
+        score or None) at finite (m, n) ``pts``, in blocks of BLOCK points.
+        Each component is whitened once per block, z = L^-1 (x - mu): the
+        first k rows of z whiten the prefix under the leading block L[:k, :k],
+        and L^-T z = Sigma^-1 (x - mu).  The block's terms of all components
+        are stacked and combined by one _logsumexp.  The scratch arrays are
+        made once per call, so only the outputs grow with m."""
+        m, n = pts.shape
+        lengths = (prefix_len, n) if prefix_len else (n,)
+        consts = [
+            [np.log(w) - 0.5 * (k * LN_2PI + _chol_logdet(comp.cov.chol[:k, :k])) for k in lengths]
+            for w, comp in zip(self.weights, self.components)
+        ]
+        n_terms = self.n_components * len(lengths)
+        n_res = self.n_components if with_score else 1  # the score keeps every component's z
+        terms = np.empty(n_terms * min(m, BLOCK))
+        whitened = np.empty(n_res * n * min(m, BLOCK))
+        squares = np.empty(n * min(m, BLOCK))
+        logs = np.empty((len(lengths), m))
+        score = np.empty((m, n)) if with_score else None
+        for lo in range(0, m, BLOCK):
+            block = pts[lo:lo + BLOCK]
+            b = block.shape[0]
+            a = terms[:n_terms * b].reshape(-1, len(lengths), b)
+            zs = whitened[:n_res * n * b].reshape(n_res, n, b)
+            quads = squares[:n * b].reshape(n, b)
+            for c, comp in enumerate(self.components):
                 chol = comp.cov.chol
-                z = _whiten(chol, pts, comp.mean, buf)
-                logs = np.empty((len(lengths), pts.shape[0]))
+                z = _whiten(chol, block, comp.mean, zs[c if with_score else 0])
+                np.square(z, out=quads)
+                for i in range(1, n):  # quads[k - 1] = |z[:k]|^2
+                    np.add(quads[i - 1], quads[i], out=quads[i])
                 for j, k in enumerate(lengths):
-                    quad = np.einsum("ij,ij->j", z[:k], z[:k])
-                    logs[j] = np.log(w) - 0.5 * (quad + k * LN_2PI + _chol_logdet(chol[:k, :k]))
-                if with_score:  # L^-T z = Sigma^-1 (x - mu), minus the component's score
-                    z = dtrsm(1.0, chol, z.T, side=1, lower=1, trans_a=0, overwrite_b=1).T
-                yield logs, (z if with_score else None)
-
-        logs, mean_score = _logsumexp(terms())
-        return (
-            logs[-1], logs[0] if prefix_len else None,
-            None if mean_score is None else -mean_score.T,
-        )
+                    np.multiply(quads[k - 1], -0.5, out=a[c, j])
+                    a[c, j] += consts[c][j]
+                if with_score:  # L^-T z = Sigma^-1 (x - mu), minus the component's score, in place
+                    dtrsm(1.0, chol, z.T, side=1, lower=1, trans_a=0, overwrite_b=1)
+            if with_score:
+                _logsumexp(a, logs[:, lo:lo + b], zs, score[lo:lo + b].T)
+            else:
+                _logsumexp(a, logs[:, lo:lo + b])
+        if with_score:
+            np.negative(score, out=score)
+        return logs[-1], logs[0] if prefix_len else None, score
 
     def log_density(self, x):
         """Exact mixture log-density; stable for arguments as far as |x| ~ 1e6."""
@@ -306,7 +335,9 @@ class GaussianMixture:
             log_w[c] = np.log(w) - 0.5 * (quad + t.size * LN_2PI + _chol_logdet(a))
             means[c] = comp.mean[-1] + t @ y
         sds = np.array([comp.cov.chol[-1, -1] for comp in self.components])
-        return log_w - _logsumexp((row, None) for row in log_w)[0], means, sds
+        total = np.empty((1, prefixes.shape[0]))
+        _logsumexp(log_w[:, None, :].copy(), total)  # the copy is overwritten
+        return log_w - total, means, sds
 
     def to_dict(self) -> dict:
         return {

@@ -41,6 +41,7 @@ from epicheck import (
     random_mixture,
     random_spd,
 )
+from epicheck.mixtures import BLOCK
 from epicheck.seeding import rng_from_tokens
 
 H_STD_1D = 1.4189385332046727
@@ -310,25 +311,36 @@ class TestConditionalFisherLast:
     def test_matches_per_prefix_loop(self, dim):
         # one conditional mixture per prefix, drawn from and scored in turn:
         # the batched estimator must consume the generator in the same order
-        rng = rng_from_tokens(16, "cf-law", dim)
-        parts = []
-        for _ in range(2):
-            comps = [(rng.normal(size=dim), random_spd(dim, rng, 100.0)) for _ in range(3)]
-            parts.append(GaussianMixture([0.2, 0.3, 0.5], comps))
-        gm = parts[0].convolve(parts[1])
-        assert gm.n_components == 9
+        check_per_prefix_loop(dim, 50, 50)
 
-        rng = rng_from_tokens(17, "cf", dim)
-        prefixes = gm.marginal(range(dim - 1)).sample(rng, 50)
-        vals = []
-        for prefix in prefixes:
-            cond = gm.conditional_slice(prefix)
-            s = cond.score(cond.sample(rng, 50))
-            vals.append(np.mean(s * s))
-        est = conditional_fisher_last(gm, 50, 50, rng_from_tokens(17, "cf", dim))
-        assert est.value == pytest.approx(np.mean(vals), rel=1e-12)
-        assert est.std_error == pytest.approx(np.std(vals, ddof=1) / np.sqrt(50), rel=1e-12)
-        assert est.n_samples == 50
+    @pytest.mark.parametrize("m_outer, m_inner", [(50, 300), (3, BLOCK + 1)])
+    def test_matches_per_prefix_loop_across_blocks(self, m_outer, m_inner):
+        # prefixes that fill several blocks of points, the last one short, or one block each
+        check_per_prefix_loop(3, m_outer, m_inner)
+
+
+def check_per_prefix_loop(dim: int, m_outer: int, m_inner: int) -> None:
+    """conditional_fisher_last on a K = 9 law against one conditional_slice
+    per prefix, drawn from and scored in turn."""
+    rng = rng_from_tokens(16, "cf-law", dim)
+    parts = []
+    for _ in range(2):
+        comps = [(rng.normal(size=dim), random_spd(dim, rng, 100.0)) for _ in range(3)]
+        parts.append(GaussianMixture([0.2, 0.3, 0.5], comps))
+    gm = parts[0].convolve(parts[1])
+    assert gm.n_components == 9
+
+    rng = rng_from_tokens(17, "cf", dim)
+    prefixes = gm.marginal(range(dim - 1)).sample(rng, m_outer)
+    vals = []
+    for prefix in prefixes:
+        cond = gm.conditional_slice(prefix)
+        s = cond.score(cond.sample(rng, m_inner))
+        vals.append(np.mean(s * s))
+    est = conditional_fisher_last(gm, m_outer, m_inner, rng_from_tokens(17, "cf", dim))
+    assert est.value == pytest.approx(np.mean(vals), rel=1e-12)
+    assert est.std_error == pytest.approx(np.std(vals, ddof=1) / np.sqrt(m_outer), rel=1e-12)
+    assert est.n_samples == m_outer
 
 
 class TestScalingInvariant:

@@ -24,6 +24,7 @@ from epicheck import (
     make_bonnesen_equality_pair,
     random_spd,
 )
+from epicheck.matrices import _logdet_raw
 from epicheck.seeding import rng_from_tokens
 
 # worked pair: det A = 3, det B = 5, det(A+B) = 20
@@ -210,6 +211,33 @@ class TestBonnesenLinearGap:
     def test_lambda_range(self):
         with pytest.raises(ValueError):
             bonnesen_linear_gap(self.S1, self.S2, 1.5, 1)
+
+    def test_overflowing_determinants_raise(self):
+        # det = 40^199 * 2 is not a double: an OverflowError, never a NaN gap
+        n = 200
+        a = SpdMatrix(np.diag([40.0] * (n - 1) + [2.0]))
+        b = SpdMatrix(np.diag([40.0] * (n - 1) + [3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows a double"):
+                bonnesen_linear_gap(a, b, 0.5, n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_finite_determinants_give_the_linear_formula_bit_for_bit(self, n):
+        rng = rng_from_tokens(n, "test-bonnesen-linear-formula")
+        for _ in range(20):
+            a = random_spd(n, rng)
+            b = a.entries.copy()  # same leading block, so det(A_n-1) = det(B_n-1)
+            v = 0.1 * rng.standard_normal(n - 1)
+            b[-1, :-1] += v
+            b[:-1, -1] += v
+            b[-1, -1] += 1.0 + v @ v
+            b = SpdMatrix(b)
+            lam = float(rng.uniform())
+            mixed = lam * a.entries + (1.0 - lam) * b.entries
+            expected = float(np.exp(_logdet_raw(mixed)) - lam * np.exp(a.log_det)
+                             - (1.0 - lam) * np.exp(b.log_det))
+            assert bonnesen_linear_gap(a, b, lam, n - 1) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))

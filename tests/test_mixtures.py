@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from epicheck import (
     random_spd,
 )
 from epicheck.matrices import _chol_logdet
-from epicheck.mixtures import LN_2PI, _logsumexp
+from epicheck.mixtures import BLOCK, LN_2PI, _logsumexp
 from epicheck.seeding import rng_from_tokens
 
 
@@ -91,20 +93,26 @@ def solve_triangular_kernel(gm: GaussianMixture, pts: np.ndarray, prefix_len: in
     """(log f, log f_k, score) with scipy's ``solve_triangular`` on the
     transposed residuals (x - mu)', each component whitened row-major."""
     lengths = (prefix_len, gm.dim)
+    logs = np.empty((gm.n_components, 2, pts.shape[0]))
+    sigma_inv = np.empty((gm.n_components, gm.dim, pts.shape[0]))
+    for c, (w, comp) in enumerate(zip(gm.weights, gm.components)):
+        chol = comp.cov.chol
+        z = solve_triangular(chol, (pts - comp.mean).T, lower=True, check_finite=False)
+        for j, k in enumerate(lengths):
+            logs[c, j] = np.log(w) - 0.5 * (np.einsum("ij,ij->j", z[:k], z[:k]) + k * LN_2PI
+                                             + _chol_logdet(chol[:k, :k]))
+        sigma_inv[c] = solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
+    total, mean_score = np.empty((2, pts.shape[0])), np.empty((gm.dim, pts.shape[0]))
+    _logsumexp(logs, total, sigma_inv, mean_score)
+    return total[1], total[0], -mean_score.T
 
-    def terms():
-        for w, c in zip(gm.weights, gm.components):
-            chol = c.cov.chol
-            z = solve_triangular(chol, (pts - c.mean).T, lower=True, check_finite=False)
-            logs = np.array([
-                np.log(w) - 0.5 * (np.einsum("ij,ij->j", z[:k], z[:k]) + k * LN_2PI
-                                   + _chol_logdet(chol[:k, :k]))
-                for k in lengths
-            ])
-            yield logs, solve_triangular(chol, z, lower=True, trans="T", check_finite=False)
 
-    logs, mean_score = _logsumexp(terms())
-    return logs[1], logs[0], -mean_score.T
+def stacked_logsumexp(terms) -> np.ndarray:
+    """log sum_c exp(terms[c]) over the first axis of (K, m) ``terms``."""
+    terms = np.array(terms, dtype=float)
+    total = np.empty((1, terms.shape[1]))
+    _logsumexp(terms[:, None, :], total)
+    return total[0]
 
 
 def longdouble_kernel(gm: GaussianMixture, pts: np.ndarray, prefix_len: int):
@@ -287,8 +295,7 @@ class TestKernel:
         )
         logs = component_log_joint(gm, pts)
         expected = logsumexp(logs, axis=0)
-        np.testing.assert_allclose(_logsumexp((row, None) for row in logs)[0], expected,
-                                   rtol=1e-14)
+        np.testing.assert_allclose(stacked_logsumexp(logs), expected, rtol=1e-14)
         np.testing.assert_allclose(gm.log_density(pts), expected, rtol=1e-14)
 
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
@@ -348,9 +355,72 @@ class TestKernel:
         local = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in out))
         assert digests[0] == local.hexdigest()
 
+    def test_empty_input(self):
+        gm = nine_part_mixture()
+        pts = np.empty((0, 3))
+        assert gm.log_density(pts).shape == (0,)
+        assert gm.score(pts).shape == (0, 3)
+        log_f, log_prefix, score = gm._kernel(pts, 2, True)
+        assert log_f.shape == log_prefix.shape == (0,) and score.shape == (0, 3)
+
+    @pytest.mark.parametrize("m", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    def test_split_at_unaligned_point_matches_whole(self, m):
+        # the points are cut into blocks of BLOCK: where the cut falls must
+        # not change a point's log-densities, and its score only by rounding
+        gm = nine_part_mixture()
+        pts = gm.sample(rng_from_tokens(m, "kernel-split"), m)
+        k = m // 3 + 1
+        whole = gm._kernel(pts, 2, True)
+        parts = [gm._kernel(pts[:k], 2, True), gm._kernel(pts[k:], 2, True)]
+        for j in (0, 1):
+            assert np.array_equal(whole[j], np.concatenate([p[j] for p in parts]))
+        split = np.concatenate([p[2] for p in parts])
+        err = np.linalg.norm(split - whole[2], axis=1) / np.linalg.norm(whole[2], axis=1)
+        assert err.max() <= 1e-15
+
+    def test_overflowing_points_in_every_block(self):
+        # a point whose quadratic form overflows under every component has
+        # log f = -inf, and minus the first component's score; nothing but
+        # the overflow itself may warn
+        gm = nine_part_mixture()
+        pts = gm.sample(rng_from_tokens(12, "kernel-overflow"), 2 * BLOCK + 7)
+        far = [3, BLOCK + 1, 2 * BLOCK + 6]
+        pts[far] = [[1e200, 0.0, 0.0], [0.0, -1e200, 1.0], [0.0, 0.0, 1e200]]
+        first = GaussianMixture([1.0], gm.components[:1])
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            log_f, log_prefix, score = gm._kernel(pts, 2, True)
+            alone = first._kernel(pts[far], 0, True)[2]
+        assert np.all(log_f[far] == -np.inf)
+        assert np.all(log_prefix[far[:2]] == -np.inf) and np.isfinite(log_prefix[far[2]])
+        assert np.array_equal(score[far], alone)
+        near = np.ones(len(pts), dtype=bool)
+        near[far] = False
+        assert np.isfinite(log_f[near]).all() and np.isfinite(score[near]).all()
+
+    def test_scratch_memory_does_not_grow_with_m(self):
+        gm = nine_part_mixture()
+
+        def scratch_bytes(m):
+            pts = gm.sample(rng_from_tokens(m, "kernel-memory"), m)
+            tracemalloc.start()
+            try:
+                out = gm._kernel(pts, 2, True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(a.nbytes for a in out)
+
+        assert scratch_bytes(100_000) <= 1.1 * scratch_bytes(4 * BLOCK)
+
+    def test_log_sum_exp_propagates_nan(self):
+        # a NaN term (an inf - inf inside a whitening far out) gives a NaN, not an error
+        out = stacked_logsumexp([[0.0, np.nan, 1.0], [np.nan, np.nan, 2.0]])
+        assert np.isnan(out[:2]).all() and out[2] == pytest.approx(logsumexp([1.0, 2.0]))
+
     def test_log_sum_exp_of_scalars(self):
         a = np.log([1e-12, 0.3, 0.7 - 1e-12])
-        assert _logsumexp((v, None) for v in a)[0] == pytest.approx(logsumexp(a), abs=1e-15)
+        assert stacked_logsumexp(a[:, None])[0] == pytest.approx(logsumexp(a), abs=1e-15)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_points_rejected(self, bad):
