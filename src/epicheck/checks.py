@@ -50,7 +50,7 @@ from .matrices import (
     _sum_logdets,
     make_bonnesen_equality_pair,
 )
-from .mixtures import GaussianMixture, MarkovTriple
+from .mixtures import GaussianMixture, MarkovTriple, _labels
 from .seeding import rng_from_tokens, stable_digest
 
 TWO_PI_E = math.exp(LN_2PIE)
@@ -657,7 +657,7 @@ def check_de_bruijn(
         return _finish("de_bruijn", iid, n, None, lhs, rhs, 0.0, cfg, t0, extra_eq_tol=extra)
 
     rng = _rng(cfg, "de_bruijn", iid, "mc")
-    idx = rng.choice(x.n_components, size=cfg.m, p=x.weights)
+    idx = _labels(rng, x.weights, cfg.m)
     z = rng.standard_normal((cfg.m, n))
     shifts = (t - dt, t, t + dt)
     laws = {s: x.convolve(GaussianMixture.gaussian(np.zeros(n), s * eye)) for s in shifts}

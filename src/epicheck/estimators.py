@@ -19,7 +19,7 @@ from scipy.special import digamma
 
 from .exceptions import DimensionError
 from .matrices import _logdet_raw
-from .mixtures import BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _logsumexp
+from .mixtures import BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _labels, _logsumexp
 from .seeding import rng_from_tokens, stable_digest
 
 LN_2PIE = LN_2PI + 1.0
@@ -272,7 +272,7 @@ def conditional_fisher_last(
     weights /= weights.sum(axis=0)
     pts = np.empty((m_outer, m_inner))
     for j in range(m_outer):
-        idx = rng.choice(gm.n_components, size=m_inner, p=weights[:, j])
+        idx = _labels(rng, weights[:, j], m_inner)
         pts[j] = means[idx, j] + rng.standard_normal(m_inner) * sds[idx]
 
     # the prefixes' 1-D conditional mixtures, as many at once as fill BLOCK points

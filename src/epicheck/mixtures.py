@@ -61,6 +61,23 @@ def _logsumexp(a: np.ndarray, out: np.ndarray, g: np.ndarray | None = None,
     out[dead] = -np.inf
 
 
+def _labels(rng: np.random.Generator, weights: np.ndarray, m: int) -> np.ndarray:
+    """The labels ``rng.choice(len(weights), size=m, p=weights)`` draws, bit
+    for bit and with the generator left in the same state, in a key of the
+    narrowest unsigned type: u from ``rng.random`` in BLOCK pieces, each
+    label the number of normalised cumulative weights u reaches."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    key = np.empty(m, np.min_scalar_type(cdf.size - 1))
+    u = np.empty(min(m, BLOCK))
+    reached = np.empty((cdf.size - 1, u.size), bool)  # u < 1 = cdf[-1] always
+    for lo in range(0, m, BLOCK):
+        draws = rng.random(out=u[:min(BLOCK, m - lo)])
+        hits = np.greater_equal(draws, cdf[:-1, None], out=reached[:, :draws.size])
+        np.add.reduce(hits, axis=0, dtype=key.dtype, out=key[lo:lo + draws.size])
+    return key
+
+
 def _whiten(chol: np.ndarray, pts: np.ndarray, mean: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """z = L^-1 (x - mu) for the rows x of ``pts`` (m, n), coordinate-major in
     the C-ordered (n, m) ``buf``: one right-side BLAS solve Z L' = X - mu on
@@ -217,27 +234,47 @@ class GaussianMixture:
         """Draw ``m`` points: categorical component choice, then Cholesky."""
         if m < 1:
             raise ValueError("sample count must be positive")
-        idx = rng.choice(self.n_components, size=m, p=self.weights)
+        idx = _labels(rng, self.weights, m)
         z = rng.standard_normal((m, self.dim))
         return self._place(idx, z, out=z)
 
     def _place(self, idx: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map standard normal rows ``z`` through the components named by
         ``idx`` into ``out`` (a fresh array by default, or ``z`` itself); laws
-        with one component layout can share the draws.  One stable counting
-        sort on a narrow key groups the rows by component, each group is
-        placed as one contiguous block, and the blocks are scattered back."""
-        order = np.argsort(idx.astype(np.min_scalar_type(self.n_components - 1)), kind="stable")
-        rows = np.take(z, order, axis=0)
-        start = 0
-        for comp, count in zip(self.components, np.bincount(idx, minlength=self.n_components)):
-            block = rows[start:start + count]
-            block[...] = comp.mean + block @ comp.cov.chol.T
-            start += count
-        back = np.empty_like(order)
-        back[order] = np.arange(order.size)
-        # the indices are in range; "clip" only spares take a buffered copy into out
-        return np.take(rows, back, axis=0, out=out, mode="clip")
+        with one component layout can share the draws.  BLOCK rows at a time,
+        through scratch made once per call, a stable counting sort groups the
+        rows by component, each group is placed as mean + rows @ chol.T by one
+        product, and the rows go back in draw order.  numpy makes a one-row
+        product a matrix-vector product, which rounds differently, so a
+        component with two or more draws in the call never gets one: a lone
+        row in a block is multiplied along with the next row."""
+        m, n = z.shape
+        out = np.empty((m, n)) if out is None else out
+        k = self.n_components
+        totals = np.zeros(k, np.intp)
+        for lo in range(0, m, BLOCK):
+            totals += np.bincount(idx[lo:lo + BLOCK], minlength=k)
+        b = min(m, BLOCK)
+        rows = np.zeros((b + 1, n))  # the row after a block stays finite: a lone last row's partner
+        placed = np.empty((b + 1, n))
+        back = np.empty(b, np.intp)
+        draw_order = np.arange(b)
+        for lo in range(0, m, BLOCK):
+            key = idx[lo:lo + BLOCK].astype(np.min_scalar_type(k - 1), copy=False)
+            order = np.argsort(key, kind="stable")
+            np.take(z[lo:lo + key.size], order, axis=0, out=rows[:key.size])
+            start = 0
+            for comp, count, total in zip(self.components, np.bincount(key, minlength=k), totals):
+                if count:
+                    width = 2 if count == 1 < total else count  # the partner row: redone or unused
+                    np.matmul(rows[start:start + width], comp.cov.chol.T,
+                              out=placed[start:start + width])
+                    placed[start:start + count] += comp.mean
+                start += count
+            back[order] = draw_order[:key.size]
+            # the indices are in range; "clip" only spares take a buffered copy into out
+            np.take(placed, back[:key.size], axis=0, out=out[lo:lo + key.size], mode="clip")
+        return out
 
     def convolve(self, other: "GaussianMixture") -> "GaussianMixture":
         """Law of the sum of independent draws: all pairwise components."""

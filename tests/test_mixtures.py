@@ -31,7 +31,7 @@ from epicheck import (
     random_spd,
 )
 from epicheck.matrices import _chol_logdet
-from epicheck.mixtures import BLOCK, LN_2PI, _logsumexp
+from epicheck.mixtures import BLOCK, LN_2PI, _labels, _logsumexp
 from epicheck.seeding import rng_from_tokens
 
 
@@ -75,6 +75,42 @@ def mask_placement(gm: GaussianMixture, idx: np.ndarray, z: np.ndarray) -> np.nd
         if np.any(sel):
             out[sel] = comp.mean + z[sel] @ comp.cov.chol.T
     return out
+
+
+def rows_independent_of_row_count(n: int) -> bool:
+    """Whether this BLAS gives each row of an (r, n) @ (n, n) product the same
+    bits however many rows share the call: one product against the same rows
+    split 5 + rest.  Some OpenBLAS cores (Haswell, Zen) fail this at n >= 8."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((256, n))
+    factor = random_spd(n, rng).chol.T
+    return np.array_equal(rows @ factor, np.vstack([rows[:5] @ factor, rows[5:] @ factor]))
+
+
+def placement_ulps(gm: GaussianMixture, idx: np.ndarray, z: np.ndarray, got: np.ndarray):
+    """Largest distance of ``got`` from ``mask_placement`` in units in the last
+    place of each row's scale |mean| + |z| @ |chol'|, the size of the terms
+    whose summation order a BLAS may change."""
+    scale = np.empty(z.shape)
+    for c, comp in enumerate(gm.components):
+        sel = idx == c
+        scale[sel] = np.abs(comp.mean) + np.abs(z[sel]) @ np.abs(comp.cov.chol.T)
+    return float(np.max(np.abs(got - mask_placement(gm, idx, z)) / np.spacing(scale)))
+
+
+def rare_component_mixture(n: int, k: int, m: int, rng) -> GaussianMixture:
+    """k components in dimension n.  Of m draws, the first component expects
+    about one in the whole call and, for k > 2, the last, which sorts last in
+    every block, about 1.5 per block."""
+    w = rng.uniform(0.5, 1.5, size=k)  # about k in all
+    if k > 1:
+        w[0] = k * min(1.0 / m, 0.2)
+    if k > 2:
+        w[-1] = k * min(1.5 / BLOCK, 0.2)
+    comps = [
+        GaussianComponent(rng.normal(0.0, 3.0, size=n), random_spd(n, rng, 1e4)) for _ in range(k)
+    ]
+    return GaussianMixture(w / w.sum(), comps)
 
 
 def conditioned_mixture(n: int, k: int, cond: float, rng) -> GaussianMixture:
@@ -511,6 +547,66 @@ class TestSampling:
         assert np.array_equal(gm._place(idx, z), expected)
         assert np.array_equal(z, kept)
         assert np.array_equal(gm._place(idx, z, out=z), expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 300])
+    def test_labels_match_choice(self, k):
+        # the labels and generator state rng.choice leaves, with a 1e-12 weight
+        rng = rng_from_tokens(k, "labels")
+        w = rng.uniform(0.5, 1.5, size=k)
+        w[k // 2] = 1e-12 * w.sum()
+        w /= w.sum()
+        for m in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 100_000):
+            expected, got = rng_from_tokens(m, "labels"), rng_from_tokens(m, "labels")
+            labels = _labels(got, w, m)
+            assert labels.dtype == np.min_scalar_type(k - 1)
+            assert np.array_equal(labels, expected.choice(k, size=m, p=w))
+            np.testing.assert_equal(got.bit_generator.state, expected.bit_generator.state)
+
+    @pytest.mark.parametrize("n, exact", [
+        pytest.param(n, exact, id=f"n{n}-bitwise" if exact else f"n{n}-within-4-ulp")
+        for n in range(1, 9)
+        for exact in [n < 8 or rows_independent_of_row_count(n)]
+    ])
+    def test_sample_matches_whole_call_placement(self, n, exact):
+        # the draws and generator state of rng.choice, one standard normal
+        # block and each component's rows placed by one product over the whole
+        # call; bitwise where this BLAS's rows do not depend on the row count
+        rng = rng_from_tokens(n, "sample-sweep")
+        lone_in_call = lone_in_block = False
+        for k in (1, 2, 9, 300):
+            for m in (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 100_000):
+                gm = rare_component_mixture(n, k, m, rng)
+                expected, got = rng_from_tokens(k, m, "sample"), rng_from_tokens(k, m, "sample")
+                idx = expected.choice(k, size=m, p=gm.weights)
+                z = expected.standard_normal((m, n))
+                with np.errstate(all="raise"):
+                    pts = gm.sample(got, m)
+                np.testing.assert_equal(got.bit_generator.state, expected.bit_generator.state)
+                if exact:
+                    assert np.array_equal(pts, mask_placement(gm, idx, z)), (k, m)
+                else:
+                    assert placement_ulps(gm, idx, z, pts) <= 4.0, (k, m)
+                totals = np.bincount(idx, minlength=k)
+                lone_in_call |= bool(np.any(totals == 1))
+                for lo in range(0, m, BLOCK):
+                    counts = np.bincount(idx[lo:lo + BLOCK], minlength=k)
+                    lone_in_block |= bool(np.any((counts == 1) & (totals > 1)))
+        assert lone_in_call and lone_in_block
+
+    def test_scratch_memory_does_not_grow_with_m(self):
+        gm = nine_part_mixture()
+
+        def scratch_bytes(m):
+            rng = rng_from_tokens(m, "sample-memory")
+            tracemalloc.start()
+            try:
+                pts = gm.sample(rng, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - pts.nbytes - m  # the one-byte labels also grow with m
+
+        assert scratch_bytes(100_000) <= 1.1 * scratch_bytes(4 * BLOCK)
 
     def test_moments_match(self):
         gm = two_part_mixture()
