@@ -20,6 +20,7 @@ both.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ from .estimators import (
     gaussian_fisher,
     projective_fisher,
 )
-from .exceptions import DimensionError, PreconditionError
+from .exceptions import ConfigError, DimensionError, PreconditionError
 from .matrices import (
     DET_MATCH_RTOL,
     SpdMatrix,
@@ -63,6 +64,14 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 EQUALITY_GRID_POINTS = 21
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     """Estimation and verdict parameters shared by all checkers.
@@ -70,6 +79,12 @@ class CheckConfig:
     ``abs_tol`` and ``eq_tol`` are relative to the problem scale
     max(|lhs|, |rhs|, 1); ``rel_stderr_cap`` is the fraction of
     max(|lhs|, |rhs|) beyond which the estimate is declared inconclusive.
+
+    Construction raises ``ConfigError`` (a ``ValueError``) unless ``m`` is
+    an integer >= 2, ``seed`` an integer >= 0, ``z`` a finite positive
+    number and each tolerance a finite nonnegative number.  A NaN here
+    would make every comparison in ``classify`` false, so every gap would
+    read ``holds``.
     """
 
     m: int = 100_000
@@ -80,8 +95,16 @@ class CheckConfig:
     rel_stderr_cap: float = 0.10
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need at least 2 Monte-Carlo samples, got m={self.m}")
+        if not _is_int(self.m) or self.m < 2:
+            raise ConfigError(f"need at least 2 Monte-Carlo samples, got m={self.m!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not _is_finite(self.z) or self.z <= 0:
+            raise ConfigError(f"z must be a finite positive number, got {self.z!r}")
+        for name in ("abs_tol", "eq_tol", "rel_stderr_cap"):
+            value = getattr(self, name)
+            if not _is_finite(value) or value < 0:
+                raise ConfigError(f"{name} must be a finite nonnegative number, got {value!r}")
 
 
 @dataclass

@@ -22,11 +22,8 @@ import sys
 from .checks import CheckConfig, lambda_concavity_scan
 from .exceptions import ConfigError
 from .runner import (
-    REGISTRY,
-    CheckRequest,
-    _as_int,
+    _expect_mapping,
     config_from_dict,
-    default_config,
     generate_instance,
     run_suite,
     write_report,
@@ -73,6 +70,7 @@ def _print_summary(report: dict, stream) -> None:
 
 
 def _cmd_run(args) -> int:
+    data = {}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as handle:
@@ -81,15 +79,13 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config!r} is not valid JSON: {exc}") from exc
-        config = config_from_dict(data)
-    else:
-        config = default_config()
+    data = _expect_mapping(data, "config")
     if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.output_path = args.out
-    if args.format is not None:
-        config.output_format = args.format
+        data["seed"] = args.seed
+    output = {key: v for key, v in (("path", args.out), ("format", args.format)) if v is not None}
+    if output:
+        data["output"] = {**_expect_mapping(data.get("output", {}), "'output'"), **output}
+    config = config_from_dict(data)
 
     report, code = run_suite(config)
     if config.output_path:
@@ -107,14 +103,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.name not in REGISTRY:
-        known = ", ".join(sorted(REGISTRY))
-        raise ConfigError(f"unknown check {args.name!r}; known checks: {known}")
-    config = default_config(seed=args.seed)
-    config.mc_samples = _as_int(args.samples, "samples", minimum=2)
-    entry = REGISTRY[args.name]
-    dim = max(args.dim, entry.min_dim)
-    config.checks = [CheckRequest(args.name, (dim,), args.instances, None, dict(entry.defaults))]
+    config = config_from_dict({
+        "seed": args.seed,
+        "mc_samples": args.samples,
+        "checks": [{"name": args.name, "dims": [args.dim], "instances": args.instances}],
+    })
     report, code = run_suite(config)
     for record in report["records"]:
         lam = "" if record["lambda"] is None else f" lambda={record['lambda']:.3g}"
@@ -134,8 +127,8 @@ def _cmd_scan(args) -> int:
         raise ConfigError("scan-lambda needs --dim >= 2")
     if args.grid < 5:
         raise ConfigError("scan-lambda needs --grid >= 5")
+    cfg = CheckConfig(m=args.samples, seed=args.seed)
     x, y = generate_instance("mixture_pair", args.dim, 0, args.seed)
-    cfg = CheckConfig(m=_as_int(args.samples, "samples", minimum=2), seed=args.seed)
     scan = lambda_concavity_scan(x, y, grid=args.grid, cfg=cfg)
     payload = scan.to_dict()
     if args.out:

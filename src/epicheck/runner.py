@@ -1,7 +1,7 @@
 """Suite orchestration over the named checks.
 
 Provides the check registry, reproducible instance families, config
-parsing with strict key validation, and JSON/CSV report writing.
+parsing with strict key and value validation, and JSON/CSV report writing.
 
 Instance streams are keyed by (seed, "instance", family, dim, index), so
 checks that share a family (for example the entropy-power and Fisher
@@ -18,7 +18,7 @@ generate_instance
 REGISTRY
     check name -> RegistryEntry, each ``run`` built by the factory ``_runner``.
 config_from_dict, default_config
-    build a SuiteConfig, rejecting unknown keys.
+    build a SuiteConfig, rejecting unknown keys and bad values.
 run_suite
     execute every requested check and return (report dict, exit code).
 report_to_csv, write_report
@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,8 @@ from .checks import (
     check_sphere_identity,
     check_stam_recovery,
     check_tm_limit,
+    _is_finite,
+    _is_int,
 )
 from .exceptions import ConfigError
 from .matrices import random_spd
@@ -200,8 +202,7 @@ def generate_instance(family: str, dim: int, idx: int, seed: int):
 class RegistryEntry:
     family: str
     min_dim: int
-    allowed: frozenset
-    defaults: dict
+    defaults: dict  # the check's params, each with its default
     run: object  # (instance, params, cfg, instance_id) -> list[InequalityReport]
 
 
@@ -262,65 +263,51 @@ def _block_size(args, params, cfg, iid):
 
 
 REGISTRY: dict[str, RegistryEntry] = {
-    "epi": RegistryEntry("mixture_pair", 1, frozenset(), {}, _runner(check_epi)),
-    "conditional_epi": RegistryEntry(
-        "markov_triple", 1, frozenset(), {}, _runner(check_conditional_epi)
-    ),
-    "entropic_bergstrom": RegistryEntry(
-        "mixture_pair", 2, frozenset(), {}, _runner(check_entropic_bergstrom)
-    ),
+    "epi": RegistryEntry("mixture_pair", 1, {}, _runner(check_epi)),
+    "conditional_epi": RegistryEntry("markov_triple", 1, {}, _runner(check_conditional_epi)),
+    "entropic_bergstrom": RegistryEntry("mixture_pair", 2, {}, _runner(check_entropic_bergstrom)),
     "conditional_form": RegistryEntry(
-        "mixture_pair", 2, frozenset({"lambdas"}),
-        {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_conditional_form),
+        "mixture_pair", 2, {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_conditional_form)
     ),
     "lambda_form": RegistryEntry(
-        "mixture_pair", 2, frozenset({"lambdas"}),
-        {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_lambda_form),
+        "mixture_pair", 2, {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_lambda_form)
     ),
     "entropic_kyfan": RegistryEntry(
-        "mixture_pair", 2, frozenset({"lambdas", "subset_size"}),
-        {"lambdas": (0.5,), "subset_size": None},
+        "mixture_pair", 2, {"lambdas": (0.5,), "subset_size": None},
         _runner(check_entropic_kyfan, _trailing_subset),
     ),
     "entropic_bonnesen": RegistryEntry(
-        "prefix_pair", 2, frozenset({"lambdas"}),
-        {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_entropic_bonnesen),
+        "prefix_pair", 2, {"lambdas": LAMBDA_GRID_DEFAULT}, _runner(check_entropic_bonnesen)
     ),
     "equality_case_bonnesen": RegistryEntry(
-        "equality_seed", 2, frozenset(), {},
-        _runner(check_equality_case_bonnesen, _equality_rng),
+        "equality_seed", 2, {}, _runner(check_equality_case_bonnesen, _equality_rng)
     ),
     "isoperimetric_sharp": RegistryEntry(
-        "mixture_single", 2, frozenset(), {}, _runner(check_isoperimetric_sharp)
+        "mixture_single", 2, {}, _runner(check_isoperimetric_sharp)
     ),
     "isoperimetric_dominance": RegistryEntry(
-        "mixture_single", 2, frozenset(), {}, _runner(check_isoperimetric_dominance)
+        "mixture_single", 2, {}, _runner(check_isoperimetric_dominance)
     ),
     "de_bruijn": RegistryEntry(
-        "mixture_single", 1, frozenset({"t", "dt"}), {"t": 0.1, "dt": 1e-3},
-        _runner(check_de_bruijn),
+        "mixture_single", 1, {"t": 0.1, "dt": 1e-3}, _runner(check_de_bruijn)
     ),
-    "blachman_stam": RegistryEntry(
-        "mixture_pair", 1, frozenset(), {}, _runner(check_blachman_stam)
-    ),
+    "blachman_stam": RegistryEntry("mixture_pair", 1, {}, _runner(check_blachman_stam)),
     "projective_fisher": RegistryEntry(
-        "mixture_pair", 1, frozenset({"direction"}), {"direction": "last_axis"},
+        "mixture_pair", 1, {"direction": "last_axis"},
         _runner(check_projective_fisher, _direction),
     ),
     "tm_limit": RegistryEntry(
-        "mixture_single", 2, frozenset({"m_values"}),
-        {"m_values": (2, 4, 8, 16, 32, 64)}, _runner(check_tm_limit),
+        "mixture_single", 2, {"m_values": (2, 4, 8, 16, 32, 64)}, _runner(check_tm_limit)
     ),
-    "sphere_identity": RegistryEntry("vector", 1, frozenset(), {}, _runner(check_sphere_identity)),
+    "sphere_identity": RegistryEntry("vector", 1, {}, _runner(check_sphere_identity)),
     "stam_recovery": RegistryEntry(
-        "mixture_pair", 1, frozenset({"m_dirs"}), {"m_dirs": 256}, _runner(check_stam_recovery)
+        "mixture_pair", 1, {"m_dirs": 256}, _runner(check_stam_recovery)
     ),
     "matrix_bergstrom": RegistryEntry(
-        "spd_pair", 2, frozenset({"index"}), {"index": None},
-        _runner(check_matrix_bergstrom, _deleted_index),
+        "spd_pair", 2, {"index": None}, _runner(check_matrix_bergstrom, _deleted_index)
     ),
     "matrix_kyfan": RegistryEntry(
-        "spd_pair", 2, frozenset({"k"}), {"k": None}, _runner(check_matrix_kyfan, _block_size)
+        "spd_pair", 2, {"k": None}, _runner(check_matrix_kyfan, _block_size)
     ),
 }
 
@@ -340,17 +327,12 @@ class CheckRequest:
 
 @dataclass
 class SuiteConfig:
-    seed: int = 0
-    dims: tuple = (2, 3)
-    instances_per_check: int = 1
-    mc_samples: int = 20_000
-    z: float = 3.0
-    abs_tol: float = 1e-9
-    eq_tol: float = 1e-10
-    rel_stderr_cap: float = 0.10
+    """A parsed suite: the verdict parameters, the check requests, the report destination."""
+
+    check: CheckConfig = CheckConfig(m=20_000)
+    checks: list = field(default_factory=list)
     output_path: str | None = None
     output_format: str = "json"
-    checks: list = field(default_factory=list)
 
 
 def _expect_mapping(value, where: str) -> dict:
@@ -366,7 +348,7 @@ def _reject_unknown(data: dict, allowed, where: str) -> None:
 
 
 def _as_int(value, key: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise ConfigError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
     return value
 
@@ -377,8 +359,37 @@ def _as_dims(value, key: str) -> tuple:
     return tuple(_as_int(v, key) for v in value)
 
 
+def _numbers(v, min_len: int) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) >= min_len and all(map(_is_finite, v))
+
+
+def _within(low: int):
+    return lambda v, params, dims: v is None or (_is_int(v) and all(low <= v < d for d in dims))
+
+
+# param -> (what a valid value is, test of (value, the check's params, requested dims));
+# a bad value is refused here, before any check runs, not raised by its check mid-run
+PARAM_RULES = {
+    "lambdas": ("a nonempty list of numbers in [0, 1]",
+                lambda v, params, dims: _numbers(v, 1) and all(0 <= x <= 1 for x in v)),
+    "t": ("a finite number", lambda v, params, dims: _is_finite(v)),
+    "dt": ("a number with 0 < dt < t",
+           lambda v, params, dims: _is_finite(v) and 0 < v < params["t"]),
+    "direction": ("'last_axis' or 'random'",
+                  lambda v, params, dims: v in ("last_axis", "random")),
+    "m_values": ("a list of at least 2 increasing positive numbers",
+                 lambda v, params, dims: (
+                     _numbers(v, 2) and v[0] > 0 and all(a < b for a, b in zip(v, v[1:])))),
+    "m_dirs": ("an integer >= 2", lambda v, params, dims: _is_int(v) and v >= 2),
+    "index": ("null or an integer in [0, dim - 1] at every dim of {dims}", _within(0)),
+    "k": ("null or an integer in [1, dim - 1] at every dim of {dims}", _within(1)),
+    "subset_size": ("null or an integer in [1, dim - 1] at every dim of {dims}", _within(1)),
+}
+
+
 def config_from_dict(data: dict) -> SuiteConfig:
-    """Build a suite configuration, rejecting unknown or ill-typed keys."""
+    """Build a suite configuration, rejecting unknown, ill-typed or
+    out-of-range values with ``ConfigError``."""
     data = _expect_mapping(data, "config")
     _reject_unknown(
         data,
@@ -387,26 +398,15 @@ def config_from_dict(data: dict) -> SuiteConfig:
         "config",
     )
     config = SuiteConfig()
-    if "seed" in data:
-        config.seed = _as_int(data["seed"], "seed", minimum=0)
-    if "dims" in data:
-        config.dims = _as_dims(data["dims"], "dims")
-    if "instances_per_check" in data:
-        config.instances_per_check = _as_int(data["instances_per_check"], "instances_per_check")
-    if "mc_samples" in data:
-        config.mc_samples = _as_int(data["mc_samples"], "mc_samples", minimum=2)
-    if "z" in data:
-        if not isinstance(data["z"], (int, float)) or data["z"] <= 0:
-            raise ConfigError(f"'z' must be a positive number, got {data['z']!r}")
-        config.z = float(data["z"])
+    fields = {"seed": "seed", "mc_samples": "m", "z": "z"}
+    verdict = {fields[key]: data[key] for key in fields if key in data}
     if "tolerances" in data:
         tol = _expect_mapping(data["tolerances"], "'tolerances'")
         _reject_unknown(tol, ("abs_tol", "eq_tol", "rel_stderr_cap"), "tolerances")
-        for key in tol:
-            value = tol[key]
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ConfigError(f"tolerance {key!r} must be a nonnegative number")
-            setattr(config, key, float(value))
+        verdict.update(tol)
+    config.check = replace(config.check, **verdict)
+    suite_dims = _as_dims(data.get("dims", (2, 3)), "dims")
+    suite_instances = _as_int(data.get("instances_per_check", 1), "instances_per_check")
     if "output" in data:
         out = _expect_mapping(data["output"], "'output'")
         _reject_unknown(out, ("path", "format"), "output")
@@ -419,7 +419,7 @@ def config_from_dict(data: dict) -> SuiteConfig:
                 raise ConfigError(f"output 'format' must be 'json' or 'csv', got {out['format']!r}")
             config.output_format = out["format"]
 
-    requested = data.get("checks", sorted(REGISTRY))
+    requested = data.get("checks", list(REGISTRY))
     if not isinstance(requested, list) or not requested:
         raise ConfigError("'checks' must be a nonempty list")
     for item in requested:
@@ -432,33 +432,28 @@ def config_from_dict(data: dict) -> SuiteConfig:
             known = ", ".join(sorted(REGISTRY))
             raise ConfigError(f"unknown check {name!r}; known checks: {known}")
         entry = REGISTRY[name]
-        dims = _as_dims(item["dims"], "dims") if "dims" in item else config.dims
+        dims = _as_dims(item.get("dims", suite_dims), "dims")
         dims = tuple(d for d in dims if d >= entry.min_dim) or (entry.min_dim,)
-        instances = (
-            _as_int(item["instances"], "instances")
-            if "instances" in item
-            else config.instances_per_check
-        )
+        instances = _as_int(item.get("instances", suite_instances), "instances")
         mc = _as_int(item["mc_samples"], "mc_samples", minimum=2) if "mc_samples" in item else None
         params = dict(entry.defaults)
         if "params" in item:
             given = _expect_mapping(item["params"], f"params for {name!r}")
-            _reject_unknown(given, entry.allowed, f"{name} params")
+            _reject_unknown(given, entry.defaults, f"{name} params")
             params.update(given)
+        for key, value in params.items():
+            what, valid = PARAM_RULES[key]
+            if not valid(value, params, dims):
+                what = what.format(dims=list(dims))
+                raise ConfigError(f"{name} param {key!r} must be {what}, got {value!r}")
         config.checks.append(CheckRequest(name, dims, instances, mc, params))
     return config
 
 
 def default_config(seed: int = 0) -> SuiteConfig:
-    """Every registered check on dims (2, 3), one instance per dim."""
-    config = SuiteConfig(seed=seed)
-    for name in REGISTRY:
-        entry = REGISTRY[name]
-        dims = tuple(d for d in config.dims if d >= entry.min_dim) or (entry.min_dim,)
-        config.checks.append(
-            CheckRequest(name, dims, config.instances_per_check, None, dict(entry.defaults))
-        )
-    return config
+    """Every registered check, in registry order, on dims (2, 3), one
+    instance per dim."""
+    return config_from_dict({"seed": seed})
 
 
 # --------------------------------------------------------------------------
@@ -470,18 +465,11 @@ def run_suite(config: SuiteConfig) -> tuple[dict, int]:
     records: list[InequalityReport] = []
     for req in config.checks:
         entry = REGISTRY[req.name]
-        cfg = CheckConfig(
-            m=req.mc_samples if req.mc_samples is not None else config.mc_samples,
-            seed=config.seed,
-            z=config.z,
-            abs_tol=config.abs_tol,
-            eq_tol=config.eq_tol,
-            rel_stderr_cap=config.rel_stderr_cap,
-        )
+        cfg = config.check if req.mc_samples is None else replace(config.check, m=req.mc_samples)
         for dim in req.dims:
             for idx in range(req.instances):
                 iid = f"{entry.family}-d{dim}-{idx}"
-                instance = generate_instance(entry.family, dim, idx, config.seed)
+                instance = generate_instance(entry.family, dim, idx, cfg.seed)
                 records.extend(entry.run(instance, req.params, cfg, iid))
 
     summary: dict[str, dict[str, int]] = {}
@@ -492,7 +480,7 @@ def run_suite(config: SuiteConfig) -> tuple[dict, int]:
         bucket[SUMMARY_KEYS[record.verdict]] += 1
     report = {
         "version": 1,
-        "seed": config.seed,
+        "seed": config.check.seed,
         "records": [r.to_dict() for r in records],
         "summary": summary,
     }

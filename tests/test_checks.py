@@ -98,6 +98,20 @@ class TestClassify:
         with pytest.raises(ValueError, match="at least 2"):
             CheckConfig(m=m)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("z", math.nan), ("z", math.inf), ("z", 0.0), ("z", -1.0), ("z", True), ("z", "3"),
+            ("abs_tol", math.nan), ("abs_tol", -1e-9), ("eq_tol", math.inf),
+            ("rel_stderr_cap", -math.inf), ("rel_stderr_cap", None),
+            ("seed", -3), ("seed", 1.5), ("seed", True), ("m", 2.5), ("m", True),
+        ],
+    )
+    def test_config_rejects_bad_verdict_parameters(self, field, value):
+        # a NaN z or tolerance makes every comparison in classify false: all `holds`
+        with pytest.raises(ValueError, match=field):
+            CheckConfig(**{field: value})
+
     def test_inconclusive_takes_precedence(self):
         # stderr above 10% of the larger side silences even a huge deficit
         assert classify(1.0, 2.0, 0.5, CFG) == VERDICT_INCONCLUSIVE

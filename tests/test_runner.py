@@ -1,6 +1,9 @@
 """Tests for suite orchestration, config parsing, reporting, and the CLI."""
 
+import dataclasses
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,8 +117,8 @@ class TestGenerateInstance:
 class TestConfigFromDict:
     def test_defaults_include_every_check(self):
         config = config_from_dict({})
-        assert sorted(req.name for req in config.checks) == sorted(REGISTRY)
-        assert config.dims == (2, 3)
+        assert [req.name for req in config.checks] == list(REGISTRY)
+        assert all(req.dims == (2, 3) for req in config.checks)
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -145,7 +148,7 @@ class TestConfigFromDict:
 
     def test_tolerances_block(self):
         config = config_from_dict({"tolerances": {"abs_tol": 1e-8}})
-        assert config.abs_tol == 1e-8
+        assert config.check.abs_tol == 1e-8
         with pytest.raises(ConfigError, match="tolerances"):
             config_from_dict({"tolerances": {"abstol": 1e-8}})
         with pytest.raises(ConfigError):
@@ -189,6 +192,22 @@ class TestConfigFromDict:
         config = config_from_dict({"checks": ["epi"]})
         assert config.checks[0].name == "epi"
         assert config.checks[0].params == {}
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_default_config_is_the_seed_only_config(self, seed):
+        assert default_config(seed) == config_from_dict({"seed": seed})
+
+    def test_readme_table_lists_every_check_in_order_with_its_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = [line for line in readme.splitlines() if line.startswith("| `")]
+        expected = []
+        for name, entry in REGISTRY.items():
+            params = "; ".join(
+                f"`{key}` = `{json.dumps(list(v) if isinstance(v, tuple) else v)}`"
+                for key, v in entry.defaults.items()
+            )
+            expected.append(f"| `{name}` | `{entry.family}` | {entry.min_dim} | {params or '—'} |")
+        assert rows == expected
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigError):
@@ -310,7 +329,7 @@ class TestRunSuite:
 
         monkeypatch.setitem(
             REGISTRY, "always_violated",
-            RegistryEntry("vector", 1, frozenset(), {}, run),
+            RegistryEntry("vector", 1, {}, run),
         )
         config = config_from_dict({"dims": [2], "checks": ["always_violated"]})
         report, code = run_suite(config)
@@ -416,6 +435,55 @@ class TestReportWriting:
             write_report(report, str(tmp_path / "r.xml"), "xml")
 
 
+# configs that must exit 2 before any check runs
+REFUSED_CONFIGS = [
+    {"z": math.nan},
+    {"tolerances": {"abs_tol": math.nan}},
+    {"z": True},
+    {"tolerances": {"eq_tol": math.inf}},
+    {"seed": -3},
+] + [
+    {"dims": dims, "checks": [{"name": name, "params": params}]}
+    for name, dims, params in [
+        ("conditional_form", [2], {"lambdas": [1.5]}),
+        ("conditional_form", [2], {"lambdas": 0.5}),
+        ("conditional_form", [2], {"lambdas": []}),
+        ("lambda_form", [2], {"lambdas": [math.nan]}),
+        ("de_bruijn", [2], {"dt": -1}),
+        ("de_bruijn", [2], {"t": 0.1, "dt": 0.1}),
+        ("de_bruijn", [2], {"t": math.inf}),
+        ("projective_fisher", [2], {"direction": "randon"}),
+        ("tm_limit", [2], {"m_values": [4]}),
+        ("tm_limit", [2], {"m_values": [4, 2]}),
+        ("tm_limit", [2], {"m_values": [0, 2]}),
+        ("stam_recovery", [2], {"m_dirs": 1}),
+        ("matrix_bergstrom", [2], {"index": 7}),
+        ("matrix_bergstrom", [2, 3], {"index": 2}),
+        ("matrix_bergstrom", [2], {"index": 0.0}),
+        ("matrix_kyfan", [2], {"k": 2}),
+        ("entropic_kyfan", [3], {"subset_size": 0}),
+        ("entropic_kyfan", [2, 4], {"subset_size": 3}),
+    ]
+]
+
+
+def _config_id(data):
+    if "checks" not in data:
+        return json.dumps(data, separators=(",", ":"))
+    check = data["checks"][0]
+    return f"{check['name']}-{json.dumps(check['params'], separators=(',', ':'))}-dims{data['dims']}"
+
+
+REFUSED_ARGUMENTS = [
+    ["run", "--seed", "-3"],
+    ["run", "--out", ""],
+    ["check", "matrix_bergstrom", "--dim", "0"],
+    ["check", "epi", "--instances", "0"],
+    ["check", "epi", "--seed", "-3"],
+    ["scan-lambda", "--seed", "-3"],
+]
+
+
 class TestCli:
     def write_config(self, tmp_path, data):
         path = tmp_path / "config.json"
@@ -466,6 +534,53 @@ class TestCli:
         out = capsys.readouterr().out
         assert "matrix_bergstrom" in out
         assert "verdict=" in out
+
+    @pytest.mark.parametrize("data", REFUSED_CONFIGS, ids=_config_id)
+    def test_refused_config_exits_2(self, tmp_path, capsys, data):
+        assert main(["run", "--config", self.write_config(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", REFUSED_ARGUMENTS, ids=" ".join)
+    def test_refused_argument_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_check_prints_the_records_of_the_equivalent_config(self, tmp_path, capsys, name):
+        dim = max(3, REGISTRY[name].min_dim)
+        out = tmp_path / "check.json"
+        code = main(["check", name, "--dim", str(dim), "--samples", "2000", "--out", str(out)])
+        printed = capsys.readouterr().out.splitlines()[:-1]
+        expected, expected_code = run_suite(
+            config_from_dict({"mc_samples": 2000, "checks": [{"name": name, "dims": [dim]}]})
+        )
+
+        def strip(records):
+            return [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
+
+        assert code == expected_code
+        assert strip(json.loads(out.read_text())["records"]) == strip(expected["records"])
+        assert len(printed) == len(expected["records"])
+        for line, record in zip(printed, expected["records"]):
+            assert line.startswith(f"{name} [{record['instance_id']}]")
+            assert f"verdict={record['verdict']} " in line
+
+    def test_config_without_checks_runs_the_default_order(self, tmp_path, capsys, monkeypatch):
+        def stub(name):
+            def run(inst, params, cfg, iid):
+                return [InequalityReport(name, iid, 2, None, 1.0, 0.0, 1.0, 0.0, "holds", 0, 0.0)]
+
+            return run
+
+        for name, entry in list(REGISTRY.items()):
+            monkeypatch.setitem(REGISTRY, name, dataclasses.replace(entry, run=stub(name)))
+        orders = []
+        for argv in (["run"], ["run", "--config", self.write_config(tmp_path, {})]):
+            assert main(argv) == 0
+            records = json.loads(capsys.readouterr().out)["records"]
+            orders.append([(r["check_name"], r["instance_id"]) for r in records])
+        assert orders[0] == orders[1]
+        assert [name for name, _ in orders[0][::2]] == list(REGISTRY)
 
     def test_check_unknown_name(self, capsys):
         assert main(["check", "bogus"]) == 2
