@@ -41,10 +41,10 @@ from .estimators import (
 )
 from .exceptions import ConfigError, DimensionError, PreconditionError
 from .matrices import (
-    DET_MATCH_RTOL,
     SpdMatrix,
     _bergstrom_ratios,
     _check_lambda,
+    _check_equal_minors,
     _kyfan_ratios,
     _logdet_raw,
     _same_dim,
@@ -70,6 +70,31 @@ def _is_int(value) -> bool:
 
 def _is_finite(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _numbers(v, min_len: int) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) >= min_len and all(map(_is_finite, v))
+
+
+# argument rules shared by the checks and the suite config (``runner.PARAM_RULES``)
+
+
+def _heat_steps_ok(t, dt) -> bool:
+    """The de Bruijn difference steps: finite numbers with 0 < dt < t."""
+    return _is_finite(t) and _is_finite(dt) and 0 < dt < t
+
+
+def _squeeze_factors_ok(m_values) -> bool:
+    """At least two finite, positive, strictly increasing squeeze factors."""
+    return (
+        _numbers(m_values, 2)
+        and m_values[0] > 0
+        and all(a < b for a, b in zip(m_values, m_values[1:]))
+    )
+
+
+def _direction_count_ok(m_dirs) -> bool:
+    return _is_int(m_dirs) and m_dirs >= 2
 
 
 @dataclass(frozen=True)
@@ -139,25 +164,32 @@ class InequalityReport:
         }
 
 
+def _window(lhs, rhs, stderr, cfg: CheckConfig, extra: float = 0.0) -> tuple[bool, bool]:
+    """(below, within) for lhs >= rhs, the one tolerance rule of every verdict,
+    gate, precondition and scan flag.  With gap = lhs - rhs and scale =
+    max(|lhs|, |rhs|, 1): below is gap < -(abs_tol * scale + z * stderr), within
+    is |gap| <= eq_tol * scale + extra + z * stderr.  Non-finite terms raise
+    ``ValueError``: NaN fails both comparisons and would read as ``holds``."""
+    finite = math.isfinite
+    if not (finite(lhs) and finite(rhs) and finite(stderr) and finite(extra)):
+        raise ValueError(f"verdict window needs finite terms, got {(lhs, rhs, stderr, extra)!r}")
+    gap, scale, noise = lhs - rhs, max(abs(lhs), abs(rhs), 1.0), cfg.z * stderr
+    return gap < -(cfg.abs_tol * scale + noise), abs(gap) <= cfg.eq_tol * scale + extra + noise
+
+
 def classify(
     lhs: float, rhs: float, stderr: float, cfg: CheckConfig, extra_eq_tol: float = 0.0
 ) -> str:
     """Statistical verdict for lhs >= rhs.
 
     Order matters: noisy estimates are inconclusive before anything else,
-    then gap < -(abs_tol * scale + z * stderr) is a violation, then gaps
-    within eq_tol * scale + extra + z * stderr are equality-consistent.
+    then a gap below the window (``_window``) is a violation, then a gap
+    within it is equality-consistent.
     """
-    gap = lhs - rhs
-    mag = max(abs(lhs), abs(rhs))
-    if stderr > cfg.rel_stderr_cap * mag:
+    below, within = _window(lhs, rhs, stderr, cfg, extra_eq_tol)
+    if stderr > cfg.rel_stderr_cap * max(abs(lhs), abs(rhs)):
         return VERDICT_INCONCLUSIVE
-    scale = max(mag, 1.0)
-    if gap < -(cfg.abs_tol * scale + cfg.z * stderr):
-        return VERDICT_VIOLATED
-    if abs(gap) <= cfg.eq_tol * scale + extra_eq_tol + cfg.z * stderr:
-        return VERDICT_EQUALITY
-    return VERDICT_HOLDS
+    return VERDICT_VIOLATED if below else (VERDICT_EQUALITY if within else VERDICT_HOLDS)
 
 
 def _cfg(cfg: CheckConfig | None) -> CheckConfig:
@@ -464,13 +496,11 @@ def check_entropic_bonnesen(
     if not _same_law(mx, my):
         hx = entropy(mx, cfg.m, _mc_rng(mx, cfg, "entropic_bonnesen", iid, "pre-x"))
         hy = entropy(my, cfg.m, _mc_rng(my, cfg, "entropic_bonnesen", iid, "pre-y"))
-        tol = cfg.eq_tol * max(1.0, abs(hx.value), abs(hy.value)) + cfg.z * _quadrature(
-            hx.std_error, hy.std_error
-        )
-        if abs(hx.value - hy.value) > tol:
+        stderr = _quadrature(hx.std_error, hy.std_error)
+        if not _window(hx.value, hy.value, stderr, cfg)[1]:
             raise PreconditionError(
                 f"prefix entropies differ: h(X^{n-1}) = {hx.value!r}, "
-                f"h(Y^{n-1}) = {hy.value!r} (tolerance {tol!r})"
+                f"h(Y^{n-1}) = {hy.value!r} (stderr {stderr!r})"
             )
     return _convex_split_report(
         "entropic_bonnesen", x, y, 1.0 - lam, lam, (), 1, cfg, iid, t0
@@ -502,12 +532,7 @@ def check_equality_case_bonnesen(
         pair = make_bonnesen_equality_pair(n, rng)
     s1, s2 = pair
     n = _same_dim(s1, s2, 2)
-    d1 = math.exp(_logdet_raw(s1.entries[: n - 1, : n - 1]))
-    d2 = math.exp(_logdet_raw(s2.entries[: n - 1, : n - 1]))
-    if abs(d1 - d2) > DET_MATCH_RTOL * max(abs(d1), abs(d2)):
-        raise PreconditionError(
-            f"prefix minor determinants differ: {d1!r} vs {d2!r}"
-        )
+    _check_equal_minors(s1.entries, s2.entries, n - 1)
     iid = instance_id or _tag(s1, s2)
 
     e1 = math.exp(n * LN_2PIE + s1.log_det)
@@ -658,8 +683,8 @@ def check_de_bruijn(
     """
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
-    if dt <= 0.0 or t - dt <= 0.0:
-        raise ValueError(f"need 0 < dt < t, got t={t}, dt={dt}")
+    if not _heat_steps_ok(t, dt):
+        raise ValueError(f"need finite 0 < dt < t, got t={t}, dt={dt}")
     n = x.dim
     iid = instance_id or _tag(x)
     min_eig = min(
@@ -788,9 +813,11 @@ def check_tm_limit(
     """
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
+    if not _squeeze_factors_ok(list(m_values)):
+        raise ValueError(
+            f"m_values must be at least two increasing positive factors, got {m_values!r}"
+        )
     m_values = [float(mv) for mv in m_values]
-    if len(m_values) < 2 or any(mv <= 0 for mv in m_values) or sorted(m_values) != m_values:
-        raise ValueError("m_values must be at least two increasing positive factors")
     n = x.dim
     iid = instance_id or _tag(x)
     values, errors = tm_sequence(x, m_values, cfg, iid)
@@ -798,9 +825,8 @@ def check_tm_limit(
     e_last[-1] = 1.0
     target = projective_fisher(x, e_last, cfg.m, _mc_rng(x, cfg, "tm_limit", iid, "target"))
 
-    scale = max(1.0, float(np.max(np.abs(values))))
-    monotone = all(
-        values[j + 1] <= values[j] + cfg.z * (errors[j] + errors[j + 1]) + cfg.abs_tol * scale
+    monotone = not any(
+        _window(values[j], values[j + 1], errors[j] + errors[j + 1], cfg)[0]
         for j in range(len(values) - 1)
     )
     inv_sq = 1.0 / np.square(m_values)
@@ -827,8 +853,8 @@ def check_sphere_identity(
     t0 = time.perf_counter()
     v = np.asarray(v, dtype=float).reshape(-1)
     n = v.shape[0]
-    if n < 1 or not np.any(v):
-        raise ValueError("need a nonzero direction vector")
+    if n < 1 or not np.all(np.isfinite(v)) or not np.any(v):
+        raise ValueError("need a finite nonzero direction vector")
     iid = instance_id or _tag(v)
     rng = _rng(cfg, "sphere_identity", iid, "dirs")
     z = rng.standard_normal((cfg.m, n))
@@ -881,8 +907,8 @@ def check_stam_recovery(
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
     n = _same_dim(x, y)
-    if m_dirs < 2:
-        raise ValueError("need at least two directions")
+    if not _direction_count_ok(m_dirs):
+        raise ValueError(f"need an integer count of at least two directions, got {m_dirs!r}")
     iid = instance_id or _tag(x, y)
     rng_dirs = _rng(cfg, "stam_recovery", iid, "dirs")
     dirs = rng_dirs.standard_normal((m_dirs, n))
@@ -901,11 +927,9 @@ def check_stam_recovery(
     py = np.einsum("di,ij,dj->d", dirs, mat_y, dirs)
 
     ident_vals = n * px
-    ident_se = _std_error(ident_vals)
-    ident_target = float(np.trace(mat_x))
-    ident_ok = abs(float(ident_vals.mean()) - ident_target) <= (
-        cfg.eq_tol * max(1.0, abs(ident_target)) + cfg.z * ident_se
-    )
+    ident_ok = _window(
+        float(ident_vals.mean()), float(np.trace(mat_x)), _std_error(ident_vals), cfg
+    )[1]
 
     harm = 1.0 / (1.0 / px + 1.0 / py)
     mid_vals = n * harm
@@ -933,9 +957,7 @@ def check_stam_recovery(
     inv_x, inv_y = _inverse_fisher(fish_x), _inverse_fisher(fish_y)
     top = 1.0 / (inv_x.value + inv_y.value)
     top_err = top**2 * _quadrature(inv_x.std_error, inv_y.std_error)
-    gap2 = top - mid
-    scale2 = max(abs(top), abs(mid), 1.0)
-    if gap2 < -(cfg.abs_tol * scale2 + cfg.z * _quadrature(top_err, se_mid)):
+    if _window(top, mid, _quadrature(top_err, se_mid), cfg)[0]:
         verdict = VERDICT_VIOLATED
     if not ident_ok:
         verdict = VERDICT_INCONCLUSIVE
@@ -1047,15 +1069,9 @@ def lambda_concavity_scan(
     # concave curves keep the margin nonnegative; a significantly negative
     # margin is a concavity counterexample worth reporting
     second = 2.0 * values[1:-1] - values[2:] - values[:-2]
-    noise = cfg.z * np.sqrt(
-        errors[2:] ** 2 + 4.0 * errors[1:-1] ** 2 + errors[:-2] ** 2
-    )
-    scale = np.maximum(1.0, np.abs(values[1:-1]))
-    flagged = [
-        int(j + 1)
-        for j in range(second.shape[0])
-        if second[j] < -(noise[j] + cfg.abs_tol * scale[j])
-    ]
+    noise = np.sqrt(errors[2:] ** 2 + 4.0 * errors[1:-1] ** 2 + errors[:-2] ** 2)
+    flagged = [j for j in range(1, grid - 1)
+               if _window(2.0 * values[j], values[j - 1] + values[j + 1], noise[j - 1], cfg)[0]]
     return ConcavityScan(
         [float(v) for v in lambdas],
         [float(v) for v in values],

@@ -22,6 +22,7 @@ import sys
 from .checks import CheckConfig, lambda_concavity_scan
 from .exceptions import ConfigError
 from .runner import (
+    _as_path,
     _expect_mapping,
     config_from_dict,
     generate_instance,
@@ -103,11 +104,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = config_from_dict({
+    data = {
         "seed": args.seed,
         "mc_samples": args.samples,
         "checks": [{"name": args.name, "dims": [args.dim], "instances": args.instances}],
-    })
+    }
+    if args.out is not None:
+        data["output"] = {"path": args.out}
+    config = config_from_dict(data)
     report, code = run_suite(config)
     for record in report["records"]:
         lam = "" if record["lambda"] is None else f" lambda={record['lambda']:.3g}"
@@ -116,9 +120,9 @@ def _cmd_check(args) -> int:
             f"verdict={record['verdict']} gap={record['gap']:.6g} "
             f"stderr={record['stderr']:.3g}"
         )
-    if args.out:
-        write_report(report, args.out, "json")
-        print(f"wrote json report to {args.out}")
+    if config.output_path:
+        write_report(report, config.output_path, "json")
+        print(f"wrote json report to {config.output_path}")
     return code
 
 
@@ -127,15 +131,16 @@ def _cmd_scan(args) -> int:
         raise ConfigError("scan-lambda needs --dim >= 2")
     if args.grid < 5:
         raise ConfigError("scan-lambda needs --grid >= 5")
+    out = None if args.out is None else _as_path(args.out)
     cfg = CheckConfig(m=args.samples, seed=args.seed)
     x, y = generate_instance("mixture_pair", args.dim, 0, args.seed)
     scan = lambda_concavity_scan(x, y, grid=args.grid, cfg=cfg)
     payload = scan.to_dict()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-        print(f"wrote scan to {args.out}")
+        print(f"wrote scan to {out}")
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")

@@ -226,15 +226,20 @@ def bonnesen_linear_gap(a: SpdMatrix, b: SpdMatrix, lam: float, i: int) -> float
     if not 0 <= i < n:
         raise IndexError(f"index {i} out of range for dimension {n}")
     lam = _check_lambda(lam)
-    det_ai = _det(_minor_logdet(a.entries, i))
-    det_bi = _det(_minor_logdet(b.entries, i))
+    _check_equal_minors(a.entries, b.entries, i)
+    mixed = lam * a.entries + (1.0 - lam) * b.entries
+    det_mixed = _det(_logdet_raw(mixed))
+    return det_mixed - lam * _det(a.log_det) - (1.0 - lam) * _det(b.log_det)
+
+
+def _check_equal_minors(a: np.ndarray, b: np.ndarray, i: int) -> None:
+    """PreconditionError unless det(A_i) = det(B_i) to DET_MATCH_RTOL; NaN fails."""
+    det_ai = _det(_minor_logdet(a, i))
+    det_bi = _det(_minor_logdet(b, i))
     if not abs(det_ai - det_bi) <= DET_MATCH_RTOL * max(abs(det_ai), abs(det_bi)):
         raise PreconditionError(
             f"minor determinants differ: det(A_{i}) = {det_ai!r}, det(B_{i}) = {det_bi!r}"
         )
-    mixed = lam * a.entries + (1.0 - lam) * b.entries
-    det_mixed = _det(_logdet_raw(mixed))
-    return det_mixed - lam * _det(a.log_det) - (1.0 - lam) * _det(b.log_det)
 
 
 def _det(log_det: float) -> float:

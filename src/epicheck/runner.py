@@ -59,8 +59,12 @@ from .checks import (
     check_sphere_identity,
     check_stam_recovery,
     check_tm_limit,
+    _direction_count_ok,
+    _heat_steps_ok,
     _is_finite,
     _is_int,
+    _numbers,
+    _squeeze_factors_ok,
 )
 from .exceptions import ConfigError
 from .matrices import random_spd
@@ -359,8 +363,10 @@ def _as_dims(value, key: str) -> tuple:
     return tuple(_as_int(v, key) for v in value)
 
 
-def _numbers(v, min_len: int) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) >= min_len and all(map(_is_finite, v))
+def _as_path(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError("output 'path' must be a nonempty string")
+    return value
 
 
 def _within(low: int):
@@ -373,14 +379,12 @@ PARAM_RULES = {
     "lambdas": ("a nonempty list of numbers in [0, 1]",
                 lambda v, params, dims: _numbers(v, 1) and all(0 <= x <= 1 for x in v)),
     "t": ("a finite number", lambda v, params, dims: _is_finite(v)),
-    "dt": ("a number with 0 < dt < t",
-           lambda v, params, dims: _is_finite(v) and 0 < v < params["t"]),
+    "dt": ("a number with 0 < dt < t", lambda v, params, dims: _heat_steps_ok(params["t"], v)),
     "direction": ("'last_axis' or 'random'",
                   lambda v, params, dims: v in ("last_axis", "random")),
     "m_values": ("a list of at least 2 increasing positive numbers",
-                 lambda v, params, dims: (
-                     _numbers(v, 2) and v[0] > 0 and all(a < b for a, b in zip(v, v[1:])))),
-    "m_dirs": ("an integer >= 2", lambda v, params, dims: _is_int(v) and v >= 2),
+                 lambda v, params, dims: _squeeze_factors_ok(v)),
+    "m_dirs": ("an integer >= 2", lambda v, params, dims: _direction_count_ok(v)),
     "index": ("null or an integer in [0, dim - 1] at every dim of {dims}", _within(0)),
     "k": ("null or an integer in [1, dim - 1] at every dim of {dims}", _within(1)),
     "subset_size": ("null or an integer in [1, dim - 1] at every dim of {dims}", _within(1)),
@@ -411,9 +415,7 @@ def config_from_dict(data: dict) -> SuiteConfig:
         out = _expect_mapping(data["output"], "'output'")
         _reject_unknown(out, ("path", "format"), "output")
         if "path" in out:
-            if not isinstance(out["path"], str) or not out["path"]:
-                raise ConfigError("output 'path' must be a nonempty string")
-            config.output_path = out["path"]
+            config.output_path = _as_path(out["path"])
         if "format" in out:
             if out["format"] not in ("json", "csv"):
                 raise ConfigError(f"output 'format' must be 'json' or 'csv', got {out['format']!r}")

@@ -63,6 +63,7 @@ from epicheck import (
     rng_from_tokens,
     tm_sequence,
 )
+from epicheck import checks, matrices
 
 TWO_PI_E = 17.079468445347132
 
@@ -137,6 +138,64 @@ class TestClassify:
 
     def test_tiny_negative_gap_is_not_violated(self):
         assert classify(1.0 - 1e-10, 1.0, 0.0, CFG) != VERDICT_VIOLATED
+
+    @pytest.mark.parametrize(
+        "lhs, rhs, stderr",
+        [(math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan), (math.inf, 1.0, 0.0)],
+    )
+    def test_non_finite_terms_are_refused(self, lhs, rhs, stderr):
+        # NaN fails every comparison, so it used to fall through to `holds`
+        with pytest.raises(ValueError, match="finite"):
+            classify(lhs, rhs, stderr, CFG)
+
+
+class TestWindow:
+    def test_violation_edge_is_exclusive(self):
+        # scale is 1 (both sides below 1): the edge is -(0.25 * 1 + 2 * 0.125) = -0.5
+        cfg = CheckConfig(abs_tol=0.25, z=2.0)
+        assert not checks._window(0.0, 0.5, 0.125, cfg)[0]
+        rhs = math.nextafter(0.5, 1.0)
+        assert 0.0 - rhs == math.nextafter(-0.5, -1.0)
+        assert checks._window(0.0, rhs, 0.125, cfg)[0]
+
+    def test_extra_widens_only_the_equality_window(self):
+        for gap, below in ((0.5, False), (-0.5, True)):
+            assert checks._window(1.0 + gap, 1.0, 0.0, CFG) == (below, False)
+            assert checks._window(1.0 + gap, 1.0, 0.0, CFG, extra=0.6) == (below, True)
+
+    @staticmethod
+    def answer(monkeypatch, below, within):
+        # classify is pinned to `holds`, so a verdict shows only what the gates did
+        monkeypatch.setattr(checks, "_window", lambda *args, **kwargs: (below, within))
+        monkeypatch.setattr(checks, "classify", lambda *args, **kwargs: VERDICT_HOLDS)
+
+    def test_every_gate_decides_through_the_window(self, monkeypatch):
+        # prefix laws differ but have equal entropies, so the Bonnesen
+        # precondition consults the window
+        px, py = gauss(np.diag([2.0, 0.5, 1.0])), gauss(np.diag([1.0, 1.0, 3.0]))
+        pair = gauss(np.eye(2)), gauss(np.diag([2.0, 3.0]))
+
+        def gates():
+            try:
+                check_entropic_bonnesen(px, py, 0.5, CFG)
+                prefix = "accepted"
+            except PreconditionError:
+                prefix = "refused"
+            return (
+                prefix,
+                check_tm_limit(gauss(np.eye(3)), cfg=CFG).verdict,
+                check_stam_recovery(*pair, cfg=CFG).verdict,
+                lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=5, cfg=CFG).flagged,
+            )
+
+        self.answer(monkeypatch, below=False, within=True)
+        assert gates() == ("accepted", VERDICT_HOLDS, VERDICT_HOLDS, [])
+        # tm monotonicity, the stam upper link and the scan flags test `below`
+        self.answer(monkeypatch, below=True, within=True)
+        assert gates() == ("accepted", VERDICT_INCONCLUSIVE, VERDICT_VIOLATED, [1, 2, 3])
+        # the Bonnesen prefix precondition and the stam identity gate test `within`
+        self.answer(monkeypatch, below=False, within=False)
+        assert gates() == ("refused", VERDICT_HOLDS, VERDICT_INCONCLUSIVE, [])
 
 
 class TestEpi:
@@ -373,6 +432,15 @@ class TestEqualityCaseBonnesen:
         with pytest.raises(PreconditionError, match="minor determinants differ"):
             check_equality_case_bonnesen(2, CFG, pair=pair)
 
+    def test_nan_minor_determinant_is_refused(self, monkeypatch):
+        # the shared equal-minor test is written so that NaN fails it
+        monkeypatch.setattr(matrices, "_det", lambda log_det: math.nan)
+        pair = (SpdMatrix(np.eye(2)), SpdMatrix(np.diag([1.0, 4.0])))
+        with pytest.raises(PreconditionError, match="minor determinants differ"):
+            check_equality_case_bonnesen(2, CFG, pair=pair)
+        with pytest.raises(PreconditionError, match="minor determinants differ"):
+            bonnesen_linear_gap(*pair, 0.5, 1)
+
 
 class TestIsoperimetricSharp:
     def test_standard_gaussian_meets_bound(self):
@@ -460,6 +528,11 @@ class TestDeBruijn:
             check_de_bruijn(gauss([[1.0]]), t=0.1, dt=0.0, cfg=CFG)
         with pytest.raises(ValueError):
             check_de_bruijn(gauss([[1.0]]), t=0.1, dt=0.1, cfg=CFG)
+
+    def test_nan_step_refused(self):
+        # a NaN dt used to give a NaN lhs that read `holds`
+        with pytest.raises(ValueError, match="finite"):
+            check_de_bruijn(gauss(np.eye(2)), dt=math.nan)
 
 
 class TestBlachmanStam:
@@ -554,6 +627,12 @@ class TestSphereIdentity:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             check_sphere_identity([0.0, 0.0], CFG)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # NaN terms used to read `holds`
+        with pytest.raises(ValueError, match="finite"):
+            check_sphere_identity([1.0, bad], CFG)
 
 
 class TestStamRecovery:

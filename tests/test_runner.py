@@ -406,6 +406,29 @@ class TestRegistryParams:
         assert strip(report["records"]) == strip(r.to_dict() for r in expected)
 
 
+# arguments that both the suite config and the check itself refuse
+SHARED_ARGUMENT_RULES = [
+    ("de_bruijn", {"t": math.nan}),
+    ("de_bruijn", {"dt": math.nan}),
+    ("de_bruijn", {"t": math.inf}),
+    ("tm_limit", {"m_values": [2, 2, 4]}),
+    ("tm_limit", {"m_values": [2, math.nan]}),
+    ("stam_recovery", {"m_dirs": 2.5}),
+    ("stam_recovery", {"m_dirs": 32.0}),
+]
+
+
+class TestSharedArgumentRules:
+    @pytest.mark.parametrize("name, params", SHARED_ARGUMENT_RULES, ids=str)
+    def test_config_and_check_refuse_alike(self, name, params):
+        with pytest.raises(ConfigError):
+            config_from_dict({"dims": [2], "checks": [{"name": name, "params": params}]})
+        entry = REGISTRY[name]
+        instance = generate_instance(entry.family, 2, 0, 0)
+        with pytest.raises(ValueError):
+            entry.run(instance, {**entry.defaults, **params}, CheckConfig(m=200), "iid")
+
+
 class TestReportWriting:
     def test_csv_header_and_empty_lambda(self):
         report, _ = run_suite(small_config())
@@ -481,6 +504,8 @@ REFUSED_ARGUMENTS = [
     ["check", "epi", "--instances", "0"],
     ["check", "epi", "--seed", "-3"],
     ["scan-lambda", "--seed", "-3"],
+    ["check", "matrix_bergstrom", "--out", ""],
+    ["scan-lambda", "--out", ""],
 ]
 
 
