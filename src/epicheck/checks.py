@@ -28,14 +28,19 @@ import numpy as np
 
 from .estimators import (
     LN_2PIE,
+    METHOD_CLOSED,
     METHOD_MC,
     ScalarEstimate,
+    _delta,
+    _jackknife,
     _mean_and_se,
+    _npow,
     _std_error,
     conditional_entropy,
     entropy,
     entropy_power,
     fisher,
+    gaussian_entropy,
     gaussian_fisher,
     projective_fisher,
 )
@@ -45,13 +50,16 @@ from .matrices import (
     _bergstrom_ratios,
     _check_lambda,
     _check_equal_minors,
+    _factored,
     _kyfan_ratios,
     _logdet_raw,
     _same_dim,
     _sum_logdets,
     make_bonnesen_equality_pair,
 )
-from .mixtures import GaussianMixture, MarkovTriple, _labels
+from .mixtures import (
+    GaussianComponent, GaussianMixture, MarkovTriple, _coordinates, _is_int, _labels,
+)
 from .seeding import rng_from_tokens, stable_digest
 
 TWO_PI_E = math.exp(LN_2PIE)
@@ -62,10 +70,6 @@ VERDICT_VIOLATED = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 EQUALITY_GRID_POINTS = 21
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:
@@ -260,22 +264,30 @@ def _combine(x: GaussianMixture, y: GaussianMixture, sx: float, sy: float) -> Ga
     return x.scale(sx).convolve(y.scale(sy))
 
 
-def _quadrature(*errors: float) -> float:
-    return float(np.sqrt(np.sum(np.square(errors))))
+def _independent(*ests: ScalarEstimate) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariance of estimates from separate streams: a diagonal one."""
+    return np.array([e.value for e in ests]), np.diag([e.std_error**2 for e in ests])
 
 
-def _sum_report(name, iid, n, x, y, term, cfg, t0) -> InequalityReport:
-    """Superadditivity under convolution: term(X+Y) >= term(X) + term(Y).
+def _sides(lhs_fn, rhs_fn, mu, cov) -> tuple[float, float, float]:
+    """lhs_fn(mu), rhs_fn(mu) and the delta-method stderr of their gap.  A side that
+    is not a finite double leaves the gap non-finite, so ``_delta`` raises OverflowError."""
+    mu = np.asarray(mu, dtype=float)
+    _, stderr = _delta(lambda v: lhs_fn(v) - rhs_fn(v), mu, cov)
+    return float(lhs_fn(mu)), float(rhs_fn(mu)), stderr
 
-    ``term(law, rng)`` returns a ScalarEstimate; the three terms draw from
-    the RNG roles "sum", "x" and "y".
+
+def _sum_report(name, iid, n, x, y, estimate, power, cfg, t0) -> InequalityReport:
+    """Superadditivity under convolution: power(X+Y) >= power(X) + power(Y),
+    with power applied to the ScalarEstimate ``estimate(law, m, rng)`` of each
+    law.  The three estimates draw from the RNG roles "sum", "x" and "y".
     """
-    s, tx, ty = (
-        term(law, _mc_rng(law, cfg, name, iid, role))
+    mu, cov = _independent(*(
+        estimate(law, cfg.m, _mc_rng(law, cfg, name, iid, role))
         for law, role in ((x.convolve(y), "sum"), (x, "x"), (y, "y"))
-    )
-    stderr = _quadrature(s.std_error, tx.std_error, ty.std_error)
-    return _finish(name, iid, n, None, s.value, tx.value + ty.value, stderr, cfg, t0)
+    ))
+    lhs, rhs, stderr = _sides(lambda v: power(v[0]), lambda v: power(v[1]) + power(v[2]), mu, cov)
+    return _finish(name, iid, n, None, lhs, rhs, stderr, cfg, t0)
 
 
 # --------------------------------------------------------------------------
@@ -293,9 +305,7 @@ def check_epi(
     t0 = time.perf_counter()
     n = _same_dim(x, y)
     iid = instance_id or _tag(x, y)
-    return _sum_report(
-        "epi", iid, n, x, y, lambda gm, rng: entropy_power(entropy(gm, cfg.m, rng), n), cfg, t0
-    )
+    return _sum_report("epi", iid, n, x, y, entropy, lambda h: _npow(h, n), cfg, t0)
 
 
 def check_conditional_epi(
@@ -314,26 +324,20 @@ def check_conditional_epi(
     n = triple.dim
     iid = instance_id or _tag(triple)
 
-    def avg_exp2n(laws, role) -> tuple[float, float]:
-        total = 0.0
-        var = 0.0
-        for z, gm in enumerate(laws):
-            est = entropy(gm, cfg.m, _mc_rng(gm, cfg, "conditional_epi", iid, f"{role}-{z}"))
-            p = float(triple.probs[z])
-            total += p * est.value
-            var += (p * est.std_error) ** 2
-        value = math.exp(2.0 * total / n)
-        return value, (2.0 / n) * value * math.sqrt(var)
-
     sums = [
         gx.convolve(gy) for gx, gy in zip(triple.x_given_z, triple.y_given_z)
     ]
-    lv, lse = avg_exp2n(sums, "sum")
-    xv, xse = avg_exp2n(triple.x_given_z, "x")
-    yv, yse = avg_exp2n(triple.y_given_z, "y")
-    return _finish(
-        "conditional_epi", iid, n, None, lv, xv + yv, _quadrature(lse, xse, yse), cfg, t0
+    ests = [
+        entropy(gm, cfg.m, _mc_rng(gm, cfg, "conditional_epi", iid, f"{role}-{z}"))
+        for role, laws in (("sum", sums), ("x", triple.x_given_z), ("y", triple.y_given_z))
+        for z, gm in enumerate(laws)
+    ]
+    p, k = triple.probs, triple.n_labels  # entropy powers of label-averaged entropies
+    lhs, rhs, stderr = _sides(
+        lambda v: _npow(p @ v[:k], n), lambda v: _npow(p @ v[k:2 * k], n) + _npow(p @ v[2 * k:], n),
+        *_independent(*ests),
     )
+    return _finish("conditional_epi", iid, n, None, lhs, rhs, stderr, cfg, t0)
 
 
 def check_entropic_bergstrom(
@@ -353,10 +357,11 @@ def check_entropic_bergstrom(
     n = _same_dim(x, y, 2)
     iid = instance_id or _tag(x, y)
 
-    def ratio(gm: GaussianMixture, rng) -> ScalarEstimate:
-        return entropy_power(conditional_entropy(gm, range(n - 1), cfg.m, rng), 1)
-
-    return _sum_report("entropic_bergstrom", iid, n, x, y, ratio, cfg, t0)
+    return _sum_report(
+        "entropic_bergstrom", iid, n, x, y,
+        lambda gm, m, rng: conditional_entropy(gm, range(n - 1), m, rng),
+        lambda h: _npow(h, 1), cfg, t0,
+    )
 
 
 def _convex_split_report(
@@ -385,18 +390,21 @@ def _convex_split_report(
     wx = float(weight_x)
     wy = 1.0 - wx
 
-    def power(gm: GaussianMixture, role: str) -> ScalarEstimate:
+    def estimate(gm: GaussianMixture, role: str) -> ScalarEstimate:
         rng = _mc_rng(gm, cfg, name, iid, role)
-        h = conditional_entropy(gm, given, cfg.m, rng) if given else entropy(gm, cfg.m, rng)
-        return entropy_power(h, k)
+        return conditional_entropy(gm, given, cfg.m, rng) if given else entropy(gm, cfg.m, rng)
 
     if wx == 1.0 or wy == 1.0:
-        v = power(x if wx == 1.0 else y, "endpoint").value
-        return _finish(name, iid, n, lam, v, v, 0.0, cfg, t0)
-    lhs = power(_combine(x, y, math.sqrt(wx), math.sqrt(wy)), "sum")
-    px, py = power(x, "x"), power(y, "y")
-    stderr = _quadrature(lhs.std_error, wx * px.std_error, wy * py.std_error)
-    return _finish(name, iid, n, lam, lhs.value, wx * px.value + wy * py.value, stderr, cfg, t0)
+        # one estimate on both sides (weights 1 and 0): the gap and its stderr are exactly zero
+        ests, ix, iy = [estimate(x if wx == 1.0 else y, "endpoint")], 0, 0
+    else:
+        sum_law = _combine(x, y, math.sqrt(wx), math.sqrt(wy))
+        ests, ix, iy = [estimate(sum_law, "sum"), estimate(x, "x"), estimate(y, "y")], 1, 2
+    lhs, rhs, stderr = _sides(
+        lambda v: _npow(v[0], k), lambda v: wx * _npow(v[ix], k) + wy * _npow(v[iy], k),
+        *_independent(*ests),
+    )
+    return _finish(name, iid, n, lam, lhs, rhs, stderr, cfg, t0)
 
 
 def check_conditional_form(
@@ -446,7 +454,7 @@ def check_entropic_kyfan(
     """
     lam = _check_lambda(lam)
     n = _same_dim(x, y)
-    subset = sorted(int(i) for i in subset)
+    subset = sorted(_coordinates(subset))
     if len(set(subset)) != len(subset):
         raise ValueError(f"duplicate coordinates in {subset}")
     if not subset or len(subset) >= n:
@@ -496,7 +504,7 @@ def check_entropic_bonnesen(
     if not _same_law(mx, my):
         hx = entropy(mx, cfg.m, _mc_rng(mx, cfg, "entropic_bonnesen", iid, "pre-x"))
         hy = entropy(my, cfg.m, _mc_rng(my, cfg, "entropic_bonnesen", iid, "pre-y"))
-        stderr = _quadrature(hx.std_error, hy.std_error)
+        _, stderr = _delta(lambda v: v[0] - v[1], *_independent(hx, hy))
         if not _window(hx.value, hy.value, stderr, cfg)[1]:
             raise PreconditionError(
                 f"prefix entropies differ: h(X^{n-1}) = {hx.value!r}, "
@@ -563,51 +571,30 @@ def check_equality_case_bonnesen(
 # isoperimetric checks
 
 
-def _iso_bound(n: int, npow: float, npow_marg: float) -> float:
-    a = npow_marg / npow
+def _iso_bound(n: int, v):
+    """2 pi e (a^(n-1) + (n-1)/a), a = N_{n-1} / N, from h(X) = v[0], h(X^{n-1}) = v[1]."""
+    a = _npow(v[1], n - 1) / _npow(v[0], n)
     return TWO_PI_E * (a ** (n - 1) + (n - 1) / a)
 
 
-def _delta_stderr(fn, mu: np.ndarray, cov: np.ndarray) -> float:
-    """Delta-method standard error with a central-difference gradient."""
-    grad = np.empty(mu.shape[0])
-    for j in range(mu.shape[0]):
-        step = 1e-6 * (1.0 + abs(mu[j]))
-        up = mu.copy()
-        dn = mu.copy()
-        up[j] += step
-        dn[j] -= step
-        grad[j] = (fn(up) - fn(dn)) / (2.0 * step)
-    return float(np.sqrt(max(grad @ cov @ grad, 0.0)))
-
-
-def _entropy_powers(v, n: int) -> tuple[float, float]:
-    """(N, N_{n-1}) from the entropies h(X) = v[0] and h(X^{n-1}) = v[1]."""
-    return math.exp(2.0 * v[0] / n), math.exp(2.0 * v[1] / (n - 1))
-
-
 def _iso_terms(name: str, iid: str, x: GaussianMixture, cfg: CheckConfig, with_fisher: bool):
-    """The entropy powers (N, N_{n-1}) of X and of its (n-1)-prefix.
-
-    A Gaussian gets them exactly, with ``None`` for the statistics.  Otherwise
-    they come from the per-sample -log f(X) and -log f_{n-1}(X^{n-1}), plus
-    |score(X)|^2 when ``with_fisher``, on one set of draws; the means of those
-    statistics and the covariance of the means are returned with them.
-    """
+    """Means and covariance of the estimates of h(X), h(X^{n-1}) and, with
+    ``with_fisher``, I(X): closed forms and zero covariance for a Gaussian, else
+    the means of the per-sample -log f(X), -log f_{n-1}(X^{n-1}) and |score(X)|^2
+    on one set of draws, with the covariance of those means."""
     n = x.dim
     if n < 2:
         raise DimensionError("needs dimension at least 2")
     if x.is_gaussian:
-        cov = x.components[0].cov
-        npow = math.exp(LN_2PIE + cov.log_det / n)
-        npow_m = math.exp(LN_2PIE + _logdet_raw(cov.entries[: n - 1, : n - 1]) / (n - 1))
-        return (npow, npow_m), None, None
+        g = x.components[0]
+        prefix = GaussianComponent(g.mean[: n - 1], _factored(g.cov.entries[: n - 1, : n - 1]))
+        terms = [gaussian_entropy(g), gaussian_entropy(prefix)]
+        return _independent(*terms, *([gaussian_fisher(g)] if with_fisher else []))
     pts = x.sample(_rng(cfg, name, iid, "mc"), cfg.m)
     log_f, log_prefix, s = x._kernel(pts, n - 1, with_fisher)
     fisher_rows = [np.einsum("ij,ij->i", s, s)] if with_fisher else []
     stats = np.stack([-log_f, -log_prefix] + fisher_rows)
-    mu = stats.mean(axis=1)
-    return _entropy_powers(mu, n), mu, np.cov(stats, ddof=1) / cfg.m
+    return stats.mean(axis=1), np.cov(stats, ddof=1) / cfg.m
 
 
 def check_isoperimetric_sharp(
@@ -623,20 +610,10 @@ def check_isoperimetric_sharp(
     t0 = time.perf_counter()
     n = x.dim
     iid = instance_id or _tag(x)
-    (npow, npow_m), mu, cov = _iso_terms("isoperimetric_sharp", iid, x, cfg, True)
-    if mu is None:
-        lhs = gaussian_fisher(x.components[0]).value * npow
-        return _finish(
-            "isoperimetric_sharp", iid, n, None, lhs, _iso_bound(n, npow, npow_m), 0.0, cfg, t0
-        )
-
-    def gap_fn(v):
-        npow, npow_m = _entropy_powers(v, n)
-        return v[2] * npow - _iso_bound(n, npow, npow_m)
-
-    stderr = _delta_stderr(gap_fn, mu, cov)
-    lhs = mu[2] * npow
-    rhs = lhs - gap_fn(mu)
+    lhs, rhs, stderr = _sides(
+        lambda v: v[2] * _npow(v[0], n), lambda v: _iso_bound(n, v),
+        *_iso_terms("isoperimetric_sharp", iid, x, cfg, True),
+    )
     return _finish("isoperimetric_sharp", iid, n, None, lhs, rhs, stderr, cfg, t0)
 
 
@@ -652,14 +629,11 @@ def check_isoperimetric_dominance(
     t0 = time.perf_counter()
     n = x.dim
     iid = instance_id or _tag(x)
-    (npow, npow_m), mu, cov = _iso_terms("isoperimetric_dominance", iid, x, cfg, False)
-    stderr = 0.0
-    if mu is not None:
-        stderr = _delta_stderr(lambda v: _iso_bound(n, *_entropy_powers(v, n)), mu, cov)
-    return _finish(
-        "isoperimetric_dominance", iid, n, None,
-        _iso_bound(n, npow, npow_m), TWO_PI_E * n, stderr, cfg, t0,
+    lhs, rhs, stderr = _sides(
+        lambda v: _iso_bound(n, v), lambda v: TWO_PI_E * n,
+        *_iso_terms("isoperimetric_dominance", iid, x, cfg, False),
     )
+    return _finish("isoperimetric_dominance", iid, n, None, lhs, rhs, stderr, cfg, t0)
 
 
 # --------------------------------------------------------------------------
@@ -692,22 +666,19 @@ def check_de_bruijn(
     )
     extra = dt * dt * n / (min_eig + t - dt) ** 3
     eye = np.eye(n)
+    shifts = (t - dt, t, t + dt)
     if x.is_gaussian:
-        cov = x.components[0].cov.entries
-
-        def h_shift(s: float) -> float:
-            return 0.5 * (n * LN_2PIE + _logdet_raw(cov + s * eye))
-
-        lhs = (h_shift(t + dt) - h_shift(t - dt)) / (2.0 * dt)
-        smoothed = SpdMatrix(cov + t * eye)
-        inv_chol = np.linalg.solve(smoothed.chol, eye)
-        rhs = 0.5 * float(np.sum(inv_chol**2))
+        g = x.components[0]
+        smoothed = {s: GaussianComponent(g.mean, _factored(g.cov.entries + s * eye))
+                    for s in shifts}
+        h_up, h_down = (gaussian_entropy(smoothed[s]).value for s in (t + dt, t - dt))
+        lhs = (h_up - h_down) / (2.0 * dt)
+        rhs = 0.5 * gaussian_fisher(smoothed[t]).value
         return _finish("de_bruijn", iid, n, None, lhs, rhs, 0.0, cfg, t0, extra_eq_tol=extra)
 
     rng = _rng(cfg, "de_bruijn", iid, "mc")
     idx = _labels(rng, x.weights, cfg.m)
     z = rng.standard_normal((cfg.m, n))
-    shifts = (t - dt, t, t + dt)
     laws = {s: x.convolve(GaussianMixture.gaussian(np.zeros(n), s * eye)) for s in shifts}
     out = {s: law._kernel(law._place(idx, z), 0, s == t) for s, law in laws.items()}
     diff = (-out[t + dt][0] + out[t - dt][0]) / (2.0 * dt)
@@ -718,11 +689,6 @@ def check_de_bruijn(
         float(diff.mean()), float(half_sq.mean()), _std_error(diff - half_sq), cfg, t0,
         extra_eq_tol=extra,
     )
-
-
-def _inverse_fisher(est: ScalarEstimate) -> ScalarEstimate:
-    value = 1.0 / est.value
-    return ScalarEstimate(value, est.std_error / est.value**2, est.n_samples, est.method)
 
 
 def check_blachman_stam(
@@ -737,10 +703,7 @@ def check_blachman_stam(
     t0 = time.perf_counter()
     n = _same_dim(x, y)
     iid = instance_id or _tag(x, y)
-    return _sum_report(
-        "blachman_stam", iid, n, x, y,
-        lambda gm, rng: _inverse_fisher(fisher(gm, cfg.m, rng)), cfg, t0,
-    )
+    return _sum_report("blachman_stam", iid, n, x, y, fisher, lambda i: 1.0 / i, cfg, t0)
 
 
 def check_projective_fisher(
@@ -760,7 +723,7 @@ def check_projective_fisher(
     iid = instance_id or _tag(x, y, np.asarray(u, dtype=float))
     return _sum_report(
         "projective_fisher", iid, n, x, y,
-        lambda gm, rng: _inverse_fisher(projective_fisher(gm, u, cfg.m, rng)), cfg, t0,
+        lambda gm, m, rng: projective_fisher(gm, u, m, rng), lambda i: 1.0 / i, cfg, t0,
     )
 
 
@@ -832,7 +795,8 @@ def check_tm_limit(
     inv_sq = 1.0 / np.square(m_values)
     envelope = float(np.dot(values - target.value, inv_sq) / np.dot(inv_sq, inv_sq))
     extra = max(envelope, 0.0) * inv_sq[-1]
-    stderr = _quadrature(errors[-1], target.std_error)
+    terms = [values[-1], target.value], np.diag([errors[-1], target.std_error]) ** 2
+    _, stderr = _delta(lambda v: v[0] - v[1], *terms)
     verdict = None if monotone else VERDICT_INCONCLUSIVE
     return _finish(
         "tm_limit",
@@ -874,7 +838,7 @@ def _score_second_moment(gm: GaussianMixture, m: int, rng, folds: int = 10):
     if gm.is_gaussian:
         inv_chol = np.linalg.solve(gm.components[0].cov.chol, np.eye(gm.dim))
         mat = inv_chol.T @ inv_chol
-        return mat, ScalarEstimate(float(np.trace(mat)), 0.0, 0, "closed_form"), None
+        return mat, ScalarEstimate(float(np.trace(mat)), 0.0, 0, METHOD_CLOSED), None
     pts = gm.sample(rng, m)
     s = gm.score(pts)
     mat = s.T @ s / m
@@ -933,8 +897,6 @@ def check_stam_recovery(
 
     harm = 1.0 / (1.0 / px + 1.0 / py)
     mid_vals = n * harm
-    mid = float(mid_vals.mean())
-    se_dirs = _std_error(mid_vals)
 
     se_jack = 0.0
     if left_x is not None or left_y is not None:
@@ -945,25 +907,21 @@ def check_stam_recovery(
             pxf = np.einsum("di,ij,dj->d", dirs, mx, dirs)
             pyf = np.einsum("di,ij,dj->d", dirs, my, dirs)
             mids.append(n * float(np.mean(1.0 / (1.0 / pxf + 1.0 / pyf))))
-        mids = np.asarray(mids)
-        se_jack = float(
-            np.sqrt((len(mids) - 1) / len(mids) * np.sum((mids - mids.mean()) ** 2))
-        )
-    se_mid = _quadrature(se_dirs, se_jack)
+        se_jack = _jackknife(np.asarray(mids))
 
-    stderr = _quadrature(se_mid, fish_sum.std_error)
-    verdict = classify(mid, fish_sum.value, stderr, cfg)
-
-    inv_x, inv_y = _inverse_fisher(fish_x), _inverse_fisher(fish_y)
-    top = 1.0 / (inv_x.value + inv_y.value)
-    top_err = top**2 * _quadrature(inv_x.std_error, inv_y.std_error)
-    if _window(top, mid, _quadrature(top_err, se_mid), cfg)[0]:
+    # independent: the middle's direction mean, its zero-mean sample noise, I(X+Y), I(X), I(Y)
+    mu = [float(mid_vals.mean()), 0.0, fish_sum.value, fish_x.value, fish_y.value]
+    errs = [_std_error(mid_vals), se_jack, fish_sum.std_error, fish_x.std_error, fish_y.std_error]
+    cov = np.diag(errs) ** 2
+    lhs, rhs, stderr = _sides(lambda v: v[0] + v[1], lambda v: v[2], mu, cov)
+    verdict = classify(lhs, rhs, stderr, cfg)
+    # upper link: the Blachman-Stam bound (1/I(X) + 1/I(Y))^-1 dominates the middle
+    upper = _sides(lambda v: 1.0 / (1.0 / v[3] + 1.0 / v[4]), lambda v: v[0] + v[1], mu, cov)
+    if _window(*upper, cfg)[0]:
         verdict = VERDICT_VIOLATED
     if not ident_ok:
         verdict = VERDICT_INCONCLUSIVE
-    return _finish(
-        "stam_recovery", iid, n, None, mid, fish_sum.value, stderr, cfg, t0, verdict=verdict
-    )
+    return _finish("stam_recovery", iid, n, None, lhs, rhs, stderr, cfg, t0, verdict=verdict)
 
 
 # --------------------------------------------------------------------------
@@ -1054,8 +1012,8 @@ def lambda_concavity_scan(
     points whose second difference is negative beyond noise."""
     cfg = _cfg(cfg)
     n = _same_dim(x, y, 2)
-    if grid < 5:
-        raise ValueError("grid must have at least 5 points")
+    if not _is_int(grid) or grid < 5:
+        raise ValueError(f"grid must be an integer of at least 5 points, got {grid!r}")
     iid = instance_id or _tag(x, y)
     given = range(n - 1)
     lambdas = np.linspace(0.0, 1.0, grid)
@@ -1069,9 +1027,11 @@ def lambda_concavity_scan(
     # concave curves keep the margin nonnegative; a significantly negative
     # margin is a concavity counterexample worth reporting
     second = 2.0 * values[1:-1] - values[2:] - values[:-2]
-    noise = np.sqrt(errors[2:] ** 2 + 4.0 * errors[1:-1] ** 2 + errors[:-2] ** 2)
-    flagged = [j for j in range(1, grid - 1)
-               if _window(2.0 * values[j], values[j - 1] + values[j + 1], noise[j - 1], cfg)[0]]
+    flagged = [
+        j for j in range(1, grid - 1)
+        if _window(*_sides(lambda v: 2.0 * v[1], lambda v: v[0] + v[2],
+                           values[j - 1:j + 2], np.diag(errors[j - 1:j + 2]) ** 2), cfg)[0]
+    ]
     return ConcavityScan(
         [float(v) for v in lambdas],
         [float(v) for v in values],

@@ -19,7 +19,9 @@ from scipy.special import digamma
 
 from .exceptions import DimensionError
 from .matrices import _logdet_raw
-from .mixtures import BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _labels, _logsumexp
+from .mixtures import (
+    BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _coordinates, _labels, _logsumexp,
+)
 from .seeding import rng_from_tokens, stable_digest
 
 LN_2PIE = LN_2PI + 1.0
@@ -55,6 +57,29 @@ def _std_error(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
 
 
+def _jackknife(thetas: np.ndarray) -> float:
+    """Grouped-jackknife standard error from the leave-one-group-out estimates."""
+    return float(np.sqrt((len(thetas) - 1) / len(thetas) * np.sum((thetas - thetas.mean()) ** 2)))
+
+
+def _delta(fn, mu, cov) -> tuple[float, float]:
+    """fn(mu) and its delta-method standard error sqrt(g' cov g) for estimates
+    with means ``mu`` and covariance ``cov``.  g is a complex step, g_j = Im
+    fn(mu + i h e_j) / h with h = 1e-20 (Squire & Trapp, SIAM Rev. 1998), exact
+    to rounding for any fn built from +, -, *, /, ** and np.exp.  A zero ``cov``
+    (a closed form) gives exactly 0.0 and no g.  A value that is not a finite
+    double raises OverflowError, as math.exp does, with no RuntimeWarning."""
+    mu, cov = np.asarray(mu, dtype=float), np.asarray(cov, dtype=float)
+    with np.errstate(all="ignore"):
+        value = float(fn(mu))
+        if not math.isfinite(value):
+            raise OverflowError(f"delta-method value is not a finite double: {value}")
+        if not cov.any():
+            return value, 0.0
+        grad = np.array([fn(mu + 1e-20j * e).imag for e in np.eye(mu.shape[0])]) / 1e-20
+        return value, float(np.sqrt(max(grad @ cov @ grad, 0.0)))
+
+
 def _mean_and_se(values: np.ndarray, method: str) -> ScalarEstimate:
     return ScalarEstimate(float(np.mean(values)), _std_error(values), values.shape[0], method)
 
@@ -65,13 +90,17 @@ def gaussian_entropy(g: GaussianComponent) -> ScalarEstimate:
     return ScalarEstimate(value, 0.0, 0, METHOD_CLOSED)
 
 
+def _npow(h, n: int):
+    """exp(2 h / n) of an entropy value h, real or complex (``_delta``'s step)."""
+    return np.exp((2.0 / n) * h)
+
+
 def entropy_power(h: ScalarEstimate, n: int) -> ScalarEstimate:
     """N = exp(2 h / n); the error bar follows by the delta method.  With
     n = 1 it is exp(2h), the form the lambda-weighted checks compare."""
     if n < 1:
         raise DimensionError("dimension must be at least 1")
-    value = math.exp((2.0 / n) * h.value)
-    se = (2.0 / n) * value * h.std_error
+    value, se = _delta(lambda v: _npow(v[0], n), [h.value], [[h.std_error**2]])
     return ScalarEstimate(value, se, h.n_samples, h.method)
 
 
@@ -138,9 +167,7 @@ def knn_entropy(samples, k: int = 4) -> ScalarEstimate:
     folds = np.array_split(np.arange(m), 10)
     folds = [f for f in folds if f.size]
     thetas = np.array([estimate(np.delete(x, f, axis=0)) for f in folds])
-    nf = len(thetas)
-    se = float(np.sqrt((nf - 1) / nf * np.sum((thetas - thetas.mean()) ** 2)))
-    return ScalarEstimate(value, se, m, METHOD_KNN)
+    return ScalarEstimate(value, _jackknife(thetas), m, METHOD_KNN)
 
 
 def conditional_entropy(
@@ -156,7 +183,7 @@ def conditional_entropy(
     the per-sample difference is paired and the error bar reflects the
     (much smaller) variance of the difference.
     """
-    given = sorted(int(i) for i in given)
+    given = sorted(_coordinates(given))
     if not given or len(given) >= gm.dim:
         raise DimensionError("conditioning set must be a nonempty proper subset")
     if len(set(given)) != len(given):

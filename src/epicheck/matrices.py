@@ -41,13 +41,13 @@ class SpdMatrix:
         tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))
         if np.any(np.abs(a - a.T) > tol):
             raise ValueError("matrix is not symmetric to 1e-12 relative tolerance")
-        a = 0.5 * (a + a.T)
-        chol = _cholesky(a)
+        self._factor(0.5 * (a + a.T))
+
+    def _factor(self, a: np.ndarray) -> None:
+        self.entries, self.chol = a, _cholesky(a)
         a.setflags(write=False)
-        chol.setflags(write=False)
-        self.entries = a
-        self.chol = chol
-        self._log_det = _chol_logdet(chol)
+        self.chol.setflags(write=False)
+        self._log_det = _chol_logdet(self.chol)
 
     @property
     def dim(self) -> int:
@@ -78,6 +78,15 @@ def _chol_logdet(chol: np.ndarray) -> float:
 
 def _logdet_raw(a: np.ndarray) -> float:
     return _chol_logdet(_cholesky(a))
+
+
+def _factored(a: np.ndarray) -> SpdMatrix:
+    """SpdMatrix of ``a`` that is symmetric positive definite by construction
+    (a principal block of one, or one plus a positive multiple of I): it is
+    factored but not checked again."""
+    m = SpdMatrix.__new__(SpdMatrix)
+    m._factor(a)
+    return m
 
 
 def _same_dim(a, b, min_dim: int = 1) -> int:

@@ -16,6 +16,7 @@ check.
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -28,6 +29,19 @@ WEIGHT_TOL = 1e-12
 
 
 BLOCK = 8192  # points per block of the mixture kernel: its scratch memory does not grow with m
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _coordinates(keep) -> list[int]:
+    """A coordinate list as ints.  A non-integer or a bool raises ValueError,
+    so 1.7 is refused rather than read as coordinate 1."""
+    keep = list(keep)
+    if not all(map(_is_int, keep)):
+        raise ValueError(f"coordinates must be integers, got {keep!r}")
+    return [int(i) for i in keep]
 
 
 def _logsumexp(a: np.ndarray, out: np.ndarray, g: np.ndarray | None = None,
@@ -302,7 +316,7 @@ class GaussianMixture:
 
     def marginal(self, keep) -> "GaussianMixture":
         """Marginal over the listed coordinates, in the order given."""
-        keep = [int(i) for i in keep]
+        keep = _coordinates(keep)
         if not keep:
             raise DimensionError("marginal needs at least one coordinate")
         if len(set(keep)) != len(keep):

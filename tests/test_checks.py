@@ -16,6 +16,7 @@ ratio((A+B)/2) = 2 against 19/12, a gap of 2 pi e * 5/12.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,19 @@ class TestEntropicKyfan:
         with pytest.raises(ValueError):
             check_entropic_kyfan(x, y, [1, 1], 0.5, CFG)
 
+    @pytest.mark.parametrize("subset", [[1.7], [2.0], [True]])
+    def test_non_integer_coordinates_refused(self, subset):
+        # [1.7] used to report coordinate 1
+        x, y = gauss(np.eye(3)), gauss(np.eye(3))
+        with pytest.raises(ValueError, match="integers"):
+            check_entropic_kyfan(x, y, subset, 0.5, CFG)
+
+    def test_numpy_integer_coordinates_accepted(self):
+        x, y = gauss(np.eye(3)), gauss(np.diag([1.0, 2.0, 3.0]))
+        rep = check_entropic_kyfan(x, y, [1], 0.5, CFG)
+        for subset in (np.array([1]), [np.int32(1)], range(1, 2)):
+            assert check_entropic_kyfan(x, y, subset, 0.5, CFG).lhs == rep.lhs
+
 
 class TestEntropicBonnesen:
     def test_equal_prefix_diagonal_pair_is_additive(self):
@@ -386,6 +400,16 @@ class TestEntropicBonnesen:
     def test_unequal_prefixes_rejected(self):
         with pytest.raises(PreconditionError, match="prefix entropies differ"):
             check_entropic_bonnesen(gauss(np.eye(2)), gauss(np.diag([9.0, 1.0])), 0.5, CFG)
+
+    def test_overflow_raises_without_warning(self):
+        # exp(2h) of a 200-dimensional law with variance 40 is beyond the doubles
+        cov = 40.0 * np.eye(200)
+        wider = cov.copy()
+        wider[-1, -1] *= 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                check_entropic_bonnesen(gauss(cov), gauss(wider), 0.5, CFG)
 
     def test_mixture_pair_with_shared_prefix_law(self):
         x = GaussianMixture(
@@ -442,7 +466,46 @@ class TestEqualityCaseBonnesen:
             bonnesen_linear_gap(*pair, 0.5, 1)
 
 
+def three_part():
+    """2-component 3-d mixture for the paired isoperimetric statistics."""
+    return GaussianMixture(
+        [0.5, 0.5],
+        [(np.zeros(3), np.eye(3)), (np.array([2.0, 1.0, -1.0]), np.diag([1.0, 2.0, 0.5]))],
+    )
+
+
+def iso_statistics(x, cfg, name, iid):
+    """Means and covariance of -log f(X), -log f_{n-1}(X^{n-1}) and |score|^2
+    on the check's own draws."""
+    n = x.dim
+    pts = x.sample(rng_from_tokens(cfg.seed, name, iid, "mc"), cfg.m)
+    score = x.score(pts)
+    stats = np.stack([
+        -x.log_density(pts),
+        -x.marginal(range(n - 1)).log_density(pts[:, : n - 1]),
+        np.einsum("ij,ij->i", score, score),
+    ])
+    return stats.mean(axis=1), np.cov(stats, ddof=1) / cfg.m
+
+
+def iso_bound_gradient(mu, n):
+    """Analytic gradient of 2 pi e (a^(n-1) + (n-1)/a), a = N_{n-1}/N, in
+    (h(X), h(X^{n-1}))."""
+    a = math.exp(2.0 * mu[1] / (n - 1)) / math.exp(2.0 * mu[0] / n)
+    d_a = TWO_PI_E * (n - 1) * (a ** (n - 2) - 1.0 / a**2)
+    return np.array([-2.0 / n * a * d_a, 2.0 / (n - 1) * a * d_a])
+
+
 class TestIsoperimetricSharp:
+    def test_mc_stderr_matches_analytic_gradient(self):
+        x = three_part()
+        rep = check_isoperimetric_sharp(x, CFG_MC)
+        mu, cov = iso_statistics(x, CFG_MC, "isoperimetric_sharp", rep.instance_id)
+        n, npow = 3, math.exp(2.0 * mu[0] / 3)
+        bound = iso_bound_gradient(mu, n)
+        grad = np.array([mu[2] * 2.0 / n * npow - bound[0], -bound[1], npow])
+        assert rep.stderr == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-12)
+
     def test_standard_gaussian_meets_bound(self):
         rep = check_isoperimetric_sharp(gauss(np.eye(3)), CFG)
         assert rep.lhs == pytest.approx(TWO_PI_E * 3.0, rel=1e-12)
@@ -465,6 +528,13 @@ class TestIsoperimetricSharp:
 
 
 class TestIsoperimetricDominance:
+    def test_mc_stderr_matches_analytic_gradient(self):
+        x = three_part()
+        rep = check_isoperimetric_dominance(x, CFG_MC)
+        mu, cov = iso_statistics(x, CFG_MC, "isoperimetric_dominance", rep.instance_id)
+        grad = iso_bound_gradient(mu, 3)
+        assert rep.stderr == pytest.approx(math.sqrt(grad @ cov[:2, :2] @ grad), rel=1e-12)
+
     def test_identity_covariance_is_tight(self):
         rep = check_isoperimetric_dominance(gauss(np.eye(3)), CFG)
         assert rep.rhs == pytest.approx(TWO_PI_E * 3.0, rel=1e-12)
@@ -717,6 +787,11 @@ class TestConcavityScan:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=4, cfg=CFG)
+
+    @pytest.mark.parametrize("grid", [5.0, True, "21"])
+    def test_non_integer_grid_refused(self, grid):
+        with pytest.raises(ValueError, match="integer"):
+            lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=grid, cfg=CFG)
 
 
 class TestChainAndSoundness:

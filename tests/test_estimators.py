@@ -41,6 +41,7 @@ from epicheck import (
     random_mixture,
     random_spd,
 )
+from epicheck.estimators import _delta
 from epicheck.mixtures import BLOCK
 from epicheck.seeding import rng_from_tokens
 
@@ -102,6 +103,19 @@ class TestEntropyPower:
         est = entropy_power(h, 2)
         assert est.std_error == pytest.approx(est.value * 0.01, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_complex_step_matches_analytic_stderr(self, n):
+        h = ScalarEstimate(1.3, 0.02, 1000, "plug_in_mc")
+        est = entropy_power(h, n)
+        assert est.std_error == pytest.approx((2.0 / n) * est.value * 0.02, rel=1e-14)
+
+    def test_overflow_raises_without_warning(self):
+        # math.exp's rule: an entropy power beyond the doubles is an OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                entropy_power(ScalarEstimate(1e3), 1)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.2, 5.0))
     def test_scale_law(self, seed, t):
@@ -113,6 +127,43 @@ class TestEntropyPower:
         scaled = entropy_power(entropy(gm.scale(t), 3000, rng2), 2)
         # identical streams make the ratio exact up to float roundoff
         assert scaled.value == pytest.approx(t * t * base.value, rel=1e-9)
+
+
+class TestDelta:
+    def test_linear_fn_with_correlated_covariance(self):
+        g = np.array([2.0, -3.0, 0.5])
+        root = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [-0.3, 0.2, 0.9]])
+        cov = 0.01 * root @ root.T
+        value, stderr = _delta(lambda v: 2.0 * v[0] - 3.0 * v[1] + 0.5 * v[2], [1.0, 2.0, 3.0], cov)
+        assert value == pytest.approx(2.0 - 6.0 + 1.5, rel=1e-15)
+        assert stderr == pytest.approx(math.sqrt(g @ cov @ g), rel=1e-14)
+
+    def test_nonlinear_gradient_is_exact(self):
+        # d/dv of v0 exp(v1) / v2**2 at (2, 0.5, 3)
+        mu, var = np.array([2.0, 0.5, 3.0]), np.array([0.1, 0.2, 0.3])
+        e = math.exp(0.5)
+        g = np.array([e / 9.0, 2.0 * e / 9.0, -2.0 * 2.0 * e / 27.0])
+        _, stderr = _delta(lambda v: v[0] * np.exp(v[1]) / v[2] ** 2, mu, np.diag(var))
+        assert stderr == pytest.approx(math.sqrt(np.sum(g**2 * var)), rel=1e-14)
+
+    def test_zero_covariance_skips_the_gradient(self):
+        calls = []
+
+        def fn(v):
+            calls.append(v.dtype)
+            return np.exp(v[0]) * v[1]
+
+        value, stderr = _delta(fn, [0.5, 2.0], np.zeros((2, 2)))
+        assert value == pytest.approx(2.0 * math.exp(0.5), rel=1e-15)
+        assert stderr == 0.0 and type(stderr) is float
+        assert calls == [np.dtype(float)]
+
+    @pytest.mark.parametrize("fn", [lambda v: np.exp(v[0]), lambda v: v[0] - np.exp(v[0])])
+    def test_non_finite_value_is_an_overflow(self, fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                _delta(fn, [1e3], [[1.0]])
 
 
 class TestMcEntropy:
@@ -201,6 +252,18 @@ class TestConditionalEntropy:
             conditional_entropy(gm, [3], 1000, None)
         with pytest.raises(ValueError):
             conditional_entropy(gm, [0, 0], 1000, None)
+
+    @pytest.mark.parametrize("given", [[0.9], [1.0], [False]])
+    def test_non_integer_coordinates_refused(self, given):
+        # [0.9] used to condition on coordinate 0
+        with pytest.raises(ValueError, match="integers"):
+            conditional_entropy(gauss(np.eye(3)), given, 1000, None)
+
+    def test_numpy_integer_coordinates_accepted(self):
+        gm = gauss(np.diag([1.0, 2.0, 3.0]))
+        expected = conditional_entropy(gm, [1], 1000, None).value
+        assert conditional_entropy(gm, np.array([1]), 1000, None).value == expected
+        assert conditional_entropy(gm, range(1, 2), 1000, None).value == expected
 
     def test_mc_route_paired_and_calibrated(self):
         mix = GaussianMixture(

@@ -24,7 +24,7 @@ from epicheck import (
     make_bonnesen_equality_pair,
     random_spd,
 )
-from epicheck.matrices import _logdet_raw
+from epicheck.matrices import _factored, _logdet_raw
 from epicheck.seeding import rng_from_tokens
 
 # worked pair: det A = 3, det B = 5, det(A+B) = 20
@@ -74,6 +74,17 @@ class TestSpdMatrix:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 SpdMatrix(m)
+
+
+class TestFactored:
+    @pytest.mark.parametrize("make", [lambda a: a[:3, :3], lambda a: a + 0.25 * np.eye(4)])
+    def test_matches_checked_construction(self, make):
+        a = random_spd(4, rng_from_tokens(9, "factored")).entries
+        fast, checked = _factored(make(a)), SpdMatrix(make(a))
+        assert np.array_equal(fast.entries, checked.entries)
+        assert np.array_equal(fast.chol, checked.chol)
+        assert fast.log_det == checked.log_det
+        assert not fast.entries.flags.writeable and not fast.chol.flags.writeable
 
 
 class TestSubmatrices:

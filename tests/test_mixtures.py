@@ -656,6 +656,17 @@ class TestClosureOps:
         with pytest.raises(IndexError):
             gm.marginal([2])
 
+    @pytest.mark.parametrize("keep", [[1.5], [0.0], [True], [np.bool_(False)], ["1"]])
+    def test_marginal_refuses_non_integer_coordinates(self, keep):
+        # a float used to be truncated: [1.5] kept coordinate 1
+        with pytest.raises(ValueError, match="integers"):
+            two_part_mixture().marginal(keep)
+
+    def test_marginal_takes_ranges_and_numpy_integers(self):
+        gm = two_part_mixture()
+        for keep in (range(1, 2), [np.int64(1)], np.array([1])):
+            assert np.array_equal(gm.marginal(keep).components[1].mean, gm.components[1].mean[1:])
+
     def test_marginal_density_consistency(self):
         # integrating out the last coordinate analytically = dropping it
         gm = two_part_mixture()
