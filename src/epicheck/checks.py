@@ -22,27 +22,27 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .estimators import (
+    ENTROPY,
+    FISHER,
     LN_2PIE,
     METHOD_CLOSED,
     METHOD_MC,
     ScalarEstimate,
     _delta,
+    _direction,
     _jackknife,
     _mean_and_se,
     _npow,
     _std_error,
-    conditional_entropy,
-    entropy,
+    _terms,
     entropy_power,
-    fisher,
     gaussian_entropy,
     gaussian_fisher,
-    projective_fisher,
 )
 from .exceptions import ConfigError, DimensionError, PreconditionError
 from .matrices import (
@@ -70,6 +70,12 @@ VERDICT_VIOLATED = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 EQUALITY_GRID_POINTS = 21
+
+# the keys of a report record, in order: the JSON record and the CSV columns
+REPORT_KEYS = (
+    "check_name", "instance_id", "dim", "lambda", "lhs", "rhs",
+    "gap", "stderr", "verdict", "seed", "wall_ms",
+)
 
 
 def _is_finite(value) -> bool:
@@ -153,19 +159,7 @@ class InequalityReport:
     wall_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "instance_id": self.instance_id,
-            "dim": self.dim,
-            "lambda": self.lam,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "stderr": self.stderr,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "wall_ms": self.wall_ms,
-        }
+        return dict(zip(REPORT_KEYS, astuple(self)))
 
 
 def _window(lhs, rhs, stderr, cfg: CheckConfig, extra: float = 0.0) -> tuple[bool, bool]:
@@ -224,14 +218,9 @@ def _tag(*objects) -> str:
     return stable_digest(arrays)
 
 
-def _rng(cfg: CheckConfig, name: str, instance_id: str, role: str) -> np.random.Generator:
-    return rng_from_tokens(cfg.seed, name, instance_id, role)
-
-
-def _mc_rng(law, cfg: CheckConfig, name: str, instance_id: str, role: str):
-    """The stream for estimating a term of ``law``; None for a pure Gaussian,
-    whose closed-form route draws nothing."""
-    return None if law.is_gaussian else _rng(cfg, name, instance_id, role)
+def _streams(cfg: CheckConfig, name: str, instance_id: str):
+    """role -> the generator of that role, for one check on one instance."""
+    return lambda role: rng_from_tokens(cfg.seed, name, instance_id, role)
 
 
 def _finish(
@@ -264,9 +253,11 @@ def _combine(x: GaussianMixture, y: GaussianMixture, sx: float, sy: float) -> Ga
     return x.scale(sx).convolve(y.scale(sy))
 
 
-def _independent(*ests: ScalarEstimate) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariance of estimates from separate streams: a diagonal one."""
-    return np.array([e.value for e in ests]), np.diag([e.std_error**2 for e in ests])
+def _plan(cfg: CheckConfig, name: str, instance_id: str, *groups) -> tuple[np.ndarray, np.ndarray]:
+    """Means and covariance of the statistics of a check's draw groups (law,
+    RNG role, statistics), through ``estimators._terms``."""
+    ests, cov = _terms(groups, cfg.m, _streams(cfg, name, instance_id))
+    return np.array([e.value for e in ests]), cov
 
 
 def _sides(lhs_fn, rhs_fn, mu, cov) -> tuple[float, float, float]:
@@ -277,16 +268,18 @@ def _sides(lhs_fn, rhs_fn, mu, cov) -> tuple[float, float, float]:
     return float(lhs_fn(mu)), float(rhs_fn(mu)), stderr
 
 
-def _sum_report(name, iid, n, x, y, estimate, power, cfg, t0) -> InequalityReport:
+def _last_given_rest(x: GaussianMixture):
+    """The statistic h(X_n | X_1..X_{n-1})."""
+    return ("conditional_entropy", list(range(x.dim - 1)))
+
+
+def _sum_report(name, iid, n, x, y, stat, power, cfg, t0) -> InequalityReport:
     """Superadditivity under convolution: power(X+Y) >= power(X) + power(Y),
-    with power applied to the ScalarEstimate ``estimate(law, m, rng)`` of each
-    law.  The three estimates draw from the RNG roles "sum", "x" and "y".
-    """
-    mu, cov = _independent(*(
-        estimate(law, cfg.m, _mc_rng(law, cfg, name, iid, role))
-        for law, role in ((x.convolve(y), "sum"), (x, "x"), (y, "y"))
-    ))
-    lhs, rhs, stderr = _sides(lambda v: power(v[0]), lambda v: power(v[1]) + power(v[2]), mu, cov)
+    with power applied to the statistic ``stat`` of each law, estimated from
+    the RNG roles "sum", "x" and "y"."""
+    groups = ((law, role, (stat,)) for law, role in ((x.convolve(y), "sum"), (x, "x"), (y, "y")))
+    lhs, rhs, stderr = _sides(lambda v: power(v[0]), lambda v: power(v[1]) + power(v[2]),
+                              *_plan(cfg, name, iid, *groups))
     return _finish(name, iid, n, None, lhs, rhs, stderr, cfg, t0)
 
 
@@ -305,7 +298,7 @@ def check_epi(
     t0 = time.perf_counter()
     n = _same_dim(x, y)
     iid = instance_id or _tag(x, y)
-    return _sum_report("epi", iid, n, x, y, entropy, lambda h: _npow(h, n), cfg, t0)
+    return _sum_report("epi", iid, n, x, y, ENTROPY, lambda h: _npow(h, n), cfg, t0)
 
 
 def check_conditional_epi(
@@ -327,15 +320,15 @@ def check_conditional_epi(
     sums = [
         gx.convolve(gy) for gx, gy in zip(triple.x_given_z, triple.y_given_z)
     ]
-    ests = [
-        entropy(gm, cfg.m, _mc_rng(gm, cfg, "conditional_epi", iid, f"{role}-{z}"))
+    groups = [
+        (gm, f"{role}-{z}", (ENTROPY,))
         for role, laws in (("sum", sums), ("x", triple.x_given_z), ("y", triple.y_given_z))
         for z, gm in enumerate(laws)
     ]
     p, k = triple.probs, triple.n_labels  # entropy powers of label-averaged entropies
     lhs, rhs, stderr = _sides(
         lambda v: _npow(p @ v[:k], n), lambda v: _npow(p @ v[k:2 * k], n) + _npow(p @ v[2 * k:], n),
-        *_independent(*ests),
+        *_plan(cfg, "conditional_epi", iid, *groups),
     )
     return _finish("conditional_epi", iid, n, None, lhs, rhs, stderr, cfg, t0)
 
@@ -356,11 +349,8 @@ def check_entropic_bergstrom(
     t0 = time.perf_counter()
     n = _same_dim(x, y, 2)
     iid = instance_id or _tag(x, y)
-
     return _sum_report(
-        "entropic_bergstrom", iid, n, x, y,
-        lambda gm, m, rng: conditional_entropy(gm, range(n - 1), m, rng),
-        lambda h: _npow(h, 1), cfg, t0,
+        "entropic_bergstrom", iid, n, x, y, _last_given_rest(x), lambda h: _npow(h, 1), cfg, t0
     )
 
 
@@ -370,7 +360,7 @@ def _convex_split_report(
     y: GaussianMixture,
     weight_x: float,
     lam: float,
-    given,
+    stat,
     k: int,
     cfg: CheckConfig,
     instance_id: str | None,
@@ -379,8 +369,8 @@ def _convex_split_report(
     """Shared engine for the lambda-weighted forms.
 
     Checks exp((2/k) h_c(sqrt(wx) X + sqrt(wy) Y)) >= wx * exp((2/k) h_c(X))
-    + wy * exp((2/k) h_c(Y)), where h_c conditions on the coordinates in
-    ``given`` and is the plain entropy when ``given`` is empty.  Endpoint
+    + wy * exp((2/k) h_c(Y)), where h_c is the entropy statistic ``stat``,
+    plain or conditional.  Endpoint
     weights reuse a single estimate on both sides, so the gap there is
     exactly zero.
     """
@@ -390,19 +380,15 @@ def _convex_split_report(
     wx = float(weight_x)
     wy = 1.0 - wx
 
-    def estimate(gm: GaussianMixture, role: str) -> ScalarEstimate:
-        rng = _mc_rng(gm, cfg, name, iid, role)
-        return conditional_entropy(gm, given, cfg.m, rng) if given else entropy(gm, cfg.m, rng)
-
     if wx == 1.0 or wy == 1.0:
         # one estimate on both sides (weights 1 and 0): the gap and its stderr are exactly zero
-        ests, ix, iy = [estimate(x if wx == 1.0 else y, "endpoint")], 0, 0
+        laws, ix, iy = [(x if wx == 1.0 else y, "endpoint")], 0, 0
     else:
         sum_law = _combine(x, y, math.sqrt(wx), math.sqrt(wy))
-        ests, ix, iy = [estimate(sum_law, "sum"), estimate(x, "x"), estimate(y, "y")], 1, 2
+        laws, ix, iy = [(sum_law, "sum"), (x, "x"), (y, "y")], 1, 2
     lhs, rhs, stderr = _sides(
         lambda v: _npow(v[0], k), lambda v: wx * _npow(v[ix], k) + wy * _npow(v[iy], k),
-        *_independent(*ests),
+        *_plan(cfg, name, iid, *((law, role, (stat,)) for law, role in laws)),
     )
     return _finish(name, iid, n, lam, lhs, rhs, stderr, cfg, t0)
 
@@ -419,7 +405,7 @@ def check_conditional_form(
     combination (1-lam) exp(2 h(X_n|X^{n-1})) + lam exp(2 h(Y_n|Y^{n-1}))."""
     lam = _check_lambda(lam)
     return _convex_split_report(
-        "conditional_form", x, y, 1.0 - lam, lam, range(x.dim - 1), 1, _cfg(cfg), instance_id
+        "conditional_form", x, y, 1.0 - lam, lam, _last_given_rest(x), 1, _cfg(cfg), instance_id
     )
 
 
@@ -434,7 +420,7 @@ def check_lambda_form(
     sqrt(lam) X + sqrt(1-lam) Y dominates lam * ratio(X) + (1-lam) * ratio(Y)."""
     lam = _check_lambda(lam)
     return _convex_split_report(
-        "lambda_form", x, y, lam, lam, range(x.dim - 1), 1, _cfg(cfg), instance_id
+        "lambda_form", x, y, lam, lam, _last_given_rest(x), 1, _cfg(cfg), instance_id
     )
 
 
@@ -454,16 +440,10 @@ def check_entropic_kyfan(
     """
     lam = _check_lambda(lam)
     n = _same_dim(x, y)
-    subset = sorted(_coordinates(subset))
-    if len(set(subset)) != len(subset):
-        raise ValueError(f"duplicate coordinates in {subset}")
-    if not subset or len(subset) >= n:
-        raise DimensionError("subset must be a nonempty proper coordinate subset")
-    if any(not 0 <= i < n for i in subset):
-        raise IndexError(f"coordinates {subset} out of range for dimension {n}")
-    given = [i for i in range(n) if i not in subset]
+    subset = _coordinates(subset, n, proper=True)
+    stat = ("conditional_entropy", [i for i in range(n) if i not in subset])
     return _convex_split_report(
-        "entropic_kyfan", x, y, 1.0 - lam, lam, given, len(subset), _cfg(cfg), instance_id
+        "entropic_kyfan", x, y, 1.0 - lam, lam, stat, len(subset), _cfg(cfg), instance_id
     )
 
 
@@ -502,16 +482,15 @@ def check_entropic_bonnesen(
     mx = x.marginal(range(n - 1))
     my = y.marginal(range(n - 1))
     if not _same_law(mx, my):
-        hx = entropy(mx, cfg.m, _mc_rng(mx, cfg, "entropic_bonnesen", iid, "pre-x"))
-        hy = entropy(my, cfg.m, _mc_rng(my, cfg, "entropic_bonnesen", iid, "pre-y"))
-        _, stderr = _delta(lambda v: v[0] - v[1], *_independent(hx, hy))
-        if not _window(hx.value, hy.value, stderr, cfg)[1]:
+        hx, hy, stderr = _sides(lambda v: v[0], lambda v: v[1], *_plan(
+            cfg, "entropic_bonnesen", iid, (mx, "pre-x", (ENTROPY,)), (my, "pre-y", (ENTROPY,))))
+        if not _window(hx, hy, stderr, cfg)[1]:
             raise PreconditionError(
-                f"prefix entropies differ: h(X^{n-1}) = {hx.value!r}, "
-                f"h(Y^{n-1}) = {hy.value!r} (stderr {stderr!r})"
+                f"prefix entropies differ: h(X^{n-1}) = {hx!r}, "
+                f"h(Y^{n-1}) = {hy!r} (stderr {stderr!r})"
             )
     return _convex_split_report(
-        "entropic_bonnesen", x, y, 1.0 - lam, lam, (), 1, cfg, iid, t0
+        "entropic_bonnesen", x, y, 1.0 - lam, lam, ENTROPY, 1, cfg, iid, t0
     )
 
 
@@ -577,24 +556,13 @@ def _iso_bound(n: int, v):
     return TWO_PI_E * (a ** (n - 1) + (n - 1) / a)
 
 
-def _iso_terms(name: str, iid: str, x: GaussianMixture, cfg: CheckConfig, with_fisher: bool):
-    """Means and covariance of the estimates of h(X), h(X^{n-1}) and, with
-    ``with_fisher``, I(X): closed forms and zero covariance for a Gaussian, else
-    the means of the per-sample -log f(X), -log f_{n-1}(X^{n-1}) and |score(X)|^2
-    on one set of draws, with the covariance of those means."""
-    n = x.dim
-    if n < 2:
+def _iso_terms(name: str, iid: str, x: GaussianMixture, cfg: CheckConfig, *extra):
+    """Means and covariance of h(X), h(X^{n-1}) and the ``extra`` statistics of X:
+    one draw group, so the terms share the draws of X."""
+    if x.dim < 2:
         raise DimensionError("needs dimension at least 2")
-    if x.is_gaussian:
-        g = x.components[0]
-        prefix = GaussianComponent(g.mean[: n - 1], _factored(g.cov.entries[: n - 1, : n - 1]))
-        terms = [gaussian_entropy(g), gaussian_entropy(prefix)]
-        return _independent(*terms, *([gaussian_fisher(g)] if with_fisher else []))
-    pts = x.sample(_rng(cfg, name, iid, "mc"), cfg.m)
-    log_f, log_prefix, s = x._kernel(pts, n - 1, with_fisher)
-    fisher_rows = [np.einsum("ij,ij->i", s, s)] if with_fisher else []
-    stats = np.stack([-log_f, -log_prefix] + fisher_rows)
-    return stats.mean(axis=1), np.cov(stats, ddof=1) / cfg.m
+    prefix = ("marginal_entropy", list(range(x.dim - 1)))
+    return _plan(cfg, name, iid, (x, "mc", (ENTROPY, prefix, *extra)))
 
 
 def check_isoperimetric_sharp(
@@ -612,7 +580,7 @@ def check_isoperimetric_sharp(
     iid = instance_id or _tag(x)
     lhs, rhs, stderr = _sides(
         lambda v: v[2] * _npow(v[0], n), lambda v: _iso_bound(n, v),
-        *_iso_terms("isoperimetric_sharp", iid, x, cfg, True),
+        *_iso_terms("isoperimetric_sharp", iid, x, cfg, FISHER),
     )
     return _finish("isoperimetric_sharp", iid, n, None, lhs, rhs, stderr, cfg, t0)
 
@@ -631,7 +599,7 @@ def check_isoperimetric_dominance(
     iid = instance_id or _tag(x)
     lhs, rhs, stderr = _sides(
         lambda v: _iso_bound(n, v), lambda v: TWO_PI_E * n,
-        *_iso_terms("isoperimetric_dominance", iid, x, cfg, False),
+        *_iso_terms("isoperimetric_dominance", iid, x, cfg),
     )
     return _finish("isoperimetric_dominance", iid, n, None, lhs, rhs, stderr, cfg, t0)
 
@@ -676,7 +644,7 @@ def check_de_bruijn(
         rhs = 0.5 * gaussian_fisher(smoothed[t]).value
         return _finish("de_bruijn", iid, n, None, lhs, rhs, 0.0, cfg, t0, extra_eq_tol=extra)
 
-    rng = _rng(cfg, "de_bruijn", iid, "mc")
+    rng = _streams(cfg, "de_bruijn", iid)("mc")
     idx = _labels(rng, x.weights, cfg.m)
     z = rng.standard_normal((cfg.m, n))
     laws = {s: x.convolve(GaussianMixture.gaussian(np.zeros(n), s * eye)) for s in shifts}
@@ -703,7 +671,7 @@ def check_blachman_stam(
     t0 = time.perf_counter()
     n = _same_dim(x, y)
     iid = instance_id or _tag(x, y)
-    return _sum_report("blachman_stam", iid, n, x, y, fisher, lambda i: 1.0 / i, cfg, t0)
+    return _sum_report("blachman_stam", iid, n, x, y, FISHER, lambda i: 1.0 / i, cfg, t0)
 
 
 def check_projective_fisher(
@@ -720,11 +688,9 @@ def check_projective_fisher(
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
     n = _same_dim(x, y)
+    stat = ("projective_fisher", _direction(u, n))
     iid = instance_id or _tag(x, y, np.asarray(u, dtype=float))
-    return _sum_report(
-        "projective_fisher", iid, n, x, y,
-        lambda gm, m, rng: projective_fisher(gm, u, m, rng), lambda i: 1.0 / i, cfg, t0,
-    )
+    return _sum_report("projective_fisher", iid, n, x, y, stat, lambda i: 1.0 / i, cfg, t0)
 
 
 def compression_map(n: int, m: float) -> np.ndarray:
@@ -747,17 +713,16 @@ def tm_sequence(
     the directional Fisher information along the last axis.
     """
     cfg = _cfg(cfg)
+    if not _squeeze_factors_ok(list(m_values)):
+        raise ValueError(f"need at least two increasing positive squeeze factors, got {m_values!r}")
     if x.dim < 2:
         raise DimensionError("needs dimension at least 2")
+    m_values = [float(mv) for mv in m_values]
     iid = instance_id or _tag(x)
-    values = np.empty(len(m_values))
-    errors = np.empty(len(m_values))
-    for j, mv in enumerate(m_values):
-        mapped = x.linear_map(compression_map(x.dim, mv))
-        est = fisher(mapped, cfg.m, _mc_rng(mapped, cfg, "tm_limit", iid, f"tm-{mv}"))
-        values[j] = est.value / mv**2
-        errors[j] = est.std_error / mv**2
-    return values, errors
+    groups = [(x.linear_map(compression_map(x.dim, mv)), f"tm-{mv}", (FISHER,)) for mv in m_values]
+    ests, _ = _terms(groups, cfg.m, _streams(cfg, "tm_limit", iid))
+    return (np.array([e.value / mv**2 for e, mv in zip(ests, m_values)]),
+            np.array([e.std_error / mv**2 for e, mv in zip(ests, m_values)]))
 
 
 def check_tm_limit(
@@ -776,17 +741,12 @@ def check_tm_limit(
     """
     cfg = _cfg(cfg)
     t0 = time.perf_counter()
-    if not _squeeze_factors_ok(list(m_values)):
-        raise ValueError(
-            f"m_values must be at least two increasing positive factors, got {m_values!r}"
-        )
-    m_values = [float(mv) for mv in m_values]
     n = x.dim
     iid = instance_id or _tag(x)
     values, errors = tm_sequence(x, m_values, cfg, iid)
-    e_last = np.zeros(n)
-    e_last[-1] = 1.0
-    target = projective_fisher(x, e_last, cfg.m, _mc_rng(x, cfg, "tm_limit", iid, "target"))
+    m_values = [float(mv) for mv in m_values]
+    (target,), _ = _terms([(x, "target", (("projective_fisher", np.eye(n)[-1]),))], cfg.m,
+                          _streams(cfg, "tm_limit", iid))
 
     monotone = not any(
         _window(values[j], values[j + 1], errors[j] + errors[j + 1], cfg)[0]
@@ -820,7 +780,7 @@ def check_sphere_identity(
     if n < 1 or not np.all(np.isfinite(v)) or not np.any(v):
         raise ValueError("need a finite nonzero direction vector")
     iid = instance_id or _tag(v)
-    rng = _rng(cfg, "sphere_identity", iid, "dirs")
+    rng = _streams(cfg, "sphere_identity", iid)("dirs")
     z = rng.standard_normal((cfg.m, n))
     u = z / np.linalg.norm(z, axis=1, keepdims=True)
     vals = (u @ v) ** 2
@@ -831,15 +791,15 @@ def check_sphere_identity(
     )
 
 
-def _score_second_moment(gm: GaussianMixture, m: int, rng, folds: int = 10):
+def _score_second_moment(gm: GaussianMixture, m: int, streams, role: str, folds: int = 10):
     """Second-moment matrix of the score, its trace estimate, and the
     leave-one-fold-out matrices (None on the closed-form route) for
-    jackknifing derived quantities."""
+    jackknifing derived quantities; the draws come from ``streams(role)``."""
     if gm.is_gaussian:
         inv_chol = np.linalg.solve(gm.components[0].cov.chol, np.eye(gm.dim))
         mat = inv_chol.T @ inv_chol
         return mat, ScalarEstimate(float(np.trace(mat)), 0.0, 0, METHOD_CLOSED), None
-    pts = gm.sample(rng, m)
+    pts = gm.sample(streams(role), m)
     s = gm.score(pts)
     mat = s.T @ s / m
     total = mat * m
@@ -874,18 +834,13 @@ def check_stam_recovery(
     if not _direction_count_ok(m_dirs):
         raise ValueError(f"need an integer count of at least two directions, got {m_dirs!r}")
     iid = instance_id or _tag(x, y)
-    rng_dirs = _rng(cfg, "stam_recovery", iid, "dirs")
-    dirs = rng_dirs.standard_normal((m_dirs, n))
+    streams = _streams(cfg, "stam_recovery", iid)
+    dirs = streams("dirs").standard_normal((m_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    mat_x, fish_x, left_x = _score_second_moment(
-        x, cfg.m, _mc_rng(x, cfg, "stam_recovery", iid, "x")
-    )
-    mat_y, fish_y, left_y = _score_second_moment(
-        y, cfg.m, _mc_rng(y, cfg, "stam_recovery", iid, "y")
-    )
-    xy = x.convolve(y)
-    fish_sum = fisher(xy, cfg.m, _mc_rng(xy, cfg, "stam_recovery", iid, "sum"))
+    mat_x, fish_x, left_x = _score_second_moment(x, cfg.m, streams, "x")
+    mat_y, fish_y, left_y = _score_second_moment(y, cfg.m, streams, "y")
+    (fish_sum,), _ = _terms([(x.convolve(y), "sum", (FISHER,))], cfg.m, streams)
 
     px = np.einsum("di,ij,dj->d", dirs, mat_x, dirs)
     py = np.einsum("di,ij,dj->d", dirs, mat_y, dirs)
@@ -990,15 +945,7 @@ class ConcavityScan:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "lambdas": self.lambdas,
-            "values": self.values,
-            "stderrs": self.stderrs,
-            "second_diffs": self.second_diffs,
-            "flagged": self.flagged,
-            "dim": self.dim,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def lambda_concavity_scan(
@@ -1015,15 +962,12 @@ def lambda_concavity_scan(
     if not _is_int(grid) or grid < 5:
         raise ValueError(f"grid must be an integer of at least 5 points, got {grid!r}")
     iid = instance_id or _tag(x, y)
-    given = range(n - 1)
     lambdas = np.linspace(0.0, 1.0, grid)
-    values = np.empty(grid)
-    errors = np.empty(grid)
-    for j, lam in enumerate(lambdas):
-        w = _combine(x, y, math.sqrt(lam), math.sqrt(1.0 - lam))
-        h = conditional_entropy(w, given, cfg.m, _mc_rng(w, cfg, "lambda_scan", iid, f"lam-{j}"))
-        est = entropy_power(h, 1)
-        values[j], errors[j] = est.value, est.std_error
+    laws = [_combine(x, y, math.sqrt(lam), math.sqrt(1.0 - lam)) for lam in lambdas]
+    groups = [(w, f"lam-{j}", (_last_given_rest(x),)) for j, w in enumerate(laws)]
+    hs, _ = _terms(groups, cfg.m, _streams(cfg, "lambda_scan", iid))
+    ests = [entropy_power(h, 1) for h in hs]
+    values, errors = np.array([e.value for e in ests]), np.array([e.std_error for e in ests])
     # concave curves keep the margin nonnegative; a significantly negative
     # margin is a concavity counterexample worth reporting
     second = 2.0 * values[1:-1] - values[2:] - values[:-2]

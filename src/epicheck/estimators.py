@@ -1,10 +1,11 @@
 """Entropy and Fisher-information estimators with explicit error bars.
 
 Every quantity comes back as a :class:`ScalarEstimate` tagged with the
-method that produced it.  Closed forms (pure Gaussians) carry zero
-standard error; plug-in Monte-Carlo estimates report the CLT standard
-error of the sample mean; the k-nearest-neighbour entropy estimator uses a
-grouped jackknife.  Entropies are differential entropies in nats.
+method that produced it.  One term engine, ``_terms``, routes entropies and
+Fisher informations: closed forms for pure Gaussians, with zero standard
+error, else plug-in Monte-Carlo means with the CLT error and covariance; the
+k-nearest-neighbour entropy estimator uses a grouped jackknife.  Entropies
+are differential entropies in nats.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy.special import digamma
 from .exceptions import DimensionError
 from .matrices import _logdet_raw
 from .mixtures import (
-    BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _coordinates, _labels, _logsumexp,
+    BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _coordinates, _is_int, _labels, _logsumexp,
 )
 from .seeding import rng_from_tokens, stable_digest
 
@@ -84,10 +85,107 @@ def _mean_and_se(values: np.ndarray, method: str) -> ScalarEstimate:
     return ScalarEstimate(float(np.mean(values)), _std_error(values), values.shape[0], method)
 
 
+# --------------------------------------------------------------------------
+# the term engine.  A statistic is ENTROPY, FISHER, ("conditional_entropy", given),
+# ("marginal_entropy", coords) measured on the joint's draws, or
+# ("projective_fisher", u), with sorted coordinate lists and a unit vector u.
+
+ENTROPY, FISHER = ("entropy", None), ("fisher", None)
+PREFIXED = ("conditional_entropy", "marginal_entropy")  # their coordinates lead the kernel
+
+
+def _closed(stat, g: GaussianComponent) -> ScalarEstimate:
+    """The one closed form of ``stat`` for the Gaussian ``g``."""
+    kind, arg = stat
+    n, cov = g.dim, g.cov
+    if kind == "entropy":  # (n ln(2 pi e) + ln det Sigma) / 2
+        value = 0.5 * (n * LN_2PIE + cov.log_det)
+    elif kind == "marginal_entropy":
+        value = 0.5 * (len(arg) * LN_2PIE + _logdet_raw(cov.entries[np.ix_(arg, arg)]))
+    elif kind == "conditional_entropy":  # h(joint) - h(given)
+        ld_given = _logdet_raw(cov.entries[np.ix_(arg, arg)])
+        value = 0.5 * ((n - len(arg)) * LN_2PIE + cov.log_det - ld_given)
+    elif kind == "fisher":  # tr Sigma^-1, from the inverse Cholesky factor
+        value = float(np.sum(np.linalg.solve(cov.chol, np.eye(n)) ** 2))
+    else:  # u' Sigma^-1 u
+        w = np.linalg.solve(cov.chol, arg)
+        value = float(w @ w)
+    return ScalarEstimate(value, 0.0, 0, METHOD_CLOSED)
+
+
+def _row(stat, log_f, log_prefix, score) -> np.ndarray:
+    """The per-sample values whose mean estimates ``stat``."""
+    kind, arg = stat
+    if kind.endswith("fisher"):  # |score|^2, or <score, u>^2
+        return np.einsum("ij,ij->i", score, score) if arg is None else (score @ arg) ** 2
+    if kind == "entropy":
+        return -log_f
+    return -log_f + log_prefix if kind == "conditional_entropy" else -log_prefix
+
+
+def _sampled(gm: GaussianMixture, stats, m: int, rng) -> tuple[list, np.ndarray]:
+    """The Monte-Carlo route of one draw group: the means of the statistics'
+    rows on one set of m draws of ``gm``, from one ``_kernel`` call, and their
+    covariance.  A lone statistic keeps its estimator's CLT bar ``_std_error``
+    (np.cov would differ from it in the last bit); several take np.cov / m."""
+    if rng is None:
+        raise ValueError("a generator is required for the Monte-Carlo route")
+    prefixes = {tuple(arg) for kind, arg in stats if kind in PREFIXED}
+    if len(prefixes) > 1:
+        raise ValueError(f"a draw group has at most one prefix, got {sorted(prefixes)}")
+    prefix = list(prefixes.pop()) if prefixes else []
+    order = prefix + [i for i in range(gm.dim) if i not in prefix]
+    law = gm if order == list(range(gm.dim)) else gm.marginal(order)
+    pts = gm.sample(rng, m)
+    scored = any(kind.endswith("fisher") for kind, _ in stats)
+    log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix), scored)
+    if scored and law is not gm:
+        score = score[:, np.argsort(order)]  # back to the coordinates of gm
+    rows = [_row(stat, log_f, log_prefix, score) for stat in stats]
+    if len(rows) == 1:
+        est = _mean_and_se(rows[0], METHOD_MC)
+        return [est], np.array([[est.std_error**2]])
+    cov = np.cov(rows, ddof=1) / m
+    return [ScalarEstimate(float(np.mean(row)), float(np.sqrt(var)), m, METHOD_MC)
+            for row, var in zip(rows, cov.diagonal())], cov
+
+
+def _terms(groups, m: int, rng_for) -> tuple[list, np.ndarray]:
+    """Estimates of the statistics of the draw groups (law, RNG role, stats), in
+    order, and their block-diagonal covariance.  A pure Gaussian takes the
+    closed forms and no generator; any other law draws from ``rng_for(role)``."""
+    ests, blocks = [], []
+    for law, role, stats in groups:
+        if law.is_gaussian:
+            ests += [_closed(stat, law.components[0]) for stat in stats]
+            continue
+        group, block = _sampled(law, stats, m, rng_for(role))
+        blocks.append((slice(len(ests), len(ests) + len(group)), block))
+        ests += group
+    cov = np.zeros((len(ests), len(ests)))
+    for span, block in blocks:
+        cov[span, span] = block
+    return ests, cov
+
+
+def _estimate(gm: GaussianMixture, stat, m: int, rng) -> ScalarEstimate:
+    """One statistic of one law, drawing from ``rng`` on the Monte-Carlo route."""
+    return _terms([(gm, None, (stat,))], m, lambda _role: rng)[0][0]
+
+
+def _direction(u, n: int) -> np.ndarray:
+    """u as a flat array of length n; |u|^2 must be within 1e-12 of 1 (NaN fails)."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != n:
+        raise DimensionError(f"direction of length {u.shape[0]} for dimension {n}")
+    if not abs(float(u @ u) - 1.0) <= 1e-12:
+        raise ValueError(f"direction must be a unit vector to 1e-12, got {u}")
+    return u
+
+
 def gaussian_entropy(g: GaussianComponent) -> ScalarEstimate:
     """h = (n ln(2 pi e) + ln det Sigma) / 2, exact."""
-    value = 0.5 * (g.dim * LN_2PIE + g.cov.log_det)
-    return ScalarEstimate(value, 0.0, 0, METHOD_CLOSED)
+    return _closed(ENTROPY, g)
 
 
 def _npow(h, n: int):
@@ -110,8 +208,7 @@ def mc_entropy(gm: GaussianMixture, m: int, rng: np.random.Generator) -> ScalarE
     Unbiased for E[-log f]; the reported error is the CLT standard error,
     so m should be at least ~1e3 for the bar to be trustworthy.
     """
-    pts = gm.sample(rng, m)
-    return _mean_and_se(-gm.log_density(pts), METHOD_MC)
+    return _sampled(gm, (ENTROPY,), m, rng)[0][0]
 
 
 def entropy(
@@ -120,11 +217,7 @@ def entropy(
     rng: np.random.Generator | None = None,
 ) -> ScalarEstimate:
     """Closed form for a pure Gaussian, Monte-Carlo otherwise."""
-    if gm.is_gaussian:
-        return gaussian_entropy(gm.components[0])
-    if rng is None:
-        raise ValueError("a generator is required for the Monte-Carlo route")
-    return mc_entropy(gm, m, rng)
+    return _estimate(gm, ENTROPY, m, rng)
 
 
 def knn_entropy(samples, k: int = 4) -> ScalarEstimate:
@@ -141,8 +234,8 @@ def knn_entropy(samples, k: int = 4) -> ScalarEstimate:
     if x.ndim != 2:
         raise DimensionError(f"samples must be a (m, d) array, got shape {x.shape}")
     m, d = x.shape
-    if not 1 <= k < m:
-        raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
+    if not _is_int(k) or not 1 <= k < m:
+        raise ValueError(f"need an integer 1 <= k < m, got k={k!r}, m={m}")
 
     r = cKDTree(x).query(x, k=k + 1)[0][:, k]
     if np.any(r <= 0.0):
@@ -183,28 +276,8 @@ def conditional_entropy(
     the per-sample difference is paired and the error bar reflects the
     (much smaller) variance of the difference.
     """
-    given = sorted(_coordinates(given))
-    if not given or len(given) >= gm.dim:
-        raise DimensionError("conditioning set must be a nonempty proper subset")
-    if len(set(given)) != len(given):
-        raise ValueError(f"duplicate coordinates in {given}")
-    if any(not 0 <= i < gm.dim for i in given):
-        raise IndexError(f"coordinates {given} out of range for dimension {gm.dim}")
-    k = gm.dim - len(given)
-    if gm.is_gaussian:
-        cov = gm.components[0].cov
-        sub = cov.entries[np.ix_(given, given)]
-        ld_given = _logdet_raw(sub)
-        value = 0.5 * (k * LN_2PIE + cov.log_det - ld_given)
-        return ScalarEstimate(value, 0.0, 0, METHOD_CLOSED)
-    if rng is None:
-        raise ValueError("a generator is required for the Monte-Carlo route")
-    # put the conditioning coordinates first, so that they are the prefix
-    order = given + [i for i in range(gm.dim) if i not in given]
-    law = gm if order == list(range(gm.dim)) else gm.marginal(order)
-    pts = gm.sample(rng, m)
-    log_f, log_given, _ = law._kernel(pts if law is gm else pts[:, order], len(given))
-    return _mean_and_se(-log_f + log_given, METHOD_MC)
+    given = sorted(_coordinates(given, gm.dim, proper=True))
+    return _estimate(gm, ("conditional_entropy", given), m, rng)
 
 
 def conditional_entropy_last(
@@ -214,22 +287,17 @@ def conditional_entropy_last(
 ) -> ScalarEstimate:
     """h(X_n | X_1..X_{n-1}); closed form is half the log Schur complement plus
     the Gaussian constant."""
-    if gm.dim < 2:
-        raise DimensionError("conditioning needs dimension at least 2")
     return conditional_entropy(gm, range(gm.dim - 1), m, rng)
 
 
 def gaussian_fisher(g: GaussianComponent) -> ScalarEstimate:
     """I = tr(Sigma^-1), from the inverse Cholesky factor."""
-    inv_chol = np.linalg.solve(g.cov.chol, np.eye(g.dim))
-    return ScalarEstimate(float(np.sum(inv_chol**2)), 0.0, 0, METHOD_CLOSED)
+    return _closed(FISHER, g)
 
 
 def mc_fisher(gm: GaussianMixture, m: int, rng: np.random.Generator) -> ScalarEstimate:
     """Fisher information as the mean squared norm of the exact score."""
-    pts = gm.sample(rng, m)
-    s = gm.score(pts)
-    return _mean_and_se(np.einsum("ij,ij->i", s, s), METHOD_MC)
+    return _sampled(gm, (FISHER,), m, rng)[0][0]
 
 
 def fisher(
@@ -238,11 +306,7 @@ def fisher(
     rng: np.random.Generator | None = None,
 ) -> ScalarEstimate:
     """Closed form for a pure Gaussian, Monte-Carlo otherwise."""
-    if gm.is_gaussian:
-        return gaussian_fisher(gm.components[0])
-    if rng is None:
-        raise ValueError("a generator is required for the Monte-Carlo route")
-    return mc_fisher(gm, m, rng)
+    return _estimate(gm, FISHER, m, rng)
 
 
 def projective_fisher(
@@ -256,19 +320,7 @@ def projective_fisher(
     For a pure Gaussian this is u' Sigma^-1 u exactly; in the direction of
     the last axis it equals the reciprocal Schur complement.
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != gm.dim:
-        raise DimensionError(f"direction of length {u.shape[0]} for dimension {gm.dim}")
-    if abs(float(u @ u) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector to 1e-12")
-    if gm.is_gaussian:
-        w = np.linalg.solve(gm.components[0].cov.chol, u)
-        return ScalarEstimate(float(w @ w), 0.0, 0, METHOD_CLOSED)
-    if rng is None:
-        raise ValueError("a generator is required for the Monte-Carlo route")
-    pts = gm.sample(rng, m)
-    proj = gm.score(pts) @ u
-    return _mean_and_se(proj**2, METHOD_MC)
+    return _estimate(gm, ("projective_fisher", _direction(u, gm.dim)), m, rng)
 
 
 def conditional_fisher_last(

@@ -35,13 +35,23 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _coordinates(keep) -> list[int]:
-    """A coordinate list as ints.  A non-integer or a bool raises ValueError,
-    so 1.7 is refused rather than read as coordinate 1."""
+def _coordinates(keep, n: int, proper: bool = False) -> list[int]:
+    """A list of coordinates of an n-dimensional law as ints, in the order given.
+    In this order: each must be an integer (a float or a bool raises ValueError,
+    so 1.7 is refused rather than read as coordinate 1), none repeated
+    (ValueError), each in range (IndexError), and the list nonempty and, with
+    ``proper``, shorter than n (DimensionError)."""
     keep = list(keep)
     if not all(map(_is_int, keep)):
         raise ValueError(f"coordinates must be integers, got {keep!r}")
-    return [int(i) for i in keep]
+    keep = [int(i) for i in keep]
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"duplicate coordinates in {keep}")
+    if any(not 0 <= i < n for i in keep):
+        raise IndexError(f"coordinates {keep} out of range for dimension {n}")
+    if not keep or (proper and len(keep) >= n):
+        raise DimensionError(f"need a nonempty{' proper' if proper else ''} subset, got {keep}")
+    return keep
 
 
 def _logsumexp(a: np.ndarray, out: np.ndarray, g: np.ndarray | None = None,
@@ -316,13 +326,7 @@ class GaussianMixture:
 
     def marginal(self, keep) -> "GaussianMixture":
         """Marginal over the listed coordinates, in the order given."""
-        keep = _coordinates(keep)
-        if not keep:
-            raise DimensionError("marginal needs at least one coordinate")
-        if len(set(keep)) != len(keep):
-            raise ValueError(f"duplicate coordinates in {keep}")
-        if any(not 0 <= i < self.dim for i in keep):
-            raise IndexError(f"coordinates {keep} out of range for dimension {self.dim}")
+        keep = _coordinates(keep, self.dim)
         sel = np.ix_(keep, keep)
         comps = [
             GaussianComponent(c.mean[keep], c.cov.entries[sel]) for c in self.components

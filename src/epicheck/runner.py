@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .checks import (
+    REPORT_KEYS,
     VERDICT_EQUALITY,
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
@@ -79,10 +80,7 @@ SUMMARY_KEYS = {
     VERDICT_INCONCLUSIVE: "inconclusive",
 }
 LAMBDA_GRID_DEFAULT = (0.0, 0.25, 0.5, 0.75, 1.0)
-CSV_COLUMNS = (
-    "check_name", "instance_id", "dim", "lambda", "lhs", "rhs",
-    "gap", "stderr", "verdict", "seed", "wall_ms",
-)
+CSV_COLUMNS = REPORT_KEYS
 
 
 # --------------------------------------------------------------------------

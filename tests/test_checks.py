@@ -55,6 +55,7 @@ from epicheck import (
     check_stam_recovery,
     check_tm_limit,
     classify,
+    conditional_entropy,
     entropy,
     kyfan_gap,
     lambda_concavity_scan,
@@ -64,7 +65,8 @@ from epicheck import (
     rng_from_tokens,
     tm_sequence,
 )
-from epicheck import checks, matrices
+from epicheck import checks, matrices, runner
+from epicheck.checks import REPORT_KEYS
 
 TWO_PI_E = 17.079468445347132
 
@@ -654,6 +656,15 @@ class TestProjectiveFisher:
         rep = check_projective_fisher(two_part(), two_part(1.0), [0.0, 1.0], CFG_MC)
         assert rep.verdict != VERDICT_VIOLATED
 
+    @pytest.mark.parametrize("u", [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]])
+    def test_non_finite_direction_refused_up_front(self, monkeypatch, u):
+        def refuse(*tokens):
+            raise AssertionError(f"a generator was made for {tokens}")
+
+        monkeypatch.setattr(checks, "rng_from_tokens", refuse)
+        with pytest.raises(ValueError, match="unit vector"):
+            check_projective_fisher(two_part(), two_part(1.0), u, CFG_MC)
+
 
 class TestTmLimit:
     def test_standard_gaussian_sequence_exact(self):
@@ -673,6 +684,14 @@ class TestTmLimit:
         cfg = CheckConfig(m=20_000, seed=1)
         rep = check_tm_limit(two_part(), cfg=cfg)
         assert rep.verdict != VERDICT_INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "m_values", [[0.0, 2.0], [-2, 4], [2], [4, 2], [2, math.nan], [True, 2]]
+    )
+    def test_sequence_refuses_bad_factors(self, m_values):
+        # [0.0, 2.0] used to raise ZeroDivisionError and [-2, 4] was accepted
+        with pytest.raises(ValueError, match="squeeze factors"):
+            tm_sequence(gauss(np.eye(2)), m_values, CFG)
 
     def test_m_values_validation(self):
         with pytest.raises(ValueError):
@@ -780,9 +799,8 @@ class TestConcavityScan:
     def test_to_dict_schema(self):
         scan = lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=5, cfg=CFG)
         d = scan.to_dict()
-        assert set(d) == {
-            "lambdas", "values", "stderrs", "second_diffs", "flagged", "dim", "seed",
-        }
+        assert list(d) == ["lambdas", "values", "stderrs", "second_diffs", "flagged", "dim", "seed"]
+        assert d == {key: getattr(scan, key) for key in d}
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -842,6 +860,14 @@ class TestReportShape:
         assert d["verdict"] == VERDICT_HOLDS
         assert d["wall_ms"] >= 0.0
 
+    def test_record_keys_are_the_csv_columns(self):
+        rep = check_conditional_form(gauss(COV_A), gauss(COV_B), 0.5, CFG)
+        assert runner.CSV_COLUMNS is REPORT_KEYS
+        fields = ("check_name", "instance_id", "dim", "lam", "lhs", "rhs", "gap", "stderr",
+                  "verdict", "seed", "wall_ms")
+        assert rep.to_dict() == {key: getattr(rep, f) for key, f in zip(REPORT_KEYS, fields)}
+        assert list(rep.to_dict()) == list(REPORT_KEYS)
+
     def test_explicit_instance_id_is_kept(self):
         rep = check_epi(gauss(COV_A), gauss(COV_B), CFG, instance_id="pair-7")
         assert rep.instance_id == "pair-7"
@@ -850,3 +876,56 @@ class TestReportShape:
         a = check_epi(two_part(), two_part(1.0), CFG_MC)
         b = check_epi(two_part(), two_part(1.0), CFG_MC)
         assert (a.lhs, a.rhs, a.stderr) == (b.lhs, b.rhs, b.stderr)
+
+
+class TestCoordinateRule:
+    # every caller of a coordinate list applies one rule, in one order:
+    # integers, then duplicates, then range, then nonempty (and proper)
+    CALLERS = {
+        "marginal": lambda gm, keep: gm.marginal(keep),
+        "conditional_entropy": lambda gm, keep: conditional_entropy(gm, keep, 1000, None),
+        "check_entropic_kyfan": lambda gm, keep: check_entropic_kyfan(gm, gm, keep, 0.5, CFG),
+    }
+
+    @pytest.mark.parametrize("keep, error", [
+        ([1, 1, 1], ValueError),  # conditional_entropy used to raise DimensionError here
+        ([1.5, 1.5], ValueError),
+        ([5, 5], ValueError),
+        ([0, 5], IndexError),
+        ([], DimensionError),
+    ])
+    def test_every_caller_raises_the_same_type(self, keep, error):
+        gm = gauss(np.eye(3))
+        for name, call in self.CALLERS.items():
+            with pytest.raises((ValueError, IndexError)) as info:
+                call(gm, keep)
+            assert type(info.value) is error, name
+
+
+class TestTermPlans:
+    def test_all_gaussian_plans_make_no_generator(self, monkeypatch):
+        def refuse(*tokens):
+            raise AssertionError(f"a generator was made for {tokens}")
+
+        monkeypatch.setattr(checks, "rng_from_tokens", refuse)
+        x, y = gauss(COV_A), gauss(COV_B)
+        x3 = gauss(np.diag([1.0, 2.0, 3.0]))
+        y3 = gauss(random_spd(3, rng_from_tokens(0, "plans")).entries)
+        # equal prefix entropies from prefixes that differ as laws: the
+        # precondition is estimated, on the closed-form route
+        shifted = gauss([[2.0, -0.5], [-0.5, 3.0]], mean=[1.0, 0.0])
+        triple = MarkovTriple([0.4, 0.6], [x, y], [y, x])
+        reports = [
+            check_epi(x, y, CFG), check_blachman_stam(x, y, CFG),
+            check_projective_fisher(x, y, [0.6, 0.8], CFG), check_entropic_bergstrom(x, y, CFG),
+            check_conditional_form(x, y, 0.3, CFG), check_lambda_form(x, y, 0.3, CFG),
+            check_entropic_kyfan(x3, y3, [0], 0.3, CFG),
+            check_entropic_bonnesen(x, shifted, 0.3, CFG),
+            check_isoperimetric_sharp(x3, CFG), check_isoperimetric_dominance(x3, CFG),
+            check_conditional_epi(triple, CFG), check_tm_limit(x3, cfg=CFG),
+            check_de_bruijn(x3, cfg=CFG),
+        ]
+        assert all(r.stderr == 0.0 for r in reports)
+        assert lambda_concavity_scan(x, y, grid=5, cfg=CFG).stderrs == [0.0] * 5
+        with pytest.raises(AssertionError, match="generator"):
+            check_epi(two_part(), y, CFG)

@@ -41,7 +41,7 @@ from epicheck import (
     random_mixture,
     random_spd,
 )
-from epicheck.estimators import _delta
+from epicheck.estimators import ENTROPY, FISHER, _delta, _terms
 from epicheck.mixtures import BLOCK
 from epicheck.seeding import rng_from_tokens
 
@@ -223,6 +223,17 @@ class TestKnnEntropy:
         with pytest.raises(ValueError):
             knn_entropy(pts, k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_non_integer_k_refused(self, k):
+        # k = 2.5 used to fail inside numpy with an IndexError
+        pts = rng_from_tokens(5, "knn").normal(size=(40, 2))
+        with pytest.raises(ValueError, match="integer"):
+            knn_entropy(pts, k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        pts = rng_from_tokens(5, "knn").normal(size=(40, 2))
+        assert knn_entropy(pts, k=np.int64(3)) == knn_entropy(pts, k=3)
+
 
 class TestConditionalEntropy:
     def test_independent_coordinates(self):
@@ -331,6 +342,18 @@ class TestProjectiveFisher:
         with pytest.raises(DimensionError):
             projective_fisher(gm, [1.0], 10, None)
 
+    @pytest.mark.parametrize(
+        "u", [[math.nan, 0.0], [math.nan, 1.0], [math.inf, 0.0], [math.inf, -math.inf]]
+    )
+    def test_non_finite_direction_refused_before_drawing(self, u):
+        # |u|^2 - 1 is NaN for a NaN entry, and a NaN fails every comparison: the
+        # direction used to pass and the estimate failed late, after m draws
+        mix = GaussianMixture([0.5, 0.5], [([0.0, 0.0], COV_WORKED), ([1.0, 0.0], np.eye(2))])
+        rng = rng_from_tokens(20, "proj")
+        with pytest.raises(ValueError, match="unit vector"):
+            projective_fisher(mix, u, 1000, rng)
+        assert rng.random() == rng_from_tokens(20, "proj").random()  # nothing was drawn
+
     def test_dominated_by_full_fisher(self):
         mix = GaussianMixture(
             [0.5, 0.5], [([0.0, 0.0], COV_WORKED), ([1.0, 0.0], np.eye(2))]
@@ -422,3 +445,119 @@ class TestScalingInvariant:
         shift = math.log(abs(np.linalg.det(a)))
         tol = 3.0 * math.hypot(h0.std_error, h1.std_error)
         assert abs((h1.value - h0.value) - shift) <= tol
+
+
+# --------------------------------------------------------------------------
+# the term engine
+
+
+COV_3D = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 1.5]])
+U_3D = np.array([0.6, 0.0, 0.8])
+
+
+def three_d_mixture() -> GaussianMixture:
+    return GaussianMixture([0.3, 0.7], [(np.zeros(3), np.eye(3)), ([1.5, -0.5, 1.0], COV_3D)])
+
+
+# each statistic of the engine with the public estimator of it
+PUBLIC = {
+    "entropy": (ENTROPY, entropy),
+    "conditional_leading": (
+        ("conditional_entropy", [0, 1]), lambda gm, m, rng: conditional_entropy(gm, [0, 1], m, rng)
+    ),
+    "conditional_reordered": (
+        ("conditional_entropy", [1]), lambda gm, m, rng: conditional_entropy(gm, [1], m, rng)
+    ),
+    "fisher": (FISHER, fisher),
+    "projective_fisher": (
+        ("projective_fisher", U_3D), lambda gm, m, rng: projective_fisher(gm, U_3D, m, rng)
+    ),
+}
+
+
+def streams(seed):
+    return lambda role: rng_from_tokens(seed, "engine", role)
+
+
+class TestTermEngine:
+    @pytest.mark.parametrize("law", ["mixture", "gaussian"])
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
+    def test_statistic_matches_public_estimator(self, law, name):
+        stat, public = PUBLIC[name]
+        gm = three_d_mixture() if law == "mixture" else gauss(COV_3D, [1.0, 2.0, 3.0])
+        (est,), cov = _terms([(gm, "r", (stat,))], 3000, streams(18))
+        ref = public(gm, 3000, rng_from_tokens(18, "engine", "r"))
+        assert (est.value, est.std_error, est.n_samples, est.method) == (
+            ref.value, ref.std_error, ref.n_samples, ref.method
+        )
+        # a lone statistic keeps its estimator's CLT bar on the diagonal
+        assert cov.tolist() == [[ref.std_error**2]]
+        assert (est.method == "closed_form") == (law == "gaussian")
+
+    def test_shared_draw_group_matches_separate_rows(self):
+        gm, m = three_d_mixture(), 4000
+        stats = (ENTROPY, ("marginal_entropy", [0, 1]), FISHER, ("projective_fisher", U_3D))
+        ests, cov = _terms([(gm, "g", stats)], m, streams(19))
+        pts = gm.sample(rng_from_tokens(19, "engine", "g"), m)
+        score = gm.score(pts)
+        rows = np.stack([
+            -gm.log_density(pts),
+            -gm.marginal([0, 1]).log_density(pts[:, :2]),
+            np.einsum("ij,ij->i", score, score),
+            (score @ U_3D) ** 2,
+        ])
+        assert [e.value for e in ests] == pytest.approx(rows.mean(axis=1), rel=1e-12)
+        assert cov == pytest.approx(np.cov(rows, ddof=1) / m, rel=1e-9, abs=1e-15)
+        assert [e.std_error for e in ests] == pytest.approx(np.sqrt(np.diag(cov)), rel=1e-15)
+        assert all(e.n_samples == m and e.method == "plug_in_mc" for e in ests)
+
+    def test_reordered_prefix_keeps_the_score_in_law_coordinates(self):
+        # conditioning on coordinate 1 evaluates the law with it first; the
+        # Fisher rows must still read the score in the law's own coordinates
+        gm, m = three_d_mixture(), 3000
+        stats = (("conditional_entropy", [1]), FISHER, ("projective_fisher", U_3D))
+        ests, _ = _terms([(gm, "s", stats)], m, streams(20))
+        for est, (_, public) in zip(ests, (PUBLIC["conditional_reordered"], PUBLIC["fisher"],
+                                           PUBLIC["projective_fisher"])):
+            ref = public(gm, m, rng_from_tokens(20, "engine", "s"))
+            assert est.value == pytest.approx(ref.value, rel=1e-12)
+
+    def test_marginal_closed_form(self):
+        g = GaussianComponent([1.0, 2.0, 3.0], COV_3D)
+        (est,), _ = _terms([(gauss(COV_3D, [1.0, 2.0, 3.0]), "m", (("marginal_entropy", [0, 2]),))],
+                           10, streams(0))
+        marginal = GaussianComponent([1.0, 3.0], COV_3D[np.ix_([0, 2], [0, 2])])
+        assert est == gaussian_entropy(marginal)
+        assert est.value < gaussian_entropy(g).value
+
+    def test_two_prefixes_in_one_group_refused(self):
+        stats = (("conditional_entropy", [1]), ("marginal_entropy", [0]))
+        with pytest.raises(ValueError, match="prefix"):
+            _terms([(three_d_mixture(), "p", stats)], 100, streams(0))
+
+    def test_covariance_is_block_diagonal(self):
+        groups = [
+            (three_d_mixture(), "a", (ENTROPY, FISHER)),
+            (gauss(COV_3D), "b", (ENTROPY, FISHER)),
+            (three_d_mixture(), "c", (ENTROPY,)),
+        ]
+        ests, cov = _terms(groups, 2000, streams(21))
+        assert cov.shape == (5, 5)
+        assert cov[:2, :2].all() and not cov[:2, 2:].any() and not cov[2:4].any()
+        assert cov[4, 4] == ests[4].std_error**2 and not cov[4, :4].any()
+        assert ests[2] == gaussian_entropy(GaussianComponent(np.zeros(3), COV_3D))
+
+    def test_gaussian_groups_make_no_generator(self):
+        def refuse(role):
+            raise AssertionError(f"a generator was made for role {role!r}")
+
+        ests, cov = _terms([(gauss(COV_3D), "x", (ENTROPY, FISHER))], 100, refuse)
+        assert not cov.any() and all(e.method == "closed_form" for e in ests)
+        with pytest.raises(AssertionError, match="role"):
+            _terms([(three_d_mixture(), "x", (ENTROPY,))], 100, refuse)
+
+    def test_mc_route_needs_a_generator(self):
+        with pytest.raises(ValueError, match="generator"):
+            mc_entropy(three_d_mixture(), 100, None)
+        with pytest.raises(ValueError, match="generator"):
+            mc_fisher(gauss(COV_3D), 100, None)
