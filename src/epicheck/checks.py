@@ -20,7 +20,6 @@ both.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, astuple, dataclass
 
@@ -48,18 +47,20 @@ from .exceptions import ConfigError, DimensionError, PreconditionError
 from .matrices import (
     SpdMatrix,
     _bergstrom_ratios,
-    _check_lambda,
+    _check_block,
     _check_equal_minors,
+    _check_index,
+    _check_lambda,
     _factored,
+    _is_finite,
+    _is_int,
     _kyfan_ratios,
     _logdet_raw,
     _same_dim,
     _sum_logdets,
     make_bonnesen_equality_pair,
 )
-from .mixtures import (
-    GaussianComponent, GaussianMixture, MarkovTriple, _coordinates, _is_int, _labels,
-)
+from .mixtures import GaussianComponent, GaussianMixture, MarkovTriple, _coordinates, _labels
 from .seeding import rng_from_tokens, stable_digest
 
 TWO_PI_E = math.exp(LN_2PIE)
@@ -76,10 +77,6 @@ REPORT_KEYS = (
     "check_name", "instance_id", "dim", "lambda", "lhs", "rhs",
     "gap", "stderr", "verdict", "seed", "wall_ms",
 )
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _numbers(v, min_len: int) -> bool:
@@ -190,10 +187,6 @@ def classify(
     return VERDICT_VIOLATED if below else (VERDICT_EQUALITY if within else VERDICT_HOLDS)
 
 
-def _cfg(cfg: CheckConfig | None) -> CheckConfig:
-    return cfg if cfg is not None else CheckConfig()
-
-
 def _mixture_arrays(gm: GaussianMixture) -> list:
     arrays = [gm.weights]
     for c in gm.components:
@@ -203,9 +196,13 @@ def _mixture_arrays(gm: GaussianMixture) -> list:
 
 
 def _tag(*objects) -> str:
-    arrays = []
+    """Digest of the arrays of ``objects``; each string among them is appended
+    after a dash, as a label of the instance (a deleted index, a block size)."""
+    arrays, labels = [], []
     for obj in objects:
-        if isinstance(obj, GaussianMixture):
+        if isinstance(obj, str):
+            labels.append(obj)
+        elif isinstance(obj, GaussianMixture):
             arrays.extend(_mixture_arrays(obj))
         elif isinstance(obj, MarkovTriple):
             arrays.append(obj.probs)
@@ -215,33 +212,56 @@ def _tag(*objects) -> str:
             arrays.append(obj.entries)
         else:
             arrays.append(np.asarray(obj, dtype=float))
-    return stable_digest(arrays)
+    return "-".join([stable_digest(arrays), *labels])
 
 
-def _streams(cfg: CheckConfig, name: str, instance_id: str):
-    """role -> the generator of that role, for one check on one instance."""
-    return lambda role: rng_from_tokens(cfg.seed, name, instance_id, role)
+class _Run:
+    """One call of one check: its name, config (a default ``CheckConfig`` when
+    none is given), instance id (the given one, or the ``_tag`` of ``tagged``),
+    the generators of its RNG roles, its clock and its report.  Every check
+    opens one run, once the arguments it tags are validated, so that a bad
+    argument raises the check's own error rather than one from ``_tag``."""
 
+    __slots__ = ("name", "cfg", "iid", "t0")
 
-def _finish(
-    name: str,
-    instance_id: str,
-    dim: int,
-    lam: float | None,
-    lhs: float,
-    rhs: float,
-    stderr: float,
-    cfg: CheckConfig,
-    t0: float,
-    extra_eq_tol: float = 0.0,
-    verdict: str | None = None,
-) -> InequalityReport:
-    if verdict is None:
-        verdict = classify(lhs, rhs, stderr, cfg, extra_eq_tol)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return InequalityReport(
-        name, instance_id, dim, lam, lhs, rhs, lhs - rhs, stderr, verdict, cfg.seed, wall_ms
-    )
+    def __init__(self, name: str, cfg: CheckConfig | None, instance_id: str | None, *tagged):
+        self.t0 = time.perf_counter()
+        self.name = name
+        self.cfg = CheckConfig() if cfg is None else cfg
+        self.iid = instance_id
+        if tagged:
+            self.tag(*tagged)
+
+    def tag(self, *objects) -> None:
+        """Name the instance by ``_tag(*objects)`` unless an id was given: for a
+        run opened before the arguments it tags are built and validated."""
+        self.iid = self.iid or _tag(*objects)
+
+    def rng(self, role: str) -> np.random.Generator:
+        """The generator of ``role``, keyed by (seed, check name, instance id, role)."""
+        return rng_from_tokens(self.cfg.seed, self.name, self.iid, role)
+
+    def terms(self, *groups) -> tuple[list, np.ndarray]:
+        """Estimates and covariance of the draw groups (law, RNG role, statistics),
+        through ``estimators._terms``."""
+        return _terms(groups, self.cfg.m, self.rng)
+
+    def plan(self, *groups) -> tuple[np.ndarray, np.ndarray]:
+        """Means and covariance of the statistics of the draw groups."""
+        ests, cov = self.terms(*groups)
+        return np.array([e.value for e in ests]), cov
+
+    def report(self, dim: int, lam: float | None, lhs: float, rhs: float, stderr: float,
+               extra_eq_tol: float = 0.0, verdict: str | None = None) -> InequalityReport:
+        """The check's record, classified unless ``verdict`` is given; wall_ms
+        runs from the opening of the run."""
+        if verdict is None:
+            verdict = classify(lhs, rhs, stderr, self.cfg, extra_eq_tol)
+        wall_ms = (time.perf_counter() - self.t0) * 1e3
+        return InequalityReport(
+            self.name, self.iid, dim, lam, lhs, rhs, lhs - rhs, stderr, verdict, self.cfg.seed,
+            wall_ms,
+        )
 
 
 def _combine(x: GaussianMixture, y: GaussianMixture, sx: float, sy: float) -> GaussianMixture:
@@ -251,13 +271,6 @@ def _combine(x: GaussianMixture, y: GaussianMixture, sx: float, sy: float) -> Ga
     if sy == 0.0:
         return x.scale(sx)
     return x.scale(sx).convolve(y.scale(sy))
-
-
-def _plan(cfg: CheckConfig, name: str, instance_id: str, *groups) -> tuple[np.ndarray, np.ndarray]:
-    """Means and covariance of the statistics of a check's draw groups (law,
-    RNG role, statistics), through ``estimators._terms``."""
-    ests, cov = _terms(groups, cfg.m, _streams(cfg, name, instance_id))
-    return np.array([e.value for e in ests]), cov
 
 
 def _sides(lhs_fn, rhs_fn, mu, cov) -> tuple[float, float, float]:
@@ -273,14 +286,14 @@ def _last_given_rest(x: GaussianMixture):
     return ("conditional_entropy", list(range(x.dim - 1)))
 
 
-def _sum_report(name, iid, n, x, y, stat, power, cfg, t0) -> InequalityReport:
+def _sum_report(run: _Run, x: GaussianMixture, y: GaussianMixture, stat, power) -> InequalityReport:
     """Superadditivity under convolution: power(X+Y) >= power(X) + power(Y),
     with power applied to the statistic ``stat`` of each law, estimated from
     the RNG roles "sum", "x" and "y"."""
     groups = ((law, role, (stat,)) for law, role in ((x.convolve(y), "sum"), (x, "x"), (y, "y")))
     lhs, rhs, stderr = _sides(lambda v: power(v[0]), lambda v: power(v[1]) + power(v[2]),
-                              *_plan(cfg, name, iid, *groups))
-    return _finish(name, iid, n, None, lhs, rhs, stderr, cfg, t0)
+                              *run.plan(*groups))
+    return run.report(x.dim, None, lhs, rhs, stderr)
 
 
 # --------------------------------------------------------------------------
@@ -294,11 +307,8 @@ def check_epi(
     instance_id: str | None = None,
 ) -> InequalityReport:
     """Entropy-power superadditivity N(X+Y) >= N(X) + N(Y)."""
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
     n = _same_dim(x, y)
-    iid = instance_id or _tag(x, y)
-    return _sum_report("epi", iid, n, x, y, ENTROPY, lambda h: _npow(h, n), cfg, t0)
+    return _sum_report(_Run("epi", cfg, instance_id, x, y), x, y, ENTROPY, lambda h: _npow(h, n))
 
 
 def check_conditional_epi(
@@ -312,11 +322,8 @@ def check_conditional_epi(
     per-label Gaussians whose covariances are proportional with one common
     ratio across labels.
     """
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
+    run = _Run("conditional_epi", cfg, instance_id, triple)
     n = triple.dim
-    iid = instance_id or _tag(triple)
-
     sums = [
         gx.convolve(gy) for gx, gy in zip(triple.x_given_z, triple.y_given_z)
     ]
@@ -328,9 +335,9 @@ def check_conditional_epi(
     p, k = triple.probs, triple.n_labels  # entropy powers of label-averaged entropies
     lhs, rhs, stderr = _sides(
         lambda v: _npow(p @ v[:k], n), lambda v: _npow(p @ v[k:2 * k], n) + _npow(p @ v[2 * k:], n),
-        *_plan(cfg, "conditional_epi", iid, *groups),
+        *run.plan(*groups),
     )
-    return _finish("conditional_epi", iid, n, None, lhs, rhs, stderr, cfg, t0)
+    return run.report(n, None, lhs, rhs, stderr)
 
 
 def check_entropic_bergstrom(
@@ -345,26 +352,13 @@ def check_entropic_bergstrom(
     lift of the deleted-last-row/column determinant-ratio inequality; for
     Gaussians the gap is exactly 2 pi e times the matrix gap.
     """
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
-    n = _same_dim(x, y, 2)
-    iid = instance_id or _tag(x, y)
-    return _sum_report(
-        "entropic_bergstrom", iid, n, x, y, _last_given_rest(x), lambda h: _npow(h, 1), cfg, t0
-    )
+    _same_dim(x, y, 2)
+    run = _Run("entropic_bergstrom", cfg, instance_id, x, y)
+    return _sum_report(run, x, y, _last_given_rest(x), lambda h: _npow(h, 1))
 
 
 def _convex_split_report(
-    name: str,
-    x: GaussianMixture,
-    y: GaussianMixture,
-    weight_x: float,
-    lam: float,
-    stat,
-    k: int,
-    cfg: CheckConfig,
-    instance_id: str | None,
-    t0: float | None = None,
+    run: _Run, x: GaussianMixture, y: GaussianMixture, weight_x: float, lam: float, stat, k: int
 ) -> InequalityReport:
     """Shared engine for the lambda-weighted forms.
 
@@ -374,9 +368,6 @@ def _convex_split_report(
     weights reuse a single estimate on both sides, so the gap there is
     exactly zero.
     """
-    t0 = time.perf_counter() if t0 is None else t0
-    n = _same_dim(x, y, 2)
-    iid = instance_id or _tag(x, y)
     wx = float(weight_x)
     wy = 1.0 - wx
 
@@ -388,9 +379,9 @@ def _convex_split_report(
         laws, ix, iy = [(sum_law, "sum"), (x, "x"), (y, "y")], 1, 2
     lhs, rhs, stderr = _sides(
         lambda v: _npow(v[0], k), lambda v: wx * _npow(v[ix], k) + wy * _npow(v[iy], k),
-        *_plan(cfg, name, iid, *((law, role, (stat,)) for law, role in laws)),
+        *run.plan(*((law, role, (stat,)) for law, role in laws)),
     )
-    return _finish(name, iid, n, lam, lhs, rhs, stderr, cfg, t0)
+    return run.report(x.dim, lam, lhs, rhs, stderr)
 
 
 def check_conditional_form(
@@ -404,9 +395,9 @@ def check_conditional_form(
     sqrt(1-lam) X + sqrt(lam) Y given the rest) dominates the convex
     combination (1-lam) exp(2 h(X_n|X^{n-1})) + lam exp(2 h(Y_n|Y^{n-1}))."""
     lam = _check_lambda(lam)
-    return _convex_split_report(
-        "conditional_form", x, y, 1.0 - lam, lam, _last_given_rest(x), 1, _cfg(cfg), instance_id
-    )
+    _same_dim(x, y, 2)
+    run = _Run("conditional_form", cfg, instance_id, x, y)
+    return _convex_split_report(run, x, y, 1.0 - lam, lam, _last_given_rest(x), 1)
 
 
 def check_lambda_form(
@@ -419,9 +410,9 @@ def check_lambda_form(
     """Ratio form along the lambda path: the ratio N^n / N_{n-1}^{n-1} of
     sqrt(lam) X + sqrt(1-lam) Y dominates lam * ratio(X) + (1-lam) * ratio(Y)."""
     lam = _check_lambda(lam)
-    return _convex_split_report(
-        "lambda_form", x, y, lam, lam, _last_given_rest(x), 1, _cfg(cfg), instance_id
-    )
+    _same_dim(x, y, 2)
+    run = _Run("lambda_form", cfg, instance_id, x, y)
+    return _convex_split_report(run, x, y, lam, lam, _last_given_rest(x), 1)
 
 
 def check_entropic_kyfan(
@@ -440,11 +431,10 @@ def check_entropic_kyfan(
     """
     lam = _check_lambda(lam)
     n = _same_dim(x, y)
-    subset = _coordinates(subset, n, proper=True)
+    subset = _coordinates(subset, n, proper=True)  # a proper subset needs n >= 2
     stat = ("conditional_entropy", [i for i in range(n) if i not in subset])
-    return _convex_split_report(
-        "entropic_kyfan", x, y, 1.0 - lam, lam, stat, len(subset), _cfg(cfg), instance_id
-    )
+    run = _Run("entropic_kyfan", cfg, instance_id, x, y)
+    return _convex_split_report(run, x, y, 1.0 - lam, lam, stat, len(subset))
 
 
 def _same_law(a: GaussianMixture, b: GaussianMixture) -> bool:
@@ -473,25 +463,21 @@ def check_entropic_bonnesen(
     entropy estimates agree within tolerance; otherwise a precondition
     error reports both values.
     """
-    cfg = _cfg(cfg)
     lam = _check_lambda(lam)
-    t0 = time.perf_counter()
     n = _same_dim(x, y, 2)
-    iid = instance_id or _tag(x, y)
+    run = _Run("entropic_bonnesen", cfg, instance_id, x, y)
 
     mx = x.marginal(range(n - 1))
     my = y.marginal(range(n - 1))
     if not _same_law(mx, my):
-        hx, hy, stderr = _sides(lambda v: v[0], lambda v: v[1], *_plan(
-            cfg, "entropic_bonnesen", iid, (mx, "pre-x", (ENTROPY,)), (my, "pre-y", (ENTROPY,))))
-        if not _window(hx, hy, stderr, cfg)[1]:
+        hx, hy, stderr = _sides(lambda v: v[0], lambda v: v[1],
+                                *run.plan((mx, "pre-x", (ENTROPY,)), (my, "pre-y", (ENTROPY,))))
+        if not _window(hx, hy, stderr, run.cfg)[1]:
             raise PreconditionError(
                 f"prefix entropies differ: h(X^{n-1}) = {hx!r}, "
                 f"h(Y^{n-1}) = {hy!r} (stderr {stderr!r})"
             )
-    return _convex_split_report(
-        "entropic_bonnesen", x, y, 1.0 - lam, lam, ENTROPY, 1, cfg, iid, t0
-    )
+    return _convex_split_report(run, x, y, 1.0 - lam, lam, ENTROPY, 1)
 
 
 def check_equality_case_bonnesen(
@@ -511,16 +497,15 @@ def check_equality_case_bonnesen(
     when every grid point is, so pairs outside the equality family come
     back as plain holds.
     """
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
+    run = _Run("equality_case_bonnesen", cfg, instance_id)  # its clock covers building the pair
     if pair is None:
         if rng is None:
-            rng = rng_from_tokens(cfg.seed, "equality_case_bonnesen", "pair")
+            rng = rng_from_tokens(run.cfg.seed, run.name, "pair")
         pair = make_bonnesen_equality_pair(n, rng)
     s1, s2 = pair
     n = _same_dim(s1, s2, 2)
     _check_equal_minors(s1.entries, s2.entries, n - 1)
-    iid = instance_id or _tag(s1, s2)
+    run.tag(s1, s2)
 
     e1 = math.exp(n * LN_2PIE + s1.log_det)
     e2 = math.exp(n * LN_2PIE + s2.log_det)
@@ -530,7 +515,7 @@ def check_equality_case_bonnesen(
         mixed = (1.0 - lam) * s1.entries + lam * s2.entries
         lhs = math.exp(n * LN_2PIE + _logdet_raw(mixed))
         rhs = (1.0 - lam) * e1 + lam * e2
-        verdicts.append(classify(lhs, rhs, 0.0, cfg))
+        verdicts.append(classify(lhs, rhs, 0.0, run.cfg))
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
         if worst is None or rel > worst[0]:
             worst = (rel, float(lam), lhs, rhs)
@@ -541,9 +526,7 @@ def check_equality_case_bonnesen(
     else:
         overall = VERDICT_HOLDS
     _, lam, lhs, rhs = worst
-    return _finish(
-        "equality_case_bonnesen", iid, n, lam, lhs, rhs, 0.0, cfg, t0, verdict=overall
-    )
+    return run.report(n, lam, lhs, rhs, 0.0, verdict=overall)
 
 
 # --------------------------------------------------------------------------
@@ -556,13 +539,13 @@ def _iso_bound(n: int, v):
     return TWO_PI_E * (a ** (n - 1) + (n - 1) / a)
 
 
-def _iso_terms(name: str, iid: str, x: GaussianMixture, cfg: CheckConfig, *extra):
+def _iso_terms(run: _Run, x: GaussianMixture, *extra):
     """Means and covariance of h(X), h(X^{n-1}) and the ``extra`` statistics of X:
     one draw group, so the terms share the draws of X."""
     if x.dim < 2:
         raise DimensionError("needs dimension at least 2")
     prefix = ("marginal_entropy", list(range(x.dim - 1)))
-    return _plan(cfg, name, iid, (x, "mc", (ENTROPY, prefix, *extra)))
+    return run.plan((x, "mc", (ENTROPY, prefix, *extra)))
 
 
 def check_isoperimetric_sharp(
@@ -574,15 +557,12 @@ def check_isoperimetric_sharp(
     ((N_{n-1}/N)^{n-1} + (n-1) N / N_{n-1}) with N_{n-1} the prefix
     entropy power.  Axis-aligned Gaussians diag(1,..,1,s) meet it with
     equality."""
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
+    run = _Run("isoperimetric_sharp", cfg, instance_id, x)
     n = x.dim
-    iid = instance_id or _tag(x)
     lhs, rhs, stderr = _sides(
-        lambda v: v[2] * _npow(v[0], n), lambda v: _iso_bound(n, v),
-        *_iso_terms("isoperimetric_sharp", iid, x, cfg, FISHER),
+        lambda v: v[2] * _npow(v[0], n), lambda v: _iso_bound(n, v), *_iso_terms(run, x, FISHER)
     )
-    return _finish("isoperimetric_sharp", iid, n, None, lhs, rhs, stderr, cfg, t0)
+    return run.report(n, None, lhs, rhs, stderr)
 
 
 def check_isoperimetric_dominance(
@@ -593,15 +573,12 @@ def check_isoperimetric_dominance(
     """The sharpened bound dominates the classical one: the right-hand side
     above is always >= 2 pi e n, by the arithmetic-geometric mean inequality
     applied to the ratio a = N_{n-1}/N."""
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
+    run = _Run("isoperimetric_dominance", cfg, instance_id, x)
     n = x.dim
-    iid = instance_id or _tag(x)
     lhs, rhs, stderr = _sides(
-        lambda v: _iso_bound(n, v), lambda v: TWO_PI_E * n,
-        *_iso_terms("isoperimetric_dominance", iid, x, cfg),
+        lambda v: _iso_bound(n, v), lambda v: TWO_PI_E * n, *_iso_terms(run, x)
     )
-    return _finish("isoperimetric_dominance", iid, n, None, lhs, rhs, stderr, cfg, t0)
+    return run.report(n, None, lhs, rhs, stderr)
 
 
 # --------------------------------------------------------------------------
@@ -623,12 +600,10 @@ def check_de_bruijn(
     normal draws, so the finite difference is a paired per-sample statistic.
     The equality window is widened by an O(dt^2) curvature term.
     """
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
     if not _heat_steps_ok(t, dt):
         raise ValueError(f"need finite 0 < dt < t, got t={t}, dt={dt}")
+    run = _Run("de_bruijn", cfg, instance_id, x)
     n = x.dim
-    iid = instance_id or _tag(x)
     min_eig = min(
         float(np.linalg.eigvalsh(c.cov.entries)[0]) for c in x.components
     )
@@ -642,19 +617,18 @@ def check_de_bruijn(
         h_up, h_down = (gaussian_entropy(smoothed[s]).value for s in (t + dt, t - dt))
         lhs = (h_up - h_down) / (2.0 * dt)
         rhs = 0.5 * gaussian_fisher(smoothed[t]).value
-        return _finish("de_bruijn", iid, n, None, lhs, rhs, 0.0, cfg, t0, extra_eq_tol=extra)
+        return run.report(n, None, lhs, rhs, 0.0, extra_eq_tol=extra)
 
-    rng = _streams(cfg, "de_bruijn", iid)("mc")
-    idx = _labels(rng, x.weights, cfg.m)
-    z = rng.standard_normal((cfg.m, n))
+    m = run.cfg.m
+    rng = run.rng("mc")
+    idx = _labels(rng, x.weights, m)
+    z = rng.standard_normal((m, n))
     laws = {s: x.convolve(GaussianMixture.gaussian(np.zeros(n), s * eye)) for s in shifts}
     out = {s: law._kernel(law._place(idx, z), 0, s == t) for s, law in laws.items()}
     diff = (-out[t + dt][0] + out[t - dt][0]) / (2.0 * dt)
     half_sq = 0.5 * np.einsum("ij,ij->i", out[t][2], out[t][2])
-    return _finish(
-        "de_bruijn",
-        iid, n, None,
-        float(diff.mean()), float(half_sq.mean()), _std_error(diff - half_sq), cfg, t0,
+    return run.report(
+        n, None, float(diff.mean()), float(half_sq.mean()), _std_error(diff - half_sq),
         extra_eq_tol=extra,
     )
 
@@ -667,11 +641,9 @@ def check_blachman_stam(
 ) -> InequalityReport:
     """Superadditivity of inverse Fisher information:
     1/I(X+Y) >= 1/I(X) + 1/I(Y)."""
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
-    n = _same_dim(x, y)
-    iid = instance_id or _tag(x, y)
-    return _sum_report("blachman_stam", iid, n, x, y, FISHER, lambda i: 1.0 / i, cfg, t0)
+    _same_dim(x, y)
+    run = _Run("blachman_stam", cfg, instance_id, x, y)
+    return _sum_report(run, x, y, FISHER, lambda i: 1.0 / i)
 
 
 def check_projective_fisher(
@@ -685,12 +657,9 @@ def check_projective_fisher(
     information along a unit vector u is superadditive under convolution.
     For u = e_n on Gaussians the inverses are Schur complements, so the gap
     matches the deleted-last-row/column determinant-ratio gap."""
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
-    n = _same_dim(x, y)
-    stat = ("projective_fisher", _direction(u, n))
-    iid = instance_id or _tag(x, y, np.asarray(u, dtype=float))
-    return _sum_report("projective_fisher", iid, n, x, y, stat, lambda i: 1.0 / i, cfg, t0)
+    stat = ("projective_fisher", _direction(u, _same_dim(x, y)))
+    run = _Run("projective_fisher", cfg, instance_id, x, y, u)
+    return _sum_report(run, x, y, stat, lambda i: 1.0 / i)
 
 
 def compression_map(n: int, m: float) -> np.ndarray:
@@ -710,17 +679,18 @@ def tm_sequence(
 
     T_m squeezes the last axis by 1/m; as m grows the normalized Fisher
     information decreases exactly like limit + (I(X) - limit)/m^2 toward
-    the directional Fisher information along the last axis.
+    the directional Fisher information along the last axis.  The draws are
+    those of ``check_tm_limit`` on the same instance.
     """
-    cfg = _cfg(cfg)
     if not _squeeze_factors_ok(list(m_values)):
         raise ValueError(f"need at least two increasing positive squeeze factors, got {m_values!r}")
     if x.dim < 2:
         raise DimensionError("needs dimension at least 2")
     m_values = [float(mv) for mv in m_values]
-    iid = instance_id or _tag(x)
-    groups = [(x.linear_map(compression_map(x.dim, mv)), f"tm-{mv}", (FISHER,)) for mv in m_values]
-    ests, _ = _terms(groups, cfg.m, _streams(cfg, "tm_limit", iid))
+    run = _Run("tm_limit", cfg, instance_id, x)
+    ests, _ = run.terms(
+        *((x.linear_map(compression_map(x.dim, mv)), f"tm-{mv}", (FISHER,)) for mv in m_values)
+    )
     return (np.array([e.value / mv**2 for e, mv in zip(ests, m_values)]),
             np.array([e.std_error / mv**2 for e, mv in zip(ests, m_values)]))
 
@@ -739,17 +709,14 @@ def check_tm_limit(
     directional target, with the fitted C/m^2 added to the equality window.
     A sequence that fails monotonicity beyond noise is inconclusive.
     """
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
+    run = _Run("tm_limit", cfg, instance_id, x)
     n = x.dim
-    iid = instance_id or _tag(x)
-    values, errors = tm_sequence(x, m_values, cfg, iid)
+    values, errors = tm_sequence(x, m_values, run.cfg, run.iid)
     m_values = [float(mv) for mv in m_values]
-    (target,), _ = _terms([(x, "target", (("projective_fisher", np.eye(n)[-1]),))], cfg.m,
-                          _streams(cfg, "tm_limit", iid))
+    (target,), _ = run.terms((x, "target", (("projective_fisher", np.eye(n)[-1]),)))
 
     monotone = not any(
-        _window(values[j], values[j + 1], errors[j] + errors[j + 1], cfg)[0]
+        _window(values[j], values[j + 1], errors[j] + errors[j + 1], run.cfg)[0]
         for j in range(len(values) - 1)
     )
     inv_sq = 1.0 / np.square(m_values)
@@ -758,11 +725,8 @@ def check_tm_limit(
     terms = [values[-1], target.value], np.diag([errors[-1], target.std_error]) ** 2
     _, stderr = _delta(lambda v: v[0] - v[1], *terms)
     verdict = None if monotone else VERDICT_INCONCLUSIVE
-    return _finish(
-        "tm_limit",
-        iid, n, None,
-        float(values[-1]), target.value, stderr, cfg, t0,
-        extra_eq_tol=extra, verdict=verdict,
+    return run.report(
+        n, None, float(values[-1]), target.value, stderr, extra_eq_tol=extra, verdict=verdict
     )
 
 
@@ -773,33 +737,27 @@ def check_sphere_identity(
 ) -> InequalityReport:
     """Uniform-sphere quadrature: the average of <u, v>^2 over uniform unit
     vectors u equals |v|^2 / n."""
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
     v = np.asarray(v, dtype=float).reshape(-1)
     n = v.shape[0]
     if n < 1 or not np.all(np.isfinite(v)) or not np.any(v):
         raise ValueError("need a finite nonzero direction vector")
-    iid = instance_id or _tag(v)
-    rng = _streams(cfg, "sphere_identity", iid)("dirs")
-    z = rng.standard_normal((cfg.m, n))
+    run = _Run("sphere_identity", cfg, instance_id, v)
+    z = run.rng("dirs").standard_normal((run.cfg.m, n))
     u = z / np.linalg.norm(z, axis=1, keepdims=True)
     vals = (u @ v) ** 2
-    return _finish(
-        "sphere_identity",
-        iid, n, None,
-        float(vals.mean()), float(v @ v) / n, _std_error(vals), cfg, t0,
-    )
+    return run.report(n, None, float(vals.mean()), float(v @ v) / n, _std_error(vals))
 
 
-def _score_second_moment(gm: GaussianMixture, m: int, streams, role: str, folds: int = 10):
+def _score_second_moment(run: _Run, gm: GaussianMixture, role: str, folds: int = 10):
     """Second-moment matrix of the score, its trace estimate, and the
     leave-one-fold-out matrices (None on the closed-form route) for
-    jackknifing derived quantities; the draws come from ``streams(role)``."""
+    jackknifing derived quantities; the draws come from ``run.rng(role)``."""
     if gm.is_gaussian:
         inv_chol = np.linalg.solve(gm.components[0].cov.chol, np.eye(gm.dim))
         mat = inv_chol.T @ inv_chol
         return mat, ScalarEstimate(float(np.trace(mat)), 0.0, 0, METHOD_CLOSED), None
-    pts = gm.sample(streams(role), m)
+    m = run.cfg.m
+    pts = gm.sample(run.rng(role), m)
     s = gm.score(pts)
     mat = s.T @ s / m
     total = mat * m
@@ -828,26 +786,23 @@ def check_stam_recovery(
     Blachman-Stam bound (1/I(X) + 1/I(Y))^-1; the reported gap is the
     lower link, and a failure of the upper link is a violation.
     """
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
     n = _same_dim(x, y)
     if not _direction_count_ok(m_dirs):
         raise ValueError(f"need an integer count of at least two directions, got {m_dirs!r}")
-    iid = instance_id or _tag(x, y)
-    streams = _streams(cfg, "stam_recovery", iid)
-    dirs = streams("dirs").standard_normal((m_dirs, n))
+    run = _Run("stam_recovery", cfg, instance_id, x, y)
+    dirs = run.rng("dirs").standard_normal((m_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    mat_x, fish_x, left_x = _score_second_moment(x, cfg.m, streams, "x")
-    mat_y, fish_y, left_y = _score_second_moment(y, cfg.m, streams, "y")
-    (fish_sum,), _ = _terms([(x.convolve(y), "sum", (FISHER,))], cfg.m, streams)
+    mat_x, fish_x, left_x = _score_second_moment(run, x, "x")
+    mat_y, fish_y, left_y = _score_second_moment(run, y, "y")
+    (fish_sum,), _ = run.terms((x.convolve(y), "sum", (FISHER,)))
 
     px = np.einsum("di,ij,dj->d", dirs, mat_x, dirs)
     py = np.einsum("di,ij,dj->d", dirs, mat_y, dirs)
 
     ident_vals = n * px
     ident_ok = _window(
-        float(ident_vals.mean()), float(np.trace(mat_x)), _std_error(ident_vals), cfg
+        float(ident_vals.mean()), float(np.trace(mat_x)), _std_error(ident_vals), run.cfg
     )[1]
 
     harm = 1.0 / (1.0 / px + 1.0 / py)
@@ -869,14 +824,14 @@ def check_stam_recovery(
     errs = [_std_error(mid_vals), se_jack, fish_sum.std_error, fish_x.std_error, fish_y.std_error]
     cov = np.diag(errs) ** 2
     lhs, rhs, stderr = _sides(lambda v: v[0] + v[1], lambda v: v[2], mu, cov)
-    verdict = classify(lhs, rhs, stderr, cfg)
+    verdict = classify(lhs, rhs, stderr, run.cfg)
     # upper link: the Blachman-Stam bound (1/I(X) + 1/I(Y))^-1 dominates the middle
     upper = _sides(lambda v: 1.0 / (1.0 / v[3] + 1.0 / v[4]), lambda v: v[0] + v[1], mu, cov)
-    if _window(*upper, cfg)[0]:
+    if _window(*upper, run.cfg)[0]:
         verdict = VERDICT_VIOLATED
     if not ident_ok:
         verdict = VERDICT_INCONCLUSIVE
-    return _finish("stam_recovery", iid, n, None, lhs, rhs, stderr, cfg, t0, verdict=verdict)
+    return run.report(n, None, lhs, rhs, stderr, verdict=verdict)
 
 
 # --------------------------------------------------------------------------
@@ -892,16 +847,11 @@ def check_matrix_bergstrom(
 ) -> InequalityReport:
     """Determinant-ratio superadditivity with row/column i deleted, as an
     exact closed-form report."""
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
-    n = _same_dim(a, b)
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for dimension {n}")
-    iid = instance_id or f"{_tag(a, b)}-i{i}"
+    n = _same_dim(a, b, 2)
+    i = _check_index(i, n)
+    run = _Run("matrix_bergstrom", cfg, instance_id, a, b, f"i{i}")
     term_s, term_a, term_b = _bergstrom_ratios(*_sum_logdets(a, b), i)
-    return _finish(
-        "matrix_bergstrom", iid, n, None, float(term_s), float(term_a + term_b), 0.0, cfg, t0
-    )
+    return run.report(n, None, float(term_s), float(term_a + term_b), 0.0)
 
 
 def check_matrix_kyfan(
@@ -913,16 +863,11 @@ def check_matrix_kyfan(
 ) -> InequalityReport:
     """k-th-root determinant-ratio superadditivity over the leading block,
     as an exact closed-form report."""
-    cfg = _cfg(cfg)
-    t0 = time.perf_counter()
     n = _same_dim(a, b)
-    if not 1 <= k <= n - 1:
-        raise DimensionError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    iid = instance_id or f"{_tag(a, b)}-k{k}"
+    k = _check_block(k, n)
+    run = _Run("matrix_kyfan", cfg, instance_id, a, b, f"k{k}")
     term_s, term_a, term_b = _kyfan_ratios(*_sum_logdets(a, b), k)
-    return _finish(
-        "matrix_kyfan", iid, n, None, float(term_s), float(term_a + term_b), 0.0, cfg, t0
-    )
+    return run.report(n, None, float(term_s), float(term_a + term_b), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -957,15 +902,13 @@ def lambda_concavity_scan(
 ) -> ConcavityScan:
     """Evaluate the ratio curve on a uniform lambda grid and flag interior
     points whose second difference is negative beyond noise."""
-    cfg = _cfg(cfg)
     n = _same_dim(x, y, 2)
     if not _is_int(grid) or grid < 5:
         raise ValueError(f"grid must be an integer of at least 5 points, got {grid!r}")
-    iid = instance_id or _tag(x, y)
+    run = _Run("lambda_scan", cfg, instance_id, x, y)  # for its streams: a scan has no report
     lambdas = np.linspace(0.0, 1.0, grid)
     laws = [_combine(x, y, math.sqrt(lam), math.sqrt(1.0 - lam)) for lam in lambdas]
-    groups = [(w, f"lam-{j}", (_last_given_rest(x),)) for j, w in enumerate(laws)]
-    hs, _ = _terms(groups, cfg.m, _streams(cfg, "lambda_scan", iid))
+    hs, _ = run.terms(*((w, f"lam-{j}", (_last_given_rest(x),)) for j, w in enumerate(laws)))
     ests = [entropy_power(h, 1) for h in hs]
     values, errors = np.array([e.value for e in ests]), np.array([e.std_error for e in ests])
     # concave curves keep the margin nonnegative; a significantly negative
@@ -974,7 +917,7 @@ def lambda_concavity_scan(
     flagged = [
         j for j in range(1, grid - 1)
         if _window(*_sides(lambda v: 2.0 * v[1], lambda v: v[0] + v[2],
-                           values[j - 1:j + 2], np.diag(errors[j - 1:j + 2]) ** 2), cfg)[0]
+                           values[j - 1:j + 2], np.diag(errors[j - 1:j + 2]) ** 2), run.cfg)[0]
     ]
     return ConcavityScan(
         [float(v) for v in lambdas],
@@ -983,5 +926,5 @@ def lambda_concavity_scan(
         [float(v) for v in second],
         flagged,
         n,
-        cfg.seed,
+        run.cfg.seed,
     )

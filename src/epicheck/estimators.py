@@ -19,9 +19,9 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .exceptions import DimensionError
-from .matrices import _logdet_raw
+from .matrices import _is_int, _logdet_raw
 from .mixtures import (
-    BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _coordinates, _is_int, _labels, _logsumexp,
+    BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _coordinates, _labels, _logsumexp,
 )
 from .seeding import rng_from_tokens, stable_digest
 

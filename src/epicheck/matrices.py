@@ -12,6 +12,9 @@ matrices.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .exceptions import DimensionError, NotPositiveDefiniteError, PreconditionError
@@ -98,11 +101,43 @@ def _same_dim(a, b, min_dim: int = 1) -> int:
     return a.dim
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_lambda(lam) -> float:
+    """lam as a float: a real number, not a bool, in [0, 1] (ValueError otherwise)."""
+    if not isinstance(lam, numbers.Real) or isinstance(lam, bool):
+        raise ValueError(f"lambda must be a real number in [0, 1], got {lam!r}")
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     return lam
+
+
+def _check_index(i, n: int) -> int:
+    """A deleted row/column: an integer (ValueError otherwise, so a bool or 1.5
+    is refused) in [0, n) (IndexError otherwise)."""
+    if not _is_int(i):
+        raise ValueError(f"index must be an integer, got {i!r}")
+    if not 0 <= i < n:
+        raise IndexError(f"index {i} out of range for dimension {n}")
+    return int(i)
+
+
+def _check_block(k, n: int, proper: bool = True) -> int:
+    """A block size: an integer (ValueError otherwise) with 1 <= k <= n - 1, or
+    with ``proper`` false 1 <= k <= n (DimensionError otherwise)."""
+    if not _is_int(k):
+        raise ValueError(f"block size must be an integer, got {k!r}")
+    top, bound = (n - 1, "n-1") if proper else (n, "n")
+    if not 1 <= k <= top:
+        raise DimensionError(f"k must satisfy 1 <= k <= {bound}, got k={k}, n={n}")
+    return int(k)
 
 
 def _as_spd(m) -> SpdMatrix:
@@ -120,8 +155,7 @@ def delete_row_col(m, i: int) -> SpdMatrix:
     n = m.dim
     if n < 2:
         raise DimensionError("cannot delete a row/column from a 1 x 1 matrix")
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for dimension {n}")
+    i = _check_index(i, n)
     sub = np.delete(np.delete(m.entries, i, axis=0), i, axis=1)
     return SpdMatrix(sub)
 
@@ -129,8 +163,7 @@ def delete_row_col(m, i: int) -> SpdMatrix:
 def leading_principal(m, size: int) -> SpdMatrix:
     """Leading principal ``size`` x ``size`` block (first rows and columns)."""
     m = _as_spd(m)
-    if not 1 <= size <= m.dim:
-        raise DimensionError(f"size {size} out of range for dimension {m.dim}")
+    size = _check_block(size, m.dim, proper=False)
     return SpdMatrix(m.entries[:size, :size])
 
 
@@ -177,9 +210,7 @@ def bergstrom_gap(a: SpdMatrix, b: SpdMatrix, i: int) -> float:
     Returns det(A+B)/det((A+B)_i) - det(A)/det(A_i) - det(B)/det(B_i),
     which is nonnegative for SPD inputs.
     """
-    n = _same_dim(a, b, 2)
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for dimension {n}")
+    i = _check_index(i, _same_dim(a, b, 2))
     term_s, term_a, term_b = _bergstrom_ratios(*_sum_logdets(a, b), i)
     return float(term_s - term_a - term_b)
 
@@ -206,9 +237,7 @@ def kyfan_gap(a: SpdMatrix, b: SpdMatrix, k: int) -> float:
     ratio dominates the sum of the individual ratios.  k = 1 coincides with
     the row/column-deletion gap at the last index.
     """
-    n = _same_dim(a, b)
-    if not 1 <= k <= n - 1:
-        raise DimensionError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+    k = _check_block(k, _same_dim(a, b))
     term_s, term_a, term_b = _kyfan_ratios(*_sum_logdets(a, b), k)
     return float(term_s - term_a - term_b)
 
@@ -231,9 +260,7 @@ def bonnesen_linear_gap(a: SpdMatrix, b: SpdMatrix, lam: float, i: int) -> float
     hypothesis det(lam A + (1-lam) B) - lam det A - (1-lam) det B is
     nonnegative, and zero at the endpoints.
     """
-    n = _same_dim(a, b, 2)
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for dimension {n}")
+    i = _check_index(i, _same_dim(a, b, 2))
     lam = _check_lambda(lam)
     _check_equal_minors(a.entries, b.entries, i)
     mixed = lam * a.entries + (1.0 - lam) * b.entries

@@ -16,23 +16,18 @@ check.
 from __future__ import annotations
 
 import json
-import numbers
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
 from .exceptions import DegenerateLawError, DimensionError
-from .matrices import SpdMatrix, _chol_logdet
+from .matrices import SpdMatrix, _chol_logdet, _is_int
 
 LN_2PI = float(np.log(2.0 * np.pi))
 WEIGHT_TOL = 1e-12
 
 
 BLOCK = 8192  # points per block of the mixture kernel: its scratch memory does not grow with m
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _coordinates(keep, n: int, proper: bool = False) -> list[int]:

@@ -62,13 +62,11 @@ from .checks import (
     check_tm_limit,
     _direction_count_ok,
     _heat_steps_ok,
-    _is_finite,
-    _is_int,
     _numbers,
     _squeeze_factors_ok,
 )
 from .exceptions import ConfigError
-from .matrices import random_spd
+from .matrices import _is_finite, _is_int, random_spd
 from .mixtures import GaussianMixture, MarkovTriple
 from .seeding import rng_from_tokens
 

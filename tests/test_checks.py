@@ -56,8 +56,10 @@ from epicheck import (
     check_tm_limit,
     classify,
     conditional_entropy,
+    delete_row_col,
     entropy,
     kyfan_gap,
+    leading_principal,
     lambda_concavity_scan,
     proportional_markov_triple,
     random_mixture,
@@ -294,6 +296,25 @@ class TestConditionalForm:
         for lam in (-0.1, 1.1):
             with pytest.raises(ValueError):
                 check_conditional_form(gauss(COV_A), gauss(COV_B), lam, CFG)
+
+    @pytest.mark.parametrize("lam", [True, False, "0.5", None, [0.5], np.bool_(True)], ids=repr)
+    def test_lambda_must_be_a_real_number(self, lam):
+        # float(True) is 1.0 and float("0.5") is 0.5: both used to pass as lambdas
+        x, y = gauss(COV_A), gauss(COV_B)
+        for call in (
+            lambda: check_conditional_form(x, y, lam, CFG),
+            lambda: check_lambda_form(x, y, lam, CFG),
+            lambda: check_entropic_bonnesen(x, x, lam, CFG),
+            lambda: bonnesen_linear_gap(SpdMatrix(COV_A), SpdMatrix(COV_A), lam, 1),
+        ):
+            with pytest.raises(ValueError, match="real number"):
+                call()
+
+    @pytest.mark.parametrize("lam", [0, 1, 0.5, np.float64(0.5), np.float32(0.5), np.int64(1)],
+                             ids=repr)
+    def test_real_lambdas_of_any_type_pass(self, lam):
+        rep = check_conditional_form(gauss(COV_A), gauss(COV_B), lam, CFG)
+        assert type(rep.lam) is float and rep.lam == float(lam)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.floats(0.05, 0.95))
@@ -900,6 +921,50 @@ class TestCoordinateRule:
             with pytest.raises((ValueError, IndexError)) as info:
                 call(gm, keep)
             assert type(info.value) is error, name
+
+
+class TestIndexRule:
+    # a deleted index and a block size each have one rule, in one order: an
+    # integer (a bool or a float raises ValueError), then in range
+    INDEX_CALLERS = {
+        "delete_row_col": lambda a, b, i: delete_row_col(a, i),
+        "bergstrom_gap": lambda a, b, i: bergstrom_gap(a, b, i),
+        "bonnesen_linear_gap": lambda a, b, i: bonnesen_linear_gap(a, a, 0.5, i),
+        "check_matrix_bergstrom": lambda a, b, i: check_matrix_bergstrom(a, b, i, CFG),
+    }
+    BLOCK_CALLERS = {
+        "kyfan_gap": lambda a, b, k: kyfan_gap(a, b, k),
+        "check_matrix_kyfan": lambda a, b, k: check_matrix_kyfan(a, b, k, CFG),
+        "leading_principal": lambda a, b, k: leading_principal(a, k),
+    }
+    PAIR = (SpdMatrix(np.diag([1.0, 2.0, 3.0])), SpdMatrix(np.diag([2.0, 1.0, 4.0])))
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, 1.0, np.float64(1.0), "1"], ids=repr)
+    def test_non_integers_are_refused_alike_by_every_caller(self, value):
+        for name, call in {**self.INDEX_CALLERS, **self.BLOCK_CALLERS}.items():
+            with pytest.raises(ValueError, match="integer") as info:
+                call(*self.PAIR, value)
+            assert type(info.value) is ValueError, name
+
+    def test_range_errors_keep_their_types(self):
+        for name, call in self.INDEX_CALLERS.items():
+            for i in (-1, 3):
+                with pytest.raises(IndexError):
+                    call(*self.PAIR, i)
+        for name, call in self.BLOCK_CALLERS.items():
+            for k in (0, 4):
+                with pytest.raises(DimensionError):
+                    call(*self.PAIR, k)
+        with pytest.raises(DimensionError):
+            check_matrix_kyfan(*self.PAIR, 3, CFG)  # k = n is a block of the whole matrix
+
+    def test_numpy_integers_pass(self):
+        a, b = self.PAIR
+        for i in (np.int64(1), np.int32(1)):
+            assert bergstrom_gap(a, b, i) == bergstrom_gap(a, b, 1)
+            assert check_matrix_bergstrom(a, b, i, CFG).instance_id.endswith("-i1")
+            assert kyfan_gap(a, b, i) == kyfan_gap(a, b, 1)
+            assert np.array_equal(leading_principal(a, i).entries, [[1.0]])
 
 
 class TestTermPlans:

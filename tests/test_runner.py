@@ -11,6 +11,7 @@ import pytest
 from epicheck import (
     CheckConfig,
     ConfigError,
+    DimensionError,
     GaussianMixture,
     MarkovTriple,
     SpdMatrix,
@@ -35,6 +36,7 @@ from epicheck import (
     shared_prefix_pair,
     write_report,
 )
+from epicheck import checks
 from epicheck.checks import InequalityReport
 from epicheck.cli import main
 from epicheck.runner import CSV_COLUMNS, REGISTRY, RegistryEntry
@@ -415,6 +417,10 @@ SHARED_ARGUMENT_RULES = [
     ("tm_limit", {"m_values": [2, math.nan]}),
     ("stam_recovery", {"m_dirs": 2.5}),
     ("stam_recovery", {"m_dirs": 32.0}),
+    ("conditional_form", {"lambdas": [True]}),
+    ("conditional_form", {"lambdas": ["0.5"]}),
+    ("matrix_bergstrom", {"index": True}),
+    ("matrix_kyfan", {"k": 1.0}),
 ]
 
 
@@ -427,6 +433,50 @@ class TestSharedArgumentRules:
         instance = generate_instance(entry.family, 2, 0, 0)
         with pytest.raises(ValueError):
             entry.run(instance, {**entry.defaults, **params}, CheckConfig(m=200), "iid")
+
+
+class TestRegistryDimensions:
+    @pytest.mark.parametrize(
+        "name", [name for name, entry in REGISTRY.items() if entry.min_dim > 1]
+    )
+    def test_an_instance_below_min_dim_is_refused(self, name):
+        # an entry of min_dim 1 has no smaller instance: no law has dimension 0
+        entry = REGISTRY[name]
+        instance = generate_instance(entry.family, entry.min_dim - 1, 0, 0)
+        with pytest.raises(DimensionError):
+            entry.run(instance, entry.defaults, CheckConfig(m=200), "iid")
+
+
+class TestStreamKeys:
+    def test_every_draw_is_keyed_by_its_record(self, monkeypatch):
+        real = checks.rng_from_tokens
+        drawn = []
+
+        def record(*tokens):
+            drawn.append(tokens)
+            return real(*tokens)
+
+        monkeypatch.setattr(checks, "rng_from_tokens", record)
+        cfg = CheckConfig(m=200, seed=3)
+        drawn_by = dict.fromkeys(REGISTRY, 0)
+        for name, entry in REGISTRY.items():
+            for dim in (2, 3):
+                for idx in range(2):
+                    drawn.clear()
+                    iid = f"{entry.family}-d{dim}-{idx}"
+                    instance = generate_instance(entry.family, dim, idx, cfg.seed)
+                    records = entry.run(instance, entry.defaults, cfg, iid)
+                    keys = {(cfg.seed, r.check_name, r.instance_id) for r in records}
+                    assert keys == {(cfg.seed, name, iid)}
+                    for tokens in drawn:
+                        assert len(tokens) == 4 and tokens[:3] in keys, (name, tokens)
+                        assert isinstance(tokens[3], str)
+                    drawn_by[name] += len(drawn)
+        # every Monte-Carlo check drew at least once on these instances
+        assert {name for name, count in drawn_by.items() if count} == set(REGISTRY) - {
+            "conditional_epi", "entropic_bonnesen", "equality_case_bonnesen",
+            "matrix_bergstrom", "matrix_kyfan",
+        }
 
 
 class TestReportWriting:
