@@ -14,16 +14,19 @@ inputs go through exact closed forms (zero standard error), mixtures go
 through Monte-Carlo with exact scores/log-densities and explicit error
 bars.  Verdicts compare the gap against z * stderr plus scale-aware
 tolerances; ``violated`` is only returned when the gap is negative beyond
-both.
+both.  Checks with one gap over one set of draw groups read it at growing
+sample sizes and stop once it reads ``holds`` or ``violated``, under one
+error budget (``_Run.sides``).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
+from scipy.special import log_ndtr, ndtri_exp
 
 from .estimators import (
     ENTROPY,
@@ -38,6 +41,7 @@ from .estimators import (
     _mean_and_se,
     _npow,
     _std_error,
+    _term_looks,
     _terms,
     entropy_power,
     gaussian_entropy,
@@ -60,7 +64,9 @@ from .matrices import (
     _sum_logdets,
     make_bonnesen_equality_pair,
 )
-from .mixtures import GaussianComponent, GaussianMixture, MarkovTriple, _coordinates, _labels
+from .mixtures import (
+    BLOCK, GaussianComponent, GaussianMixture, MarkovTriple, _coordinates, _labels,
+)
 from .seeding import rng_from_tokens, stable_digest
 
 TWO_PI_E = math.exp(LN_2PIE)
@@ -71,6 +77,9 @@ VERDICT_VIOLATED = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 EQUALITY_GRID_POINTS = 21
+
+# the share of a record's one-sided alpha = Phi(-z) that its early looks spend, evenly
+EARLY_SPEND = 0.01
 
 # the keys of a report record, in order: the JSON record and the CSV columns
 REPORT_KEYS = (
@@ -108,6 +117,7 @@ def _direction_count_ok(m_dirs) -> bool:
 class CheckConfig:
     """Estimation and verdict parameters shared by all checkers.
 
+    ``m`` is the Monte-Carlo sample size of the last look (``_Run.sides``);
     ``abs_tol`` and ``eq_tol`` are relative to the problem scale
     max(|lhs|, |rhs|, 1); ``rel_stderr_cap`` is the fraction of
     max(|lhs|, |rhs|) beyond which the estimate is declared inconclusive.
@@ -187,6 +197,28 @@ def classify(
     return VERDICT_VIOLATED if below else (VERDICT_EQUALITY if within else VERDICT_HOLDS)
 
 
+def _looks(m: int) -> list[int]:
+    """The sample sizes of a check's looks: BLOCK * 4**j below m, then m."""
+    looks = []
+    while BLOCK * 4 ** len(looks) < m:
+        looks.append(BLOCK * 4 ** len(looks))
+    return looks + [m]
+
+
+def _look_zs(z: float, n_looks: int) -> tuple[float, ...]:
+    """The z of each of ``n_looks`` looks.  The early looks share EARLY_SPEND of
+    the one-sided alpha = Phi(-z) evenly and the last look spends the rest, so
+    by the union bound a record's rate of false ``violated``, and of false
+    ``holds`` when its gap is <= 0, stays within alpha (a Haybittle-Peto
+    boundary; Jennison & Turnbull, Group Sequential Methods, 2000).  One look
+    keeps z.  The tails are in log space, so a large z stays finite."""
+    if n_looks == 1:
+        return (z,)
+    log_alpha = float(log_ndtr(-z))
+    early = -float(ndtri_exp(log_alpha + math.log(EARLY_SPEND / (n_looks - 1))))
+    return (early,) * (n_looks - 1) + (-float(ndtri_exp(log_alpha + math.log1p(-EARLY_SPEND))),)
+
+
 def _mixture_arrays(gm: GaussianMixture) -> list:
     arrays = [gm.weights]
     for c in gm.components:
@@ -218,16 +250,18 @@ def _tag(*objects) -> str:
 class _Run:
     """One call of one check: its name, config (a default ``CheckConfig`` when
     none is given), instance id (the given one, or the ``_tag`` of ``tagged``),
-    the generators of its RNG roles, its clock and its report.  Every check
-    opens one run, once the arguments it tags are validated, so that a bad
-    argument raises the check's own error rather than one from ``_tag``."""
+    the generators of its RNG roles, its looks, its clock and its report.
+    Every check opens one run, once the arguments it tags are validated, so
+    that a bad argument raises the check's own error rather than one from
+    ``_tag``.  ``look_cfg`` is the config whose z classifies the record: cfg,
+    or cfg with the z of the look ``sides`` stopped at."""
 
-    __slots__ = ("name", "cfg", "iid", "t0")
+    __slots__ = ("name", "cfg", "iid", "t0", "look_cfg")
 
     def __init__(self, name: str, cfg: CheckConfig | None, instance_id: str | None, *tagged):
         self.t0 = time.perf_counter()
         self.name = name
-        self.cfg = CheckConfig() if cfg is None else cfg
+        self.cfg = self.look_cfg = CheckConfig() if cfg is None else cfg
         self.iid = instance_id
         if tagged:
             self.tag(*tagged)
@@ -246,17 +280,32 @@ class _Run:
         through ``estimators._terms``."""
         return _terms(groups, self.cfg.m, self.rng)
 
-    def plan(self, *groups) -> tuple[np.ndarray, np.ndarray]:
-        """Means and covariance of the statistics of the draw groups."""
-        ests, cov = self.terms(*groups)
-        return np.array([e.value for e in ests]), cov
+    def sides(self, lhs_fn, rhs_fn, *groups) -> tuple[float, float, float]:
+        """``_sides`` of the draw groups' means and covariance, look by look:
+        at each m_j of ``_looks(cfg.m)`` the estimates use the first m_j draws
+        of every group, and the run stops at the first early look that reads
+        ``holds`` or ``violated`` at that look's z (``_look_zs``);
+        ``equality_consistent`` and ``inconclusive`` are only read at the last
+        look.  A plan with no Monte-Carlo group has one look, at cfg.z."""
+        cfg = self.cfg
+        sampled = not all(law.is_gaussian for law, _, _ in groups)
+        looks = _looks(cfg.m) if sampled else [cfg.m]
+        zs = _look_zs(cfg.z, len(looks))
+        for j, (ests, cov) in enumerate(_term_looks(groups, looks, self.rng)):
+            lhs, rhs, stderr = _sides(lhs_fn, rhs_fn, [e.value for e in ests], cov)
+            if zs[j] != cfg.z:
+                self.look_cfg = replace(cfg, z=zs[j])
+            if j + 1 < len(looks) and classify(lhs, rhs, stderr, self.look_cfg) in (
+                    VERDICT_HOLDS, VERDICT_VIOLATED):
+                break
+        return lhs, rhs, stderr
 
     def report(self, dim: int, lam: float | None, lhs: float, rhs: float, stderr: float,
                extra_eq_tol: float = 0.0, verdict: str | None = None) -> InequalityReport:
         """The check's record, classified unless ``verdict`` is given; wall_ms
         runs from the opening of the run."""
         if verdict is None:
-            verdict = classify(lhs, rhs, stderr, self.cfg, extra_eq_tol)
+            verdict = classify(lhs, rhs, stderr, self.look_cfg, extra_eq_tol)
         wall_ms = (time.perf_counter() - self.t0) * 1e3
         return InequalityReport(
             self.name, self.iid, dim, lam, lhs, rhs, lhs - rhs, stderr, verdict, self.cfg.seed,
@@ -291,8 +340,8 @@ def _sum_report(run: _Run, x: GaussianMixture, y: GaussianMixture, stat, power) 
     with power applied to the statistic ``stat`` of each law, estimated from
     the RNG roles "sum", "x" and "y"."""
     groups = ((law, role, (stat,)) for law, role in ((x.convolve(y), "sum"), (x, "x"), (y, "y")))
-    lhs, rhs, stderr = _sides(lambda v: power(v[0]), lambda v: power(v[1]) + power(v[2]),
-                              *run.plan(*groups))
+    lhs, rhs, stderr = run.sides(lambda v: power(v[0]), lambda v: power(v[1]) + power(v[2]),
+                                 *groups)
     return run.report(x.dim, None, lhs, rhs, stderr)
 
 
@@ -333,9 +382,9 @@ def check_conditional_epi(
         for z, gm in enumerate(laws)
     ]
     p, k = triple.probs, triple.n_labels  # entropy powers of label-averaged entropies
-    lhs, rhs, stderr = _sides(
+    lhs, rhs, stderr = run.sides(
         lambda v: _npow(p @ v[:k], n), lambda v: _npow(p @ v[k:2 * k], n) + _npow(p @ v[2 * k:], n),
-        *run.plan(*groups),
+        *groups,
     )
     return run.report(n, None, lhs, rhs, stderr)
 
@@ -377,9 +426,9 @@ def _convex_split_report(
     else:
         sum_law = _combine(x, y, math.sqrt(wx), math.sqrt(wy))
         laws, ix, iy = [(sum_law, "sum"), (x, "x"), (y, "y")], 1, 2
-    lhs, rhs, stderr = _sides(
+    lhs, rhs, stderr = run.sides(
         lambda v: _npow(v[0], k), lambda v: wx * _npow(v[ix], k) + wy * _npow(v[iy], k),
-        *run.plan(*((law, role, (stat,)) for law, role in laws)),
+        *((law, role, (stat,)) for law, role in laws),
     )
     return run.report(x.dim, lam, lhs, rhs, stderr)
 
@@ -470,8 +519,8 @@ def check_entropic_bonnesen(
     mx = x.marginal(range(n - 1))
     my = y.marginal(range(n - 1))
     if not _same_law(mx, my):
-        hx, hy, stderr = _sides(lambda v: v[0], lambda v: v[1],
-                                *run.plan((mx, "pre-x", (ENTROPY,)), (my, "pre-y", (ENTROPY,))))
+        ests, cov = run.terms((mx, "pre-x", (ENTROPY,)), (my, "pre-y", (ENTROPY,)))
+        hx, hy, stderr = _sides(lambda v: v[0], lambda v: v[1], [e.value for e in ests], cov)
         if not _window(hx, hy, stderr, run.cfg)[1]:
             raise PreconditionError(
                 f"prefix entropies differ: h(X^{n-1}) = {hx!r}, "
@@ -539,13 +588,12 @@ def _iso_bound(n: int, v):
     return TWO_PI_E * (a ** (n - 1) + (n - 1) / a)
 
 
-def _iso_terms(run: _Run, x: GaussianMixture, *extra):
-    """Means and covariance of h(X), h(X^{n-1}) and the ``extra`` statistics of X:
-    one draw group, so the terms share the draws of X."""
+def _iso_group(x: GaussianMixture, *extra):
+    """The draw group of h(X), h(X^{n-1}) and the ``extra`` statistics of X:
+    one group, so the terms share the draws of X."""
     if x.dim < 2:
         raise DimensionError("needs dimension at least 2")
-    prefix = ("marginal_entropy", list(range(x.dim - 1)))
-    return run.plan((x, "mc", (ENTROPY, prefix, *extra)))
+    return x, "mc", (ENTROPY, ("marginal_entropy", list(range(x.dim - 1))), *extra)
 
 
 def check_isoperimetric_sharp(
@@ -559,8 +607,8 @@ def check_isoperimetric_sharp(
     equality."""
     run = _Run("isoperimetric_sharp", cfg, instance_id, x)
     n = x.dim
-    lhs, rhs, stderr = _sides(
-        lambda v: v[2] * _npow(v[0], n), lambda v: _iso_bound(n, v), *_iso_terms(run, x, FISHER)
+    lhs, rhs, stderr = run.sides(
+        lambda v: v[2] * _npow(v[0], n), lambda v: _iso_bound(n, v), _iso_group(x, FISHER)
     )
     return run.report(n, None, lhs, rhs, stderr)
 
@@ -575,8 +623,8 @@ def check_isoperimetric_dominance(
     applied to the ratio a = N_{n-1}/N."""
     run = _Run("isoperimetric_dominance", cfg, instance_id, x)
     n = x.dim
-    lhs, rhs, stderr = _sides(
-        lambda v: _iso_bound(n, v), lambda v: TWO_PI_E * n, *_iso_terms(run, x)
+    lhs, rhs, stderr = run.sides(
+        lambda v: _iso_bound(n, v), lambda v: TWO_PI_E * n, _iso_group(x)
     )
     return run.report(n, None, lhs, rhs, stderr)
 

@@ -53,9 +53,8 @@ class ScalarEstimate:
 
 
 def _std_error(values: np.ndarray) -> float:
-    """CLT standard error of the mean of per-sample values."""
-    m = values.shape[0]
-    return float(np.std(values, ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    """CLT standard error of the mean of at least 2 per-sample values."""
+    return float(np.std(values, ddof=1) / np.sqrt(values.shape[0]))
 
 
 def _jackknife(thetas: np.ndarray) -> float:
@@ -123,49 +122,77 @@ def _row(stat, log_f, log_prefix, score) -> np.ndarray:
     return -log_f + log_prefix if kind == "conditional_entropy" else -log_prefix
 
 
-def _sampled(gm: GaussianMixture, stats, m: int, rng) -> tuple[list, np.ndarray]:
-    """The Monte-Carlo route of one draw group: the means of the statistics'
-    rows on one set of m draws of ``gm``, from one ``_kernel`` call, and their
-    covariance.  A lone statistic keeps its estimator's CLT bar ``_std_error``
-    (np.cov would differ from it in the last bit); several take np.cov / m."""
+def _sampled(gm: GaussianMixture, stats, looks, rng):
+    """The Monte-Carlo route of one draw group, look by look: at each m_j of
+    the increasing ``looks``, the means of the statistics' rows on the first
+    m_j draws of ``gm`` and their covariance.  The draws are those of
+    ``gm.sample(rng, looks[-1])``; a look draws, places and evaluates
+    (``_kernel``) only its new draws and keeps their per-sample rows, so with
+    looks at multiples of BLOCK every row is the one a single look at
+    looks[-1] makes.  A lone statistic keeps its estimator's CLT bar
+    ``_std_error`` (np.cov would differ from it in the last bit); several take
+    np.cov / m_j.  Fewer than 2 draws have no error bar and are refused."""
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
+    if looks[0] < 2:
+        raise ValueError(f"the Monte-Carlo route needs at least 2 draws, got m={looks[0]!r}")
     prefixes = {tuple(arg) for kind, arg in stats if kind in PREFIXED}
     if len(prefixes) > 1:
         raise ValueError(f"a draw group has at most one prefix, got {sorted(prefixes)}")
     prefix = list(prefixes.pop()) if prefixes else []
     order = prefix + [i for i in range(gm.dim) if i not in prefix]
     law = gm if order == list(range(gm.dim)) else gm.marginal(order)
-    pts = gm.sample(rng, m)
     scored = any(kind.endswith("fisher") for kind, _ in stats)
-    log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix), scored)
-    if scored and law is not gm:
-        score = score[:, np.argsort(order)]  # back to the coordinates of gm
-    rows = [_row(stat, log_f, log_prefix, score) for stat in stats]
-    if len(rows) == 1:
-        est = _mean_and_se(rows[0], METHOD_MC)
-        return [est], np.array([[est.std_error**2]])
-    cov = np.cov(rows, ddof=1) / m
-    return [ScalarEstimate(float(np.mean(row)), float(np.sqrt(var)), m, METHOD_MC)
-            for row, var in zip(rows, cov.diagonal())], cov
+    idx = _labels(rng, gm.weights, looks[-1])
+    rows = [np.empty(looks[-1]) for _ in stats]
+    for lo, hi in zip([0, *looks], looks):
+        pts = gm._piece(rng, idx, lo, hi)
+        log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix),
+                                               scored)
+        if scored and law is not gm:
+            score = score[:, np.argsort(order)]  # back to the coordinates of gm
+        for row, stat in zip(rows, stats):
+            row[lo:hi] = _row(stat, log_f, log_prefix, score)
+        del pts, log_f, log_prefix, score  # only the rows outlive a look
+        if len(rows) == 1:
+            est = _mean_and_se(rows[0][:hi], METHOD_MC)
+            yield [est], np.array([[est.std_error**2]])
+            continue
+        cov = np.cov([row[:hi] for row in rows], ddof=1) / hi
+        yield [ScalarEstimate(float(np.mean(row[:hi])), float(np.sqrt(var)), hi, METHOD_MC)
+               for row, var in zip(rows, cov.diagonal())], cov
+
+
+def _term_looks(groups, looks, rng_for):
+    """Estimates of the statistics of the draw groups (law, RNG role, stats), in
+    order, and their block-diagonal covariance, at each look m_j of the
+    increasing ``looks``.  A pure Gaussian takes the closed forms, once, and no
+    generator; any other law draws from ``rng_for(role)``, one generator per
+    group, and extends its draws from look to look (``_sampled``), so a caller
+    that stops at a look has drawn nothing beyond it."""
+    parts = [
+        [_closed(stat, law.components[0]) for stat in stats] if law.is_gaussian
+        else _sampled(law, stats, looks, rng_for(role))
+        for law, role, stats in groups
+    ]
+    for _ in looks:
+        ests, blocks = [], []
+        for part in parts:
+            if isinstance(part, list):
+                ests += part
+                continue
+            group, block = next(part)
+            blocks.append((slice(len(ests), len(ests) + len(group)), block))
+            ests += group
+        cov = np.zeros((len(ests), len(ests)))
+        for span, block in blocks:
+            cov[span, span] = block
+        yield ests, cov
 
 
 def _terms(groups, m: int, rng_for) -> tuple[list, np.ndarray]:
-    """Estimates of the statistics of the draw groups (law, RNG role, stats), in
-    order, and their block-diagonal covariance.  A pure Gaussian takes the
-    closed forms and no generator; any other law draws from ``rng_for(role)``."""
-    ests, blocks = [], []
-    for law, role, stats in groups:
-        if law.is_gaussian:
-            ests += [_closed(stat, law.components[0]) for stat in stats]
-            continue
-        group, block = _sampled(law, stats, m, rng_for(role))
-        blocks.append((slice(len(ests), len(ests) + len(group)), block))
-        ests += group
-    cov = np.zeros((len(ests), len(ests)))
-    for span, block in blocks:
-        cov[span, span] = block
-    return ests, cov
+    """The estimates and covariance of the draw groups at one look, m draws."""
+    return next(_term_looks(groups, (m,), rng_for))
 
 
 def _estimate(gm: GaussianMixture, stat, m: int, rng) -> ScalarEstimate:
@@ -208,7 +235,7 @@ def mc_entropy(gm: GaussianMixture, m: int, rng: np.random.Generator) -> ScalarE
     Unbiased for E[-log f]; the reported error is the CLT standard error,
     so m should be at least ~1e3 for the bar to be trustworthy.
     """
-    return _sampled(gm, (ENTROPY,), m, rng)[0][0]
+    return next(_sampled(gm, (ENTROPY,), (m,), rng))[0][0]
 
 
 def entropy(
@@ -297,7 +324,7 @@ def gaussian_fisher(g: GaussianComponent) -> ScalarEstimate:
 
 def mc_fisher(gm: GaussianMixture, m: int, rng: np.random.Generator) -> ScalarEstimate:
     """Fisher information as the mean squared norm of the exact score."""
-    return _sampled(gm, (FISHER,), m, rng)[0][0]
+    return next(_sampled(gm, (FISHER,), (m,), rng))[0][0]
 
 
 def fisher(
@@ -343,8 +370,9 @@ def conditional_fisher_last(
         raise DimensionError("conditioning needs dimension at least 2")
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
-    if m_inner < 1:
-        raise ValueError("sample count must be positive")
+    if m_outer < 2 or m_inner < 1:  # one outer draw has no error bar
+        raise ValueError(f"sample counts must be positive, with at least 2 outer draws, "
+                         f"got m_outer={m_outer!r}, m_inner={m_inner!r}")
     prefixes = gm.marginal(range(gm.dim - 1)).sample(rng, m_outer)
     log_w, means, sds = gm._condition_last(prefixes)
     weights = np.exp(log_w)

@@ -253,25 +253,34 @@ class GaussianMixture:
         """Draw ``m`` points: categorical component choice, then Cholesky."""
         if m < 1:
             raise ValueError("sample count must be positive")
-        idx = _labels(rng, self.weights, m)
-        z = rng.standard_normal((m, self.dim))
-        return self._place(idx, z, out=z)
+        return self._piece(rng, _labels(rng, self.weights, m), 0, m)
 
-    def _place(self, idx: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Map standard normal rows ``z`` through the components named by
-        ``idx`` into ``out`` (a fresh array by default, or ``z`` itself); laws
-        with one component layout can share the draws.  BLOCK rows at a time,
-        through scratch made once per call, a stable counting sort groups the
-        rows by component, each group is placed as mean + rows @ chol.T by one
-        product, and the rows go back in draw order.  numpy makes a one-row
-        product a matrix-vector product, which rounds differently, so a
-        component with two or more draws in the call never gets one: a lone
-        row in a block is multiplied along with the next row."""
+    def _piece(self, rng: np.random.Generator, idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi of the draws whose labels ``idx`` came first from
+        ``rng``: the next normals of ``rng``, placed as ``sample`` places them.
+        After ``idx = _labels(rng, self.weights, m)``, consecutive pieces that
+        start at multiples of BLOCK are the rows of ``sample(rng, m)`` bit for
+        bit, and a piece never drawn costs nothing."""
+        z = rng.standard_normal((hi - lo, self.dim))
+        return self._place(idx, z, out=z, first=lo)
+
+    def _place(self, idx: np.ndarray, z: np.ndarray, out: np.ndarray | None = None,
+               first: int = 0) -> np.ndarray:
+        """Map standard normal rows ``z``, those of the labels
+        ``idx[first:first + len(z)]``, through the components they name into
+        ``out`` (a fresh array by default, or ``z`` itself); laws with one
+        component layout can share the draws.  BLOCK rows at a time, through
+        scratch made once per call, a stable counting sort groups the rows by
+        component, each group is placed as mean + rows @ chol.T by one product,
+        and the rows go back in draw order.  numpy makes a one-row product a
+        matrix-vector product, which rounds differently, so a component with
+        two or more draws among all of ``idx`` never gets one: a lone row in a
+        block is multiplied along with the next row."""
         m, n = z.shape
         out = np.empty((m, n)) if out is None else out
         k = self.n_components
         totals = np.zeros(k, np.intp)
-        for lo in range(0, m, BLOCK):
+        for lo in range(0, idx.size, BLOCK):
             totals += np.bincount(idx[lo:lo + BLOCK], minlength=k)
         b = min(m, BLOCK)
         rows = np.zeros((b + 1, n))  # the row after a block stays finite: a lone last row's partner
@@ -279,7 +288,8 @@ class GaussianMixture:
         back = np.empty(b, np.intp)
         draw_order = np.arange(b)
         for lo in range(0, m, BLOCK):
-            key = idx[lo:lo + BLOCK].astype(np.min_scalar_type(k - 1), copy=False)
+            key = idx[first + lo:first + min(lo + BLOCK, m)]
+            key = key.astype(np.min_scalar_type(k - 1), copy=False)
             order = np.argsort(key, kind="stable")
             np.take(z[lo:lo + key.size], order, axis=0, out=rows[:key.size])
             start = 0

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from epicheck import (
     CheckConfig,
@@ -69,6 +70,8 @@ from epicheck import (
 )
 from epicheck import checks, matrices, runner
 from epicheck.checks import REPORT_KEYS
+from epicheck.matrices import make_bonnesen_equality_pair
+from epicheck.mixtures import BLOCK
 
 TWO_PI_E = 17.079468445347132
 
@@ -84,6 +87,21 @@ def gauss(cov, mean=None):
     if mean is None:
         mean = np.zeros(cov.shape[0])
     return GaussianMixture.gaussian(mean, cov)
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The row count of every mixture kernel call, in call order: the draws
+    a check evaluated, so the look its record stopped at."""
+    rows = []
+    kernel = GaussianMixture._kernel
+
+    def counted(self, pts, *args, **kwargs):
+        rows.append(pts.shape[0])
+        return kernel(self, pts, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianMixture, "_kernel", counted)
+    return rows
 
 
 def two_part(separation=3.0):
@@ -497,18 +515,18 @@ def three_part():
     )
 
 
-def iso_statistics(x, cfg, name, iid):
+def iso_statistics(x, cfg, name, iid, look):
     """Means and covariance of -log f(X), -log f_{n-1}(X^{n-1}) and |score|^2
-    on the check's own draws."""
+    on the check's own draws, the first ``look`` of them."""
     n = x.dim
-    pts = x.sample(rng_from_tokens(cfg.seed, name, iid, "mc"), cfg.m)
+    pts = x.sample(rng_from_tokens(cfg.seed, name, iid, "mc"), cfg.m)[:look]
     score = x.score(pts)
     stats = np.stack([
         -x.log_density(pts),
         -x.marginal(range(n - 1)).log_density(pts[:, : n - 1]),
         np.einsum("ij,ij->i", score, score),
     ])
-    return stats.mean(axis=1), np.cov(stats, ddof=1) / cfg.m
+    return stats.mean(axis=1), np.cov(stats, ddof=1) / look
 
 
 def iso_bound_gradient(mu, n):
@@ -520,10 +538,11 @@ def iso_bound_gradient(mu, n):
 
 
 class TestIsoperimetricSharp:
-    def test_mc_stderr_matches_analytic_gradient(self):
+    def test_mc_stderr_matches_analytic_gradient(self, kernel_rows):
         x = three_part()
         rep = check_isoperimetric_sharp(x, CFG_MC)
-        mu, cov = iso_statistics(x, CFG_MC, "isoperimetric_sharp", rep.instance_id)
+        look = sum(kernel_rows)  # one draw group, evaluated look by look
+        mu, cov = iso_statistics(x, CFG_MC, "isoperimetric_sharp", rep.instance_id, look)
         n, npow = 3, math.exp(2.0 * mu[0] / 3)
         bound = iso_bound_gradient(mu, n)
         grad = np.array([mu[2] * 2.0 / n * npow - bound[0], -bound[1], npow])
@@ -551,10 +570,11 @@ class TestIsoperimetricSharp:
 
 
 class TestIsoperimetricDominance:
-    def test_mc_stderr_matches_analytic_gradient(self):
+    def test_mc_stderr_matches_analytic_gradient(self, kernel_rows):
         x = three_part()
         rep = check_isoperimetric_dominance(x, CFG_MC)
-        mu, cov = iso_statistics(x, CFG_MC, "isoperimetric_dominance", rep.instance_id)
+        look = sum(kernel_rows)  # one draw group, evaluated look by look
+        mu, cov = iso_statistics(x, CFG_MC, "isoperimetric_dominance", rep.instance_id, look)
         grad = iso_bound_gradient(mu, 3)
         assert rep.stderr == pytest.approx(math.sqrt(grad @ cov[:2, :2] @ grad), rel=1e-12)
 
@@ -994,3 +1014,151 @@ class TestTermPlans:
         assert lambda_concavity_scan(x, y, grid=5, cfg=CFG).stderrs == [0.0] * 5
         with pytest.raises(AssertionError, match="generator"):
             check_epi(two_part(), y, CFG)
+
+
+def split(law: GaussianMixture) -> GaussianMixture:
+    """A Gaussian written as two identical halves: not detected as Gaussian,
+    so it takes the Monte-Carlo route while its exact answer is known."""
+    (comp,) = law.components
+    return GaussianMixture([0.5, 0.5], [comp, comp])
+
+
+def binomial_allowance(n: int, p: float, rate: float = 1e-6) -> int:
+    """Smallest k with P(Binomial(n, p) > k) <= rate."""
+    tail = 1.0
+    for k in range(n + 1):
+        tail -= math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+        if tail <= rate:
+            return k
+    return n
+
+
+def equality_instances():
+    """One call per check with looks, on a split-Gaussian instance whose gap is
+    zero in law, so that its record runs to the last look."""
+    s2, s3 = COV_A, random_spd(3, rng_from_tokens(0, "looks-3d")).entries
+    x, y = split(gauss(s2)), split(gauss(2.0 * s2))
+    x3, y3 = split(gauss(s3)), split(gauss(3.0 * s3))
+    b1, b2 = make_bonnesen_equality_pair(2, rng_from_tokens(0, "looks-bonnesen"))
+    triple = MarkovTriple([0.4, 0.6], [x, split(gauss(COV_B))],
+                          [y, split(gauss(2.0 * COV_B))])
+    return {
+        "epi": lambda cfg: check_epi(x, y, cfg),
+        "entropic_bergstrom": lambda cfg: check_entropic_bergstrom(x, y, cfg),
+        "blachman_stam": lambda cfg: check_blachman_stam(x, y, cfg),
+        "projective_fisher": lambda cfg: check_projective_fisher(x, y, [0.6, 0.8], cfg),
+        "conditional_epi": lambda cfg: check_conditional_epi(triple, cfg),
+        "conditional_form": lambda cfg: check_conditional_form(x, y, 0.3, cfg),
+        "lambda_form": lambda cfg: check_lambda_form(x, y, 0.3, cfg),
+        "entropic_kyfan": lambda cfg: check_entropic_kyfan(x3, y3, [0, 2], 0.3, cfg),
+        "entropic_bonnesen": lambda cfg: check_entropic_bonnesen(
+            split(gauss(b1.entries)), split(gauss(b2.entries)), 0.3, cfg),
+        "isoperimetric_sharp": lambda cfg: check_isoperimetric_sharp(
+            split(gauss(np.diag([1.0, 1.0, 4.0]))), cfg),
+        "isoperimetric_dominance": lambda cfg: check_isoperimetric_dominance(
+            split(gauss(np.eye(3))), cfg),
+    }
+
+
+class TestLooks:
+    def test_schedule(self):
+        assert checks._looks(100_000) == [BLOCK, 4 * BLOCK, 100_000]
+        assert checks._looks(4 * BLOCK) == [BLOCK, 4 * BLOCK]
+        assert checks._looks(BLOCK + 1) == [BLOCK, BLOCK + 1]
+        assert checks._looks(BLOCK) == [BLOCK]
+        assert checks._looks(2) == [2]
+
+    @pytest.mark.parametrize("z", [1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("n_looks", [2, 3, 6])
+    def test_looks_spend_one_alpha(self, z, n_looks):
+        zs = checks._look_zs(z, n_looks)
+        assert len(zs) == n_looks and len(set(zs[:-1])) == 1
+        alpha = ndtr(-z)
+        assert sum(ndtr(-zj) for zj in zs[:-1]) == pytest.approx(0.01 * alpha, rel=1e-12)
+        assert ndtr(-zs[-1]) == pytest.approx(0.99 * alpha, rel=1e-12)
+
+    def test_default_boundaries(self):
+        assert checks._look_zs(3.0, 1) == (3.0,)
+        assert [round(z, 2) for z in checks._look_zs(3.0, 3)] == [4.35, 4.35, 3.0]
+        assert round(checks._look_zs(3.0, 3)[-1], 4) == 3.0031
+        assert round(checks._look_zs(3.0, 2)[0], 2) == 4.20
+
+    def test_large_z_stays_finite(self):
+        zs = checks._look_zs(40.0, 3)
+        assert all(math.isfinite(z) for z in zs) and zs[-1] > 40.0 and zs[0] > zs[-1]
+
+    def test_far_pair_stops_after_one_block(self, kernel_rows):
+        rep = check_epi(two_part(), two_part(6.0), CheckConfig(m=100_000))
+        assert rep.verdict == VERDICT_HOLDS
+        assert kernel_rows == [BLOCK] * 3  # the sum, x and y laws, one block each
+
+    def test_equality_pair_reaches_m(self, kernel_rows):
+        m = 100_000
+        rep = check_epi(split(gauss(COV_A)), split(gauss(2.0 * COV_A)), CheckConfig(m=m))
+        assert rep.verdict == VERDICT_EQUALITY
+        assert kernel_rows == [BLOCK] * 3 + [3 * BLOCK] * 3 + [m - 4 * BLOCK] * 3
+
+    @pytest.mark.parametrize("name", sorted(equality_instances()))
+    def test_records_that_reach_m_match_one_look(self, name, kernel_rows, monkeypatch):
+        call, cfg = equality_instances()[name], CheckConfig(m=4 * BLOCK + 7, seed=4)
+        looked = call(cfg)
+        rows = list(kernel_rows)
+        monkeypatch.setattr(checks, "_looks", lambda m: [m])
+        kernel_rows.clear()
+        single = call(cfg)
+        assert set(kernel_rows) == {cfg.m}
+        assert sum(rows) == sum(kernel_rows)  # every law evaluated all m draws
+        assert (looked.lhs, looked.rhs, looked.gap, looked.stderr) == (
+            single.lhs, single.rhs, single.gap, single.stderr)
+
+    def test_gaussian_plans_have_one_look(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("a closed-form plan asked for looks")
+
+        monkeypatch.setattr(checks, "_looks", refuse)
+        for call in (lambda: check_epi(gauss(COV_A), gauss(COV_B), CFG),
+                     lambda: check_conditional_form(gauss(COV_A), gauss(COV_B), 0.3, CFG),
+                     lambda: check_isoperimetric_sharp(gauss(np.eye(3)), CFG)):
+            assert call().stderr == 0.0
+
+
+class TestLookCalibration:
+    """The stopping rule on split-Gaussian pairs, with pinned seeds and bounds
+    fixed before the first run: a miss is a finding, not a bound to move."""
+
+    def test_equality_pairs_never_stop_early(self, kernel_rows):
+        # proportional covariances: the conditional_form gap is zero in law
+        cfg, records = CheckConfig(m=4 * BLOCK, seed=31), 300
+        z_last = checks._look_zs(cfg.z, len(checks._looks(cfg.m)))[-1]
+        early = violated = 0
+        for i in range(records):
+            rng = rng_from_tokens(31, "look-cal", i)
+            s = random_spd(2, rng).entries
+            a, b = rng.uniform(0.5, 2.0, size=2)
+            x = split(gauss(a * s, rng.normal(size=2)))
+            y = split(gauss(b * s, rng.normal(size=2)))
+            kernel_rows.clear()
+            rep = check_conditional_form(x, y, 0.5, cfg)
+            early += sum(kernel_rows) < 3 * cfg.m
+            violated += rep.verdict == VERDICT_VIOLATED
+        assert early == 0
+        assert violated <= binomial_allowance(records, ndtr(-z_last))
+
+    def test_first_look_error_bars_cover(self):
+        # the first look's draws are those of a run at m = BLOCK; the exact
+        # gap is 2 pi e times the Schur-complement gap, from slogdet
+        cfg, records, lam = CheckConfig(m=BLOCK, seed=32), 200, 0.5
+
+        def schur(s):
+            return math.exp(np.linalg.slogdet(s)[1] - np.linalg.slogdet(s[:-1, :-1])[1])
+
+        beyond = 0
+        for i in range(records):
+            rng = rng_from_tokens(32, "look-cal", i)
+            sx, sy = random_spd(2, rng).entries, random_spd(2, rng).entries
+            x, y = split(gauss(sx, rng.normal(size=2))), split(gauss(sy, rng.normal(size=2)))
+            rep = check_conditional_form(x, y, lam, cfg)
+            exact = TWO_PI_E * (schur((1 - lam) * sx + lam * sy)
+                                - (1 - lam) * schur(sx) - lam * schur(sy))
+            beyond += abs(rep.gap - exact) > 3.0 * rep.stderr
+        assert beyond <= binomial_allowance(records, 2.0 * ndtr(-3.0))

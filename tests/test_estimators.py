@@ -41,7 +41,10 @@ from epicheck import (
     random_mixture,
     random_spd,
 )
-from epicheck.estimators import ENTROPY, FISHER, _delta, _terms
+from epicheck.checks import _looks
+from epicheck.estimators import (
+    ENTROPY, FISHER, PREFIXED, _delta, _mean_and_se, _row, _term_looks, _terms,
+)
 from epicheck.mixtures import BLOCK
 from epicheck.seeding import rng_from_tokens
 
@@ -561,3 +564,98 @@ class TestTermEngine:
             mc_entropy(three_d_mixture(), 100, None)
         with pytest.raises(ValueError, match="generator"):
             mc_fisher(gauss(COV_3D), 100, None)
+
+
+def nine_part_mixture() -> GaussianMixture:
+    """K = 9 components in dimension 3, the shape of a 3 x 3 convolution."""
+    rng = rng_from_tokens(0, "looks-nine")
+    raw = rng.uniform(0.5, 1.5, size=9)
+    comps = [(rng.normal(0.0, 2.0, size=3), random_spd(3, rng, 100.0)) for _ in range(9)]
+    return GaussianMixture(raw / raw.sum(), comps)
+
+
+def one_shot(gm, stats, m, rng):
+    """One draw group's means and covariance from one ``sample`` and one
+    ``_kernel`` call over all m draws."""
+    prefix = next((list(arg) for kind, arg in stats if kind in PREFIXED), [])
+    order = prefix + [i for i in range(gm.dim) if i not in prefix]
+    law = gm if order == list(range(gm.dim)) else gm.marginal(order)
+    pts = gm.sample(rng, m)
+    scored = any(kind.endswith("fisher") for kind, _ in stats)
+    log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix), scored)
+    if scored and law is not gm:
+        score = score[:, np.argsort(order)]
+    rows = [_row(stat, log_f, log_prefix, score) for stat in stats]
+    if len(rows) == 1:
+        est = _mean_and_se(rows[0], "plug_in_mc")
+        return [est.value], [est.std_error], np.array([[est.std_error**2]])
+    cov = np.cov(rows, ddof=1) / m
+    return [float(np.mean(r)) for r in rows], list(np.sqrt(cov.diagonal())), cov
+
+
+class TestLookIdentity:
+    """Looks never change draws: a draw group extended look by look ends on
+    the means and covariance of one ``sample`` and one ``_kernel`` call."""
+
+    @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK + 7, 100_000])
+    def test_extended_groups_match_one_shot(self, m):
+        gm = nine_part_mixture()
+        groups = [
+            (gm, "joint", (ENTROPY, ("marginal_entropy", [0, 1]), FISHER,
+                           ("projective_fisher", U_3D))),
+            (gm, "reordered", (("conditional_entropy", [1]),)),
+            (gm, "fisher", (FISHER,)),
+        ]
+        looks = _looks(m)
+        seen = []
+        for ests, cov in _term_looks(groups, looks, streams(22)):
+            seen.append(ests[0].n_samples)
+        assert seen == looks
+        values, errors, blocks = [], [], []
+        for _, role, stats in groups:
+            v, e, c = one_shot(gm, stats, m, rng_from_tokens(22, "engine", role))
+            values += v
+            errors += e
+            blocks.append(c)
+        assert [e.value for e in ests] == values
+        assert [e.std_error for e in ests] == errors
+        assert all(e.n_samples == m for e in ests)
+        assert np.array_equal(cov[:4, :4], blocks[0])
+        assert cov[4, 4] == blocks[1][0, 0] and cov[5, 5] == blocks[2][0, 0]
+
+    def test_early_looks_use_the_first_draws(self):
+        # a look's estimate is the one-shot estimate on its prefix of the draws
+        gm, m = nine_part_mixture(), 4 * BLOCK + 7
+        first, *_ = _term_looks([(gm, "p", (ENTROPY,))], _looks(m), streams(23))
+        pts = gm.sample(rng_from_tokens(23, "engine", "p"), m)[:BLOCK]
+        rows = -gm.log_density(pts)
+        assert first[0][0].value == float(np.mean(rows))
+        assert first[0][0].n_samples == BLOCK
+
+
+class TestTooFewDraws:
+    """One draw has no error bar: the Monte-Carlo route refuses it rather than
+    report a zero standard error that reads as a closed form."""
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
+    def test_public_estimators_refuse(self, name, m):
+        _, public = PUBLIC[name]
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            public(three_d_mixture(), m, rng_from_tokens(24, "few"))
+
+    @pytest.mark.parametrize("estimator", [mc_entropy, mc_fisher])
+    def test_forced_monte_carlo_refuses(self, estimator):
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            estimator(gauss(COV_3D), 1, rng_from_tokens(24, "few"))
+
+    def test_conditional_fisher_needs_two_outer_draws(self):
+        mix = GaussianMixture([0.5, 0.5], [(np.zeros(2), np.eye(2)), ([2.0, 0.0], np.eye(2))])
+        with pytest.raises(ValueError, match="at least 2 outer draws"):
+            conditional_fisher_last(mix, 1, 5, rng_from_tokens(24, "few"))
+        est = conditional_fisher_last(mix, 2, 5, rng_from_tokens(24, "few"))
+        assert est.n_samples == 2 and est.std_error > 0.0
+
+    def test_two_draws_carry_an_error_bar(self):
+        est = entropy(three_d_mixture(), 2, rng_from_tokens(24, "few"))
+        assert est.method == "plug_in_mc" and est.std_error > 0.0

@@ -30,6 +30,7 @@ from epicheck import (
     random_mixture,
     random_spd,
 )
+from epicheck.checks import _looks
 from epicheck.matrices import _chol_logdet
 from epicheck.mixtures import BLOCK, LN_2PI, _labels, _logsumexp
 from epicheck.seeding import rng_from_tokens
@@ -592,6 +593,22 @@ class TestSampling:
                     counts = np.bincount(idx[lo:lo + BLOCK], minlength=k)
                     lone_in_block |= bool(np.any((counts == 1) & (totals > 1)))
         assert lone_in_call and lone_in_block
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK + 7, 100_000])
+    def test_pieces_are_the_rows_of_sample(self, n, m):
+        # a check's looks: each piece is the next rows of sample(rng, m) bit
+        # for bit, lone rows in a block included (rare components), and the
+        # generator ends where sample leaves it
+        looks = _looks(m)
+        for k in (2, 9):
+            gm = rare_component_mixture(n, k, m, rng_from_tokens(n, k, m, "pieces-law"))
+            expected, got = rng_from_tokens(n, k, m, "pieces"), rng_from_tokens(n, k, m, "pieces")
+            whole = gm.sample(expected, m)
+            idx = _labels(got, gm.weights, m)
+            for lo, hi in zip([0, *looks], looks):
+                assert np.array_equal(gm._piece(got, idx, lo, hi), whole[lo:hi]), (k, hi)
+            np.testing.assert_equal(got.bit_generator.state, expected.bit_generator.state)
 
     def test_scratch_memory_does_not_grow_with_m(self):
         gm = nine_part_mixture()
