@@ -50,18 +50,19 @@ from .estimators import (
 from .exceptions import ConfigError, DimensionError, PreconditionError
 from .matrices import (
     SpdMatrix,
-    _bergstrom_ratios,
+    _block_ratios,
     _check_block,
     _check_equal_minors,
     _check_index,
     _check_lambda,
+    _chol_logdet,
+    _cholesky,
+    _deletion_ratios,
     _factored,
     _is_finite,
     _is_int,
-    _kyfan_ratios,
-    _logdet_raw,
     _same_dim,
-    _sum_logdets,
+    _sum_ratios,
     make_bonnesen_equality_pair,
 )
 from .mixtures import (
@@ -553,16 +554,20 @@ def check_equality_case_bonnesen(
         pair = make_bonnesen_equality_pair(n, rng)
     s1, s2 = pair
     n = _same_dim(s1, s2, 2)
-    _check_equal_minors(s1.entries, s2.entries, n - 1)
+    _check_equal_minors(s1, s2, n - 1)
     run.tag(s1, s2)
 
     e1 = math.exp(n * LN_2PIE + s1.log_det)
     e2 = math.exp(n * LN_2PIE + s2.log_det)
     worst = None
     verdicts = []
-    for lam in np.linspace(0.0, 1.0, EQUALITY_GRID_POINTS):
-        mixed = (1.0 - lam) * s1.entries + lam * s2.entries
-        lhs = math.exp(n * LN_2PIE + _logdet_raw(mixed))
+    lams = np.linspace(0.0, 1.0, EQUALITY_GRID_POINTS)
+    grid = lams[:, None, None]
+    # one stacked factorization of the grid; each point's log-det is summed
+    # from its own factor exactly as _logdet_raw would
+    chols = _cholesky((1.0 - grid) * s1.entries + grid * s2.entries)
+    for lam, chol in zip(lams, chols):
+        lhs = math.exp(n * LN_2PIE + _chol_logdet(chol))
         rhs = (1.0 - lam) * e1 + lam * e2
         verdicts.append(classify(lhs, rhs, 0.0, run.cfg))
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
@@ -898,8 +903,8 @@ def check_matrix_bergstrom(
     n = _same_dim(a, b, 2)
     i = _check_index(i, n)
     run = _Run("matrix_bergstrom", cfg, instance_id, a, b, f"i{i}")
-    term_s, term_a, term_b = _bergstrom_ratios(*_sum_logdets(a, b), i)
-    return run.report(n, None, float(term_s), float(term_a + term_b), 0.0)
+    term_s, term_a, term_b = _sum_ratios(_deletion_ratios, a, b)
+    return run.report(n, None, float(term_s[i]), float(term_a[i] + term_b[i]), 0.0)
 
 
 def check_matrix_kyfan(
@@ -914,8 +919,8 @@ def check_matrix_kyfan(
     n = _same_dim(a, b)
     k = _check_block(k, n)
     run = _Run("matrix_kyfan", cfg, instance_id, a, b, f"k{k}")
-    term_s, term_a, term_b = _kyfan_ratios(*_sum_logdets(a, b), k)
-    return run.report(n, None, float(term_s), float(term_a + term_b), 0.0)
+    term_s, term_a, term_b = _sum_ratios(_block_ratios, a, b)
+    return run.report(n, None, float(term_s[k - 1]), float(term_a[k - 1] + term_b[k - 1]), 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .exceptions import DimensionError
-from .matrices import _is_int, _logdet_raw
+from .matrices import _is_int, _principal_logdet
 from .mixtures import (
     BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _coordinates, _labels, _logsumexp,
 )
@@ -100,10 +100,9 @@ def _closed(stat, g: GaussianComponent) -> ScalarEstimate:
     if kind == "entropy":  # (n ln(2 pi e) + ln det Sigma) / 2
         value = 0.5 * (n * LN_2PIE + cov.log_det)
     elif kind == "marginal_entropy":
-        value = 0.5 * (len(arg) * LN_2PIE + _logdet_raw(cov.entries[np.ix_(arg, arg)]))
+        value = 0.5 * (len(arg) * LN_2PIE + _principal_logdet(cov, arg))
     elif kind == "conditional_entropy":  # h(joint) - h(given)
-        ld_given = _logdet_raw(cov.entries[np.ix_(arg, arg)])
-        value = 0.5 * ((n - len(arg)) * LN_2PIE + cov.log_det - ld_given)
+        value = 0.5 * ((n - len(arg)) * LN_2PIE + cov.log_det - _principal_logdet(cov, arg))
     elif kind == "fisher":  # tr Sigma^-1, from the inverse Cholesky factor
         value = float(np.sum(np.linalg.solve(cov.chol, np.eye(n)) ** 2))
     else:  # u' Sigma^-1 u

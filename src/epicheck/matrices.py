@@ -16,6 +16,7 @@ import math
 import numbers
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .exceptions import DimensionError, NotPositiveDefiniteError, PreconditionError
 
@@ -85,8 +86,11 @@ def _logdet_raw(a: np.ndarray) -> float:
 
 def _factored(a: np.ndarray) -> SpdMatrix:
     """SpdMatrix of ``a`` that is symmetric positive definite by construction
-    (a principal block of one, or one plus a positive multiple of I): it is
-    factored but not checked again."""
+    (a principal block of one, a positive multiple of one, or a sum of two):
+    it is factored but not checked again, except that entries which overflowed
+    to inf or NaN are refused as SpdMatrix refuses them."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     m = SpdMatrix.__new__(SpdMatrix)
     m._factor(a)
     return m
@@ -156,15 +160,14 @@ def delete_row_col(m, i: int) -> SpdMatrix:
     if n < 2:
         raise DimensionError("cannot delete a row/column from a 1 x 1 matrix")
     i = _check_index(i, n)
-    sub = np.delete(np.delete(m.entries, i, axis=0), i, axis=1)
-    return SpdMatrix(sub)
+    return _factored(np.delete(np.delete(m.entries, i, axis=0), i, axis=1))
 
 
 def leading_principal(m, size: int) -> SpdMatrix:
     """Leading principal ``size`` x ``size`` block (first rows and columns)."""
     m = _as_spd(m)
     size = _check_block(size, m.dim, proper=False)
-    return SpdMatrix(m.entries[:size, :size])
+    return _factored(m.entries[:size, :size].copy())
 
 
 def schur_complement_last(m) -> float:
@@ -183,25 +186,39 @@ def schur_complement_last(m) -> float:
     return float(m.entries[-1, -1] - t @ t)
 
 
-def _minor_logdet(a: np.ndarray, i: int) -> float:
-    return _logdet_raw(np.delete(np.delete(a, i, axis=0), i, axis=1))
+def _principal_logdet(m: SpdMatrix, keep) -> float:
+    """log det of M's principal block on the sorted coordinates ``keep``.  A
+    leading block's factor is the leading block of M's factor, so its
+    log-det is summed from M's first pivots; any other block is factored."""
+    k = len(keep)
+    if list(keep) == list(range(k)):
+        return _chol_logdet(m.chol[:k, :k])
+    return _logdet_raw(m.entries[np.ix_(keep, keep)])
 
 
-def _sum_logdets(a: SpdMatrix, b: SpdMatrix) -> tuple:
-    """Entries of (A+B, A, B) and their log-determinants."""
-    s = a.entries + b.entries
-    return (s, a.entries, b.entries), (_logdet_raw(s), a.log_det, b.log_det)
+def _sum_ratios(ratios, a: SpdMatrix, b: SpdMatrix) -> tuple:
+    """``ratios`` of the Cholesky factors of A+B, A and B: the sum is the
+    only matrix factored here."""
+    return tuple(ratios(c) for c in (_cholesky(a.entries + b.entries), a.chol, b.chol))
 
 
-def _bergstrom_ratios(mats, lds, i: int) -> list:
-    """det(M) / det(M_i) for each matrix M, from its log-determinant."""
-    return [np.exp(ld - _minor_logdet(m, i)) for m, ld in zip(mats, lds)]
+def _deletion_ratios(chol: np.ndarray) -> np.ndarray:
+    """det(M) / det(M_i) for every i, from the Cholesky factor L of M.
+
+    The ratio is 1 / (M^-1)_ii, the Schur complement of M_i, and (M^-1)_ii is
+    |L^-1 e_i|^2, so one triangular inverse serves every i with no minor
+    factored.
+    """
+    inv, _ = dtrtri(chol, lower=1)
+    return 1.0 / np.einsum("ij,ij->j", inv, inv)
 
 
-def _kyfan_ratios(mats, lds, k: int) -> list:
-    """(det(M) / det(leading (n-k) block))^(1/k) for each matrix M."""
-    size = mats[0].shape[0] - k
-    return [np.exp((ld - _logdet_raw(m[:size, :size])) / k) for m, ld in zip(mats, lds)]
+def _block_ratios(chol: np.ndarray) -> np.ndarray:
+    """(det(M) / det(leading (n-k) block))^(1/k) for k = 1..n-1, from the
+    Cholesky factor L of M: the block's factor is L's leading block, so the
+    ratio is the geometric mean of the last k squared pivots of L."""
+    tails = 2.0 * np.cumsum(np.log(np.diagonal(chol))[::-1])[:-1]
+    return np.exp(tails / np.arange(1, chol.shape[0]))
 
 
 def bergstrom_gap(a: SpdMatrix, b: SpdMatrix, i: int) -> float:
@@ -211,23 +228,19 @@ def bergstrom_gap(a: SpdMatrix, b: SpdMatrix, i: int) -> float:
     which is nonnegative for SPD inputs.
     """
     i = _check_index(i, _same_dim(a, b, 2))
-    term_s, term_a, term_b = _bergstrom_ratios(*_sum_logdets(a, b), i)
-    return float(term_s - term_a - term_b)
+    term_s, term_a, term_b = _sum_ratios(_deletion_ratios, a, b)
+    return float(term_s[i] - term_a[i] - term_b[i])
 
 
 def bergstrom_gap_all(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     """Vector of row/column-deletion gaps for every index at once.
 
-    Shares the three full-determinant factorizations across indices, so it
-    is the cheap way to sweep all minors of an instance pair.
+    Each matrix's n ratios come from one triangular inverse of its Cholesky
+    factor; A+B is the only matrix factored, and no minor is.
     """
-    n = _same_dim(a, b, 2)
-    mats, lds = _sum_logdets(a, b)
-    out = np.empty(n)
-    for i in range(n):
-        term_s, term_a, term_b = _bergstrom_ratios(mats, lds, i)
-        out[i] = term_s - term_a - term_b
-    return out
+    _same_dim(a, b, 2)
+    term_s, term_a, term_b = _sum_ratios(_deletion_ratios, a, b)
+    return term_s - term_a - term_b
 
 
 def kyfan_gap(a: SpdMatrix, b: SpdMatrix, k: int) -> float:
@@ -238,19 +251,16 @@ def kyfan_gap(a: SpdMatrix, b: SpdMatrix, k: int) -> float:
     the row/column-deletion gap at the last index.
     """
     k = _check_block(k, _same_dim(a, b))
-    term_s, term_a, term_b = _kyfan_ratios(*_sum_logdets(a, b), k)
-    return float(term_s - term_a - term_b)
+    term_s, term_a, term_b = _sum_ratios(_block_ratios, a, b)
+    return float(term_s[k - 1] - term_a[k - 1] - term_b[k - 1])
 
 
 def kyfan_gap_all(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
-    """Vector of k-th-root gaps for every k in 1..n-1."""
-    n = _same_dim(a, b, 2)
-    mats, lds = _sum_logdets(a, b)
-    out = np.empty(n - 1)
-    for k in range(1, n):
-        term_s, term_a, term_b = _kyfan_ratios(mats, lds, k)
-        out[k - 1] = term_s - term_a - term_b
-    return out
+    """Vector of k-th-root gaps for every k in 1..n-1, from the pivots of the
+    three Cholesky factors."""
+    _same_dim(a, b, 2)
+    term_s, term_a, term_b = _sum_ratios(_block_ratios, a, b)
+    return term_s - term_a - term_b
 
 
 def bonnesen_linear_gap(a: SpdMatrix, b: SpdMatrix, lam: float, i: int) -> float:
@@ -262,13 +272,26 @@ def bonnesen_linear_gap(a: SpdMatrix, b: SpdMatrix, lam: float, i: int) -> float
     """
     i = _check_index(i, _same_dim(a, b, 2))
     lam = _check_lambda(lam)
-    _check_equal_minors(a.entries, b.entries, i)
+    _check_equal_minors(a, b, i)
     mixed = lam * a.entries + (1.0 - lam) * b.entries
     det_mixed = _det(_logdet_raw(mixed))
     return det_mixed - lam * _det(a.log_det) - (1.0 - lam) * _det(b.log_det)
 
 
-def _check_equal_minors(a: np.ndarray, b: np.ndarray, i: int) -> None:
+def _minor_logdet(m: SpdMatrix, i: int) -> float:
+    """log det M_i from the first n-1 pivots of the factor of M with row and
+    column i moved last, which is M's own factor for i = n-1.  Among matrices
+    of one size those pivots depend only on M_i, so equal minors give equal
+    bits at any condition number; det(M) / (its deletion ratio) would not (it
+    misses by up to ~1e-8 relative at condition 1e8, beyond DET_MATCH_RTOL)."""
+    chol = m.chol
+    if i != m.dim - 1:
+        order = [j for j in range(m.dim) if j != i] + [i]
+        chol = _cholesky(m.entries[np.ix_(order, order)])
+    return _chol_logdet(chol[:-1, :-1])
+
+
+def _check_equal_minors(a: SpdMatrix, b: SpdMatrix, i: int) -> None:
     """PreconditionError unless det(A_i) = det(B_i) to DET_MATCH_RTOL; NaN fails."""
     det_ai = _det(_minor_logdet(a, i))
     det_bi = _det(_minor_logdet(b, i))

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 
 from .exceptions import DegenerateLawError, DimensionError
-from .matrices import SpdMatrix, _chol_logdet, _is_int
+from .matrices import SpdMatrix, _chol_logdet, _factored, _is_int
 
 LN_2PI = float(np.log(2.0 * np.pi))
 WEIGHT_TOL = 1e-12
@@ -314,9 +314,9 @@ class GaussianMixture:
         for wa, ca in zip(self.weights, self.components):
             for wb, cb in zip(other.weights, other.components):
                 weights.append(wa * wb)
-                comps.append(
-                    GaussianComponent(ca.mean + cb.mean, ca.cov.entries + cb.cov.entries)
-                )
+                comps.append(GaussianComponent(
+                    ca.mean + cb.mean, _factored(ca.cov.entries + cb.cov.entries)
+                ))
         w = np.array(weights)
         return GaussianMixture(w / w.sum(), comps)
 
@@ -325,7 +325,8 @@ class GaussianMixture:
         if s == 0.0:
             raise DegenerateLawError("scaling by zero collapses the law to a point")
         comps = [
-            GaussianComponent(s * c.mean, s * s * c.cov.entries) for c in self.components
+            GaussianComponent(s * c.mean, _factored(s * s * c.cov.entries))
+            for c in self.components
         ]
         return GaussianMixture(self.weights, comps)
 
@@ -334,7 +335,8 @@ class GaussianMixture:
         keep = _coordinates(keep, self.dim)
         sel = np.ix_(keep, keep)
         comps = [
-            GaussianComponent(c.mean[keep], c.cov.entries[sel]) for c in self.components
+            GaussianComponent(c.mean[keep], _factored(c.cov.entries[sel]))
+            for c in self.components
         ]
         return GaussianMixture(self.weights, comps)
 

@@ -43,7 +43,7 @@ from epicheck import (
 )
 from epicheck.checks import _looks
 from epicheck.estimators import (
-    ENTROPY, FISHER, PREFIXED, _delta, _mean_and_se, _row, _term_looks, _terms,
+    ENTROPY, FISHER, LN_2PIE, PREFIXED, _closed, _delta, _mean_and_se, _row, _term_looks, _terms,
 )
 from epicheck.mixtures import BLOCK
 from epicheck.seeding import rng_from_tokens
@@ -293,6 +293,29 @@ class TestConditionalEntropy:
     def test_dim_validation(self):
         with pytest.raises(DimensionError):
             conditional_entropy_last(gauss([[1.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_closed_forms_match_block_slogdet(self, n, seed, spread):
+        # leading blocks read the joint factor's pivots, other blocks are
+        # factored; both against LU log-determinants of the explicit block,
+        # to 16 n cond eps in each log-det, fixed before the test first ran
+        rng = rng_from_tokens(seed, "closed-blocks", n)
+        if spread:  # condition number exactly 1e8
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            cov = (q * np.geomspace(1.0, 1e8, n)) @ q.T
+            cov = 0.5 * (cov + cov.T)
+        else:
+            cov = random_spd(n, rng, condition_cap=1e8).entries
+        g = GaussianComponent(np.zeros(n), cov)
+        tol = 16 * n * float(np.linalg.cond(cov)) * np.finfo(float).eps
+        ld = np.linalg.slogdet(cov)[1]
+        for keep in [list(range(k)) for k in range(1, n)] + [list(range(1, n)), [n - 1]]:
+            ld_keep = np.linalg.slogdet(cov[np.ix_(keep, keep)])[1]
+            marginal = _closed(("marginal_entropy", keep), g).value
+            given_keep = _closed(("conditional_entropy", keep), g).value
+            assert abs(marginal - 0.5 * (len(keep) * LN_2PIE + ld_keep)) <= 0.5 * tol
+            assert abs(given_keep - 0.5 * ((n - len(keep)) * LN_2PIE + ld - ld_keep)) <= tol
 
 
 class TestFisher:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicheck import (
+    CheckConfig,
     DimensionError,
     NotPositiveDefiniteError,
     PreconditionError,
@@ -16,6 +17,7 @@ from epicheck import (
     bergstrom_gap,
     bergstrom_gap_all,
     bonnesen_linear_gap,
+    check_equality_case_bonnesen,
     delete_row_col,
     kyfan_gap,
     kyfan_gap_all,
@@ -24,12 +26,78 @@ from epicheck import (
     make_bonnesen_equality_pair,
     random_spd,
 )
-from epicheck.matrices import _factored, _logdet_raw
+from epicheck.checks import EQUALITY_GRID_POINTS
+from epicheck.estimators import LN_2PIE
+from epicheck.matrices import (
+    _block_ratios,
+    _check_equal_minors,
+    _cholesky,
+    _chol_logdet,
+    _deletion_ratios,
+    _factored,
+    _logdet_raw,
+    _minor_logdet,
+    _principal_logdet,
+)
 from epicheck.seeding import rng_from_tokens
 
 # worked pair: det A = 3, det B = 5, det(A+B) = 20
 A = SpdMatrix([[2.0, 1.0], [1.0, 2.0]])
 B = SpdMatrix([[3.0, -1.0], [-1.0, 2.0]])
+
+EPS = np.finfo(float).eps
+KINDS = ("random_spd", "condition_1e8", "diagonal")
+
+
+def conditioned_spd(n: int, cond: float, rng) -> SpdMatrix:
+    """Q diag(eigenvalues log-spaced from 1 to ``cond``) Q' for a random
+    orthogonal Q, symmetrized."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.geomspace(1.0, cond, n)) @ q.T
+    return SpdMatrix(0.5 * (m + m.T))
+
+
+def spd_pair(kind: str, n: int, seed: int) -> tuple[SpdMatrix, SpdMatrix]:
+    """Two n x n SPD matrices: generic draws under a 1e8 condition cap, draws
+    of condition exactly 1e8, or a diagonal pair (where every det-ratio gap is 0)."""
+    rng = rng_from_tokens(seed, "factor-route", kind, n)
+    if kind == "random_spd":
+        return random_spd(n, rng, condition_cap=1e8), random_spd(n, rng, condition_cap=1e8)
+    if kind == "condition_1e8":
+        return conditioned_spd(n, 1e8, rng), conditioned_spd(n, 1e8, rng)
+    return tuple(SpdMatrix(np.diag(rng.uniform(0.01, 100.0, n))) for _ in range(2))
+
+
+def lu_logdet(a: np.ndarray) -> float:
+    sign, ld = np.linalg.slogdet(a)
+    assert sign == 1.0
+    return float(ld)
+
+
+def minor_ratios(m: SpdMatrix) -> np.ndarray:
+    """det(M) / det(M_i) for every i, each minor built by np.delete and
+    measured by LU: the per-minor reference for the factor route."""
+    a = m.entries
+    return np.array([
+        math.exp(lu_logdet(a) - lu_logdet(np.delete(np.delete(a, i, 0), i, 1)))
+        for i in range(m.dim)
+    ])
+
+
+def leading_block_ratios(m: SpdMatrix) -> np.ndarray:
+    """(det(M) / det(leading (n-k) block))^(1/k) for k = 1..n-1, by LU."""
+    a, n = m.entries, m.dim
+    return np.array([
+        math.exp((lu_logdet(a) - lu_logdet(a[:n - k, :n - k])) / k) for k in range(1, n)
+    ])
+
+
+def route_rtol(m: SpdMatrix) -> float:
+    """Relative tolerance between a ratio (or a log-det, absolutely) read from
+    M's factor and one from LU log-determinants, fixed before these tests
+    first ran: 16 n cond(M) eps, the first-order rounding bound of either
+    route, whose log-determinants move by tr(M^-1 dM) <= n cond(M) |dM| / |M|."""
+    return 16 * m.dim * float(np.linalg.cond(m.entries)) * EPS
 
 
 class TestSpdMatrix:
@@ -77,7 +145,14 @@ class TestSpdMatrix:
 
 
 class TestFactored:
-    @pytest.mark.parametrize("make", [lambda a: a[:3, :3], lambda a: a + 0.25 * np.eye(4)])
+    @pytest.mark.parametrize("make", [
+        lambda a: a[:3, :3],
+        lambda a: a + 0.25 * np.eye(4),
+        lambda a: a + np.diag([1.0, 2.0, 3.0, 4.0]),
+        lambda a: 0.3 * 0.3 * a,
+        lambda a: a[np.ix_([2, 0, 3], [2, 0, 3])],
+        lambda a: np.delete(np.delete(a, 1, 0), 1, 1),
+    ])
     def test_matches_checked_construction(self, make):
         a = random_spd(4, rng_from_tokens(9, "factored")).entries
         fast, checked = _factored(make(a)), SpdMatrix(make(a))
@@ -85,6 +160,22 @@ class TestFactored:
         assert np.array_equal(fast.chol, checked.chol)
         assert fast.log_det == checked.log_det
         assert not fast.entries.flags.writeable and not fast.chol.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_refuses_non_finite_entries(self, bad):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _factored(a)
+
+    def test_submatrices_are_those_of_checked_construction(self):
+        m = random_spd(5, rng_from_tokens(4, "factored-submatrices"))
+        for out, entries in ((delete_row_col(m, 2), np.delete(np.delete(m.entries, 2, 0), 2, 1)),
+                             (leading_principal(m, 3), m.entries[:3, :3])):
+            checked = SpdMatrix(entries)
+            assert np.array_equal(out.entries, checked.entries)
+            assert np.array_equal(out.chol, checked.chol)
+            assert out.entries.flags.c_contiguous and not out.entries.flags.writeable
 
 
 class TestSubmatrices:
@@ -192,6 +283,121 @@ class TestKyFanGap:
         cb = SpdMatrix(c * b.entries)
         for k in range(1, 4):
             assert kyfan_gap(ca, cb, k) == pytest.approx(c * kyfan_gap(a, b, k), rel=1e-11)
+
+
+class TestFactorRoutes:
+    """Every ratio and block log-det read from a factor, against LU
+    log-determinants of explicitly built minors and blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+    def test_deletion_ratios_match_per_minor_slogdet(self, n, seed, kind):
+        a, b = spd_pair(kind, n, seed)
+        for m in (a, b, SpdMatrix(a.entries + b.entries)):
+            np.testing.assert_allclose(
+                _deletion_ratios(m.chol), minor_ratios(m), rtol=route_rtol(m), atol=0.0
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+    def test_block_ratios_match_leading_block_slogdet(self, n, seed, kind):
+        a, b = spd_pair(kind, n, seed)
+        for m in (a, b, SpdMatrix(a.entries + b.entries)):
+            np.testing.assert_allclose(
+                _block_ratios(m.chol), leading_block_ratios(m), rtol=route_rtol(m), atol=0.0
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+    def test_gaps_match_per_minor_slogdet(self, n, seed, kind):
+        # a gap is a difference of ratios, so its error is bounded by the
+        # largest route tolerance times the sum of the three ratios
+        a, b = spd_pair(kind, n, seed)
+        s = SpdMatrix(a.entries + b.entries)
+        rtol = max(route_rtol(m) for m in (a, b, s))
+        for gaps, ratios in ((bergstrom_gap_all(a, b), minor_ratios),
+                             (kyfan_gap_all(a, b), leading_block_ratios)):
+            terms = [ratios(m) for m in (s, a, b)]
+            expected = terms[0] - terms[1] - terms[2]
+            assert np.all(np.abs(gaps - expected) <= rtol * sum(terms))
+            if kind == "diagonal":  # det ratios (k = 1) are additive: those gaps vanish
+                width = n if ratios is minor_ratios else 1
+                assert np.all(np.abs(gaps[:width]) <= (rtol * sum(terms))[:width])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from(KINDS))
+    def test_principal_logdet_matches_slogdet(self, n, seed, kind):
+        m, _ = spd_pair(kind, n, seed)
+        blocks = [list(range(k)) for k in range(1, n + 1)] + [list(range(1, n)), [0, n - 1]]
+        for keep in blocks:
+            expected = lu_logdet(m.entries[np.ix_(keep, keep)])
+            assert abs(_principal_logdet(m, keep) - expected) <= route_rtol(m)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_equal_minors_accepted_at_every_index(self, n):
+        # B = A + t e_i e_i' has the same minor M_i as A, so the precondition
+        # must accept the pair however ill-conditioned A is (det(A) / (A^-1)_ii
+        # misses det(A_i) by up to ~1e-8 relative at condition 1e8)
+        for seed in range(20):
+            a = conditioned_spd(n, 1e8, rng_from_tokens(seed, "equal-minors", n))
+            for i in range(n):
+                for t in (1.001, 3.0, 100.0):
+                    b = a.entries.copy()
+                    b[i, i] *= t
+                    _check_equal_minors(a, SpdMatrix(b), i)
+
+
+class TestFactorIdentity:
+    """Bit-for-bit claims of the factor routes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 20])
+    @pytest.mark.parametrize("family", ["equality", "perturbed"])
+    def test_stacked_equality_grid_is_the_per_point_factor(self, n, family):
+        rng = rng_from_tokens(n, "stacked-grid", family)
+        s1, s2 = make_bonnesen_equality_pair(n, rng)
+        if family == "perturbed":
+            b = s2.entries.copy()
+            b[0, -1] = b[-1, 0] = b[0, -1] + 0.1
+            s2 = SpdMatrix(b)
+        lams = np.linspace(0.0, 1.0, EQUALITY_GRID_POINTS)
+        grid = lams[:, None, None]
+        chols = _cholesky((1.0 - grid) * s1.entries + grid * s2.entries)
+        worst = None
+        for lam, chol in zip(lams, chols):
+            mixed = (1.0 - lam) * s1.entries + lam * s2.entries
+            assert np.array_equal(chol, _cholesky(mixed))
+            assert _chol_logdet(chol) == _logdet_raw(mixed)
+            lhs = math.exp(n * LN_2PIE + _logdet_raw(mixed))
+            rhs = ((1.0 - lam) * math.exp(n * LN_2PIE + s1.log_det)
+                   + lam * math.exp(n * LN_2PIE + s2.log_det))
+            rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+            if worst is None or rel > worst[0]:
+                worst = (rel, float(lam), lhs, rhs)
+        if family == "perturbed":
+            return  # the minors differ: the check refuses the pair
+        rep = check_equality_case_bonnesen(n, CheckConfig(seed=0), pair=(s1, s2))
+        assert (rep.lam, rep.lhs, rep.rhs) == worst[1:]
+
+    def test_stacked_grid_refusal_keeps_its_error_type(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        with pytest.raises(NotPositiveDefiniteError):
+            _cholesky(stack)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 40])
+    def test_equal_minors_have_equal_log_dets(self, n):
+        a = conditioned_spd(n, 1e8, rng_from_tokens(n, "equal-minor-bits"))
+        for i in range(n):
+            b = a.entries.copy()
+            b[i, i] *= 3.0
+            assert _minor_logdet(a, i) == _minor_logdet(SpdMatrix(b), i)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_single_index_ratios_are_the_sweep(self, n):
+        rng = rng_from_tokens(n, "sweep-identity")
+        a, b = random_spd(n, rng), random_spd(n, rng)
+        sweep, blocks = bergstrom_gap_all(a, b), kyfan_gap_all(a, b)
+        assert [bergstrom_gap(a, b, i) for i in range(n)] == list(sweep)
+        assert [kyfan_gap(a, b, k) for k in range(1, n)] == list(blocks)
 
 
 class TestBonnesenLinearGap:

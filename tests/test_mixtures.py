@@ -661,6 +661,30 @@ class TestClosureOps:
         with pytest.raises(DegenerateLawError):
             gm.scale(0.0)
 
+    def test_overflowing_covariance_refused_at_construction(self):
+        # sums, multiples and blocks skip SpdMatrix's checks, not its finiteness
+        x = GaussianMixture.gaussian([1.0, 2.0], [[2.0, 0.5], [0.5, 8e307]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                x.scale(10.0)
+            with pytest.raises(ValueError, match="finite"):
+                x.convolve(x.scale(1.2))
+
+    def test_closure_covariances_are_those_of_checked_construction(self):
+        gm = nine_part_mixture()
+        laws = [
+            (gm.convolve(gm), [a.cov.entries + b.cov.entries
+                               for a in gm.components for b in gm.components]),
+            (gm.scale(-0.7), [-0.7 * -0.7 * c.cov.entries for c in gm.components]),
+            (gm.marginal([2, 0]), [c.cov.entries[np.ix_([2, 0], [2, 0])] for c in gm.components]),
+        ]
+        for law, entries in laws:
+            for comp, expected in zip(law.components, entries):
+                checked = SpdMatrix(expected)
+                assert np.array_equal(comp.cov.entries, checked.entries)
+                assert np.array_equal(comp.cov.chol, checked.chol)
+                assert comp.cov.log_det == checked.log_det
+
     def test_marginal(self):
         gm = two_part_mixture()
         m = gm.marginal([0])
