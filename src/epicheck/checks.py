@@ -14,9 +14,9 @@ inputs go through exact closed forms (zero standard error), mixtures go
 through Monte-Carlo with exact scores/log-densities and explicit error
 bars.  Verdicts compare the gap against z * stderr plus scale-aware
 tolerances; ``violated`` is only returned when the gap is negative beyond
-both.  Checks with one gap over one set of draw groups read it at growing
-sample sizes and stop once it reads ``holds`` or ``violated``, under one
-error budget (``_Run.sides``).
+both.  Checks whose verdict is read from one set of draw groups read it at
+growing sample sizes and stop once it reads ``holds`` or ``violated``,
+under one error budget (``_Run.sides``).
 """
 
 from __future__ import annotations
@@ -32,13 +32,8 @@ from .estimators import (
     ENTROPY,
     FISHER,
     LN_2PIE,
-    METHOD_CLOSED,
-    METHOD_MC,
-    ScalarEstimate,
     _delta,
     _direction,
-    _jackknife,
-    _mean_and_se,
     _npow,
     _std_error,
     _term_looks,
@@ -254,15 +249,14 @@ class _Run:
     the generators of its RNG roles, its looks, its clock and its report.
     Every check opens one run, once the arguments it tags are validated, so
     that a bad argument raises the check's own error rather than one from
-    ``_tag``.  ``look_cfg`` is the config whose z classifies the record: cfg,
-    or cfg with the z of the look ``sides`` stopped at."""
+    ``_tag``."""
 
-    __slots__ = ("name", "cfg", "iid", "t0", "look_cfg")
+    __slots__ = ("name", "cfg", "iid", "t0")
 
     def __init__(self, name: str, cfg: CheckConfig | None, instance_id: str | None, *tagged):
         self.t0 = time.perf_counter()
         self.name = name
-        self.cfg = self.look_cfg = CheckConfig() if cfg is None else cfg
+        self.cfg = CheckConfig() if cfg is None else cfg
         self.iid = instance_id
         if tagged:
             self.tag(*tagged)
@@ -281,32 +275,33 @@ class _Run:
         through ``estimators._terms``."""
         return _terms(groups, self.cfg.m, self.rng)
 
-    def sides(self, lhs_fn, rhs_fn, *groups) -> tuple[float, float, float]:
-        """``_sides`` of the draw groups' means and covariance, look by look:
-        at each m_j of ``_looks(cfg.m)`` the estimates use the first m_j draws
-        of every group, and the run stops at the first early look that reads
-        ``holds`` or ``violated`` at that look's z (``_look_zs``);
-        ``equality_consistent`` and ``inconclusive`` are only read at the last
-        look.  A plan with no Monte-Carlo group has one look, at cfg.z."""
+    def sides(self, read, *groups) -> tuple[float, float, float, str]:
+        """(lhs, rhs, stderr, verdict) = ``read(mu, cov, look_cfg)`` of the draw
+        groups' means and covariance, look by look (``_classified`` reads one
+        lhs/rhs pair).  At each m_j of ``_looks(cfg.m)`` the estimates use the
+        first m_j draws of every group and look_cfg is cfg with that look's z
+        (``_look_zs``).  The run stops at the first early look that reads
+        ``holds`` or ``violated``, or whose lhs == rhs with a zero stderr (an
+        identity); ``equality_consistent`` and ``inconclusive`` are otherwise
+        only read at the last look.  A plan with no Monte-Carlo group has one
+        look, at cfg.z."""
         cfg = self.cfg
         sampled = not all(law.is_gaussian for law, _, _ in groups)
         looks = _looks(cfg.m) if sampled else [cfg.m]
         zs = _look_zs(cfg.z, len(looks))
-        for j, (ests, cov) in enumerate(_term_looks(groups, looks, self.rng)):
-            lhs, rhs, stderr = _sides(lhs_fn, rhs_fn, [e.value for e in ests], cov)
-            if zs[j] != cfg.z:
-                self.look_cfg = replace(cfg, z=zs[j])
-            if j + 1 < len(looks) and classify(lhs, rhs, stderr, self.look_cfg) in (
-                    VERDICT_HOLDS, VERDICT_VIOLATED):
+        for z, (ests, cov) in zip(zs, _term_looks(groups, looks, self.rng)):
+            look_cfg = cfg if z == cfg.z else replace(cfg, z=z)
+            lhs, rhs, stderr, verdict = read(np.array([e.value for e in ests]), cov, look_cfg)
+            if verdict in (VERDICT_HOLDS, VERDICT_VIOLATED) or (lhs == rhs and stderr == 0.0):
                 break
-        return lhs, rhs, stderr
+        return lhs, rhs, stderr, verdict
 
     def report(self, dim: int, lam: float | None, lhs: float, rhs: float, stderr: float,
-               extra_eq_tol: float = 0.0, verdict: str | None = None) -> InequalityReport:
-        """The check's record, classified unless ``verdict`` is given; wall_ms
-        runs from the opening of the run."""
+               verdict: str | None = None, extra_eq_tol: float = 0.0) -> InequalityReport:
+        """The check's record, classified at cfg.z unless ``verdict`` is given;
+        wall_ms runs from the opening of the run."""
         if verdict is None:
-            verdict = classify(lhs, rhs, stderr, self.look_cfg, extra_eq_tol)
+            verdict = classify(lhs, rhs, stderr, self.cfg, extra_eq_tol)
         wall_ms = (time.perf_counter() - self.t0) * 1e3
         return InequalityReport(
             self.name, self.iid, dim, lam, lhs, rhs, lhs - rhs, stderr, verdict, self.cfg.seed,
@@ -331,6 +326,15 @@ def _sides(lhs_fn, rhs_fn, mu, cov) -> tuple[float, float, float]:
     return float(lhs_fn(mu)), float(rhs_fn(mu)), stderr
 
 
+def _classified(lhs_fn, rhs_fn):
+    """The reading of a look (``_Run.sides``) for lhs_fn(mu) >= rhs_fn(mu):
+    ``_sides`` of the means and covariance, and its ``classify`` verdict."""
+    def read(mu, cov, cfg):
+        lhs, rhs, stderr = _sides(lhs_fn, rhs_fn, mu, cov)
+        return lhs, rhs, stderr, classify(lhs, rhs, stderr, cfg)
+    return read
+
+
 def _last_given_rest(x: GaussianMixture):
     """The statistic h(X_n | X_1..X_{n-1})."""
     return ("conditional_entropy", list(range(x.dim - 1)))
@@ -341,9 +345,8 @@ def _sum_report(run: _Run, x: GaussianMixture, y: GaussianMixture, stat, power) 
     with power applied to the statistic ``stat`` of each law, estimated from
     the RNG roles "sum", "x" and "y"."""
     groups = ((law, role, (stat,)) for law, role in ((x.convolve(y), "sum"), (x, "x"), (y, "y")))
-    lhs, rhs, stderr = run.sides(lambda v: power(v[0]), lambda v: power(v[1]) + power(v[2]),
-                                 *groups)
-    return run.report(x.dim, None, lhs, rhs, stderr)
+    read = _classified(lambda v: power(v[0]), lambda v: power(v[1]) + power(v[2]))
+    return run.report(x.dim, None, *run.sides(read, *groups))
 
 
 # --------------------------------------------------------------------------
@@ -383,11 +386,9 @@ def check_conditional_epi(
         for z, gm in enumerate(laws)
     ]
     p, k = triple.probs, triple.n_labels  # entropy powers of label-averaged entropies
-    lhs, rhs, stderr = run.sides(
-        lambda v: _npow(p @ v[:k], n), lambda v: _npow(p @ v[k:2 * k], n) + _npow(p @ v[2 * k:], n),
-        *groups,
-    )
-    return run.report(n, None, lhs, rhs, stderr)
+    read = _classified(lambda v: _npow(p @ v[:k], n),
+                       lambda v: _npow(p @ v[k:2 * k], n) + _npow(p @ v[2 * k:], n))
+    return run.report(n, None, *run.sides(read, *groups))
 
 
 def check_entropic_bergstrom(
@@ -414,9 +415,9 @@ def _convex_split_report(
 
     Checks exp((2/k) h_c(sqrt(wx) X + sqrt(wy) Y)) >= wx * exp((2/k) h_c(X))
     + wy * exp((2/k) h_c(Y)), where h_c is the entropy statistic ``stat``,
-    plain or conditional.  Endpoint
-    weights reuse a single estimate on both sides, so the gap there is
-    exactly zero.
+    plain or conditional.  Endpoint weights reuse a single estimate on both
+    sides, so the gap and its stderr there are exactly zero: an identity,
+    which ``_Run.sides`` decides at the first look.
     """
     wx = float(weight_x)
     wy = 1.0 - wx
@@ -427,11 +428,9 @@ def _convex_split_report(
     else:
         sum_law = _combine(x, y, math.sqrt(wx), math.sqrt(wy))
         laws, ix, iy = [(sum_law, "sum"), (x, "x"), (y, "y")], 1, 2
-    lhs, rhs, stderr = run.sides(
-        lambda v: _npow(v[0], k), lambda v: wx * _npow(v[ix], k) + wy * _npow(v[iy], k),
-        *((law, role, (stat,)) for law, role in laws),
-    )
-    return run.report(x.dim, lam, lhs, rhs, stderr)
+    read = _classified(lambda v: _npow(v[0], k),
+                       lambda v: wx * _npow(v[ix], k) + wy * _npow(v[iy], k))
+    return run.report(x.dim, lam, *run.sides(read, *((law, role, (stat,)) for law, role in laws)))
 
 
 def check_conditional_form(
@@ -612,10 +611,8 @@ def check_isoperimetric_sharp(
     equality."""
     run = _Run("isoperimetric_sharp", cfg, instance_id, x)
     n = x.dim
-    lhs, rhs, stderr = run.sides(
-        lambda v: v[2] * _npow(v[0], n), lambda v: _iso_bound(n, v), _iso_group(x, FISHER)
-    )
-    return run.report(n, None, lhs, rhs, stderr)
+    read = _classified(lambda v: v[2] * _npow(v[0], n), lambda v: _iso_bound(n, v))
+    return run.report(n, None, *run.sides(read, _iso_group(x, FISHER)))
 
 
 def check_isoperimetric_dominance(
@@ -628,10 +625,8 @@ def check_isoperimetric_dominance(
     applied to the ratio a = N_{n-1}/N."""
     run = _Run("isoperimetric_dominance", cfg, instance_id, x)
     n = x.dim
-    lhs, rhs, stderr = run.sides(
-        lambda v: _iso_bound(n, v), lambda v: TWO_PI_E * n, _iso_group(x)
-    )
-    return run.report(n, None, lhs, rhs, stderr)
+    read = _classified(lambda v: _iso_bound(n, v), lambda v: TWO_PI_E * n)
+    return run.report(n, None, *run.sides(read, _iso_group(x)))
 
 
 # --------------------------------------------------------------------------
@@ -801,27 +796,6 @@ def check_sphere_identity(
     return run.report(n, None, float(vals.mean()), float(v @ v) / n, _std_error(vals))
 
 
-def _score_second_moment(run: _Run, gm: GaussianMixture, role: str, folds: int = 10):
-    """Second-moment matrix of the score, its trace estimate, and the
-    leave-one-fold-out matrices (None on the closed-form route) for
-    jackknifing derived quantities; the draws come from ``run.rng(role)``."""
-    if gm.is_gaussian:
-        inv_chol = np.linalg.solve(gm.components[0].cov.chol, np.eye(gm.dim))
-        mat = inv_chol.T @ inv_chol
-        return mat, ScalarEstimate(float(np.trace(mat)), 0.0, 0, METHOD_CLOSED), None
-    m = run.cfg.m
-    pts = gm.sample(run.rng(role), m)
-    s = gm.score(pts)
-    mat = s.T @ s / m
-    total = mat * m
-    left_out = [
-        (total - s[f].T @ s[f]) / (m - f.size)
-        for f in np.array_split(np.arange(m), folds)
-        if f.size
-    ]
-    return mat, _mean_and_se(np.einsum("ij,ij->i", s, s), METHOD_MC), left_out
-
-
 def check_stam_recovery(
     x: GaussianMixture,
     y: GaussianMixture,
@@ -831,13 +805,20 @@ def check_stam_recovery(
 ) -> InequalityReport:
     """Sphere-average recovery of Fisher information, two facts at once.
 
-    (a) n times the sphere average of directional Fisher information
-    reproduces the full Fisher information (a quadrature identity on the
-    score second-moment matrix); if this gate fails the verdict is
-    inconclusive.  (b) the direction-wise harmonic combination
-    n * avg_u (1/I_u(X) + 1/I_u(Y))^-1 sits between I(X+Y) and the
-    Blachman-Stam bound (1/I(X) + 1/I(Y))^-1; the reported gap is the
-    lower link, and a failure of the upper link is a violation.
+    The terms are the score second moments M_ij = E[s_i s_j], i <= j, of X
+    and of Y (RNG roles "x" and "y") and I(X+Y) (role "sum"); I(X) and I(Y)
+    are the traces of M.  Over m_dirs uniform unit vectors u (role "dirs"),
+    I_u = u' M u is the directional Fisher information.  (a) n times the
+    direction mean of I_u(X) reproduces tr M_X (a quadrature identity); if
+    this gate fails the verdict is inconclusive.  (b) the direction-wise
+    harmonic combination mid = n * avg_u (1/I_u(X) + 1/I_u(Y))^-1 sits
+    between I(X+Y) and the Blachman-Stam bound (1/I(X) + 1/I(Y))^-1; the
+    reported gap is the lower link mid - I(X+Y), and a failure of the upper
+    link is a violation.  Both links carry the delta-method error of the
+    moments plus, as an independent variance, the CLT error of the mean over
+    the directions; the gate carries that direction error alone.  All three
+    are read look by look at each look's z (``_Run.sides``), so a record
+    that stops early reads its upper link and gate at the early look's z.
     """
     n = _same_dim(x, y)
     if not _direction_count_ok(m_dirs):
@@ -845,46 +826,36 @@ def check_stam_recovery(
     run = _Run("stam_recovery", cfg, instance_id, x, y)
     dirs = run.rng("dirs").standard_normal((m_dirs, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    k = len(pairs)
+    # u' M u = sum over i <= j of (2 - [i == j]) u_i u_j M_ij, as one product with the k moments
+    quad = np.stack([(1.0 if i == j else 2.0) * dirs[:, i] * dirs[:, j] for i, j in pairs], 1)
+    diag = [pairs.index((i, i)) for i in range(n)]
+    moments = tuple(("score_moment", ij) for ij in pairs)
 
-    mat_x, fish_x, left_x = _score_second_moment(run, x, "x")
-    mat_y, fish_y, left_y = _score_second_moment(run, y, "y")
-    (fish_sum,), _ = run.terms((x.convolve(y), "sum", (FISHER,)))
+    def mid(v):
+        return n * np.mean(1.0 / (1.0 / (quad @ v[:k]) + 1.0 / (quad @ v[k:2 * k])))
 
-    px = np.einsum("di,ij,dj->d", dirs, mat_x, dirs)
-    py = np.einsum("di,ij,dj->d", dirs, mat_y, dirs)
+    def bound(v):
+        return 1.0 / (1.0 / np.sum(v[diag]) + 1.0 / np.sum(v[k:2 * k][diag]))
 
-    ident_vals = n * px
-    ident_ok = _window(
-        float(ident_vals.mean()), float(np.trace(mat_x)), _std_error(ident_vals), run.cfg
-    )[1]
+    def read(mu, cov, look_cfg):
+        px, py = quad @ mu[:k], quad @ mu[k:2 * k]
+        se_dirs = _std_error(n / (1.0 / px + 1.0 / py))
+        lhs, rhs, se = _sides(mid, lambda v: v[2 * k], mu, cov)
+        stderr = math.hypot(se, se_dirs)
+        verdict = classify(lhs, rhs, stderr, look_cfg)
+        upper, middle, se = _sides(bound, mid, mu, cov)
+        if _window(upper, middle, math.hypot(se, se_dirs), look_cfg)[0]:
+            verdict = VERDICT_VIOLATED
+        ident = n * px
+        if not _window(float(ident.mean()), float(np.sum(mu[diag])), _std_error(ident),
+                       look_cfg)[1]:
+            verdict = VERDICT_INCONCLUSIVE
+        return lhs, rhs, stderr, verdict
 
-    harm = 1.0 / (1.0 / px + 1.0 / py)
-    mid_vals = n * harm
-
-    se_jack = 0.0
-    if left_x is not None or left_y is not None:
-        mids = []
-        for f in range(len(left_x if left_x is not None else left_y)):
-            mx = mat_x if left_x is None else left_x[f]
-            my = mat_y if left_y is None else left_y[f]
-            pxf = np.einsum("di,ij,dj->d", dirs, mx, dirs)
-            pyf = np.einsum("di,ij,dj->d", dirs, my, dirs)
-            mids.append(n * float(np.mean(1.0 / (1.0 / pxf + 1.0 / pyf))))
-        se_jack = _jackknife(np.asarray(mids))
-
-    # independent: the middle's direction mean, its zero-mean sample noise, I(X+Y), I(X), I(Y)
-    mu = [float(mid_vals.mean()), 0.0, fish_sum.value, fish_x.value, fish_y.value]
-    errs = [_std_error(mid_vals), se_jack, fish_sum.std_error, fish_x.std_error, fish_y.std_error]
-    cov = np.diag(errs) ** 2
-    lhs, rhs, stderr = _sides(lambda v: v[0] + v[1], lambda v: v[2], mu, cov)
-    verdict = classify(lhs, rhs, stderr, run.cfg)
-    # upper link: the Blachman-Stam bound (1/I(X) + 1/I(Y))^-1 dominates the middle
-    upper = _sides(lambda v: 1.0 / (1.0 / v[3] + 1.0 / v[4]), lambda v: v[0] + v[1], mu, cov)
-    if _window(*upper, run.cfg)[0]:
-        verdict = VERDICT_VIOLATED
-    if not ident_ok:
-        verdict = VERDICT_INCONCLUSIVE
-    return run.report(n, None, lhs, rhs, stderr, verdict=verdict)
+    groups = (x, "x", moments), (y, "y", moments), (x.convolve(y), "sum", (FISHER,))
+    return run.report(n, None, *run.sides(read, *groups))
 
 
 # --------------------------------------------------------------------------

@@ -86,29 +86,38 @@ def _mean_and_se(values: np.ndarray, method: str) -> ScalarEstimate:
 
 # --------------------------------------------------------------------------
 # the term engine.  A statistic is ENTROPY, FISHER, ("conditional_entropy", given),
-# ("marginal_entropy", coords) measured on the joint's draws, or
-# ("projective_fisher", u), with sorted coordinate lists and a unit vector u.
+# ("marginal_entropy", coords) measured on the joint's draws, ("projective_fisher", u)
+# or ("score_moment", (i, j)) with i <= j, with sorted coordinate lists and a unit vector u.
 
 ENTROPY, FISHER = ("entropy", None), ("fisher", None)
 PREFIXED = ("conditional_entropy", "marginal_entropy")  # their coordinates lead the kernel
+SCORED = ("fisher", "projective_fisher", "score_moment")  # their rows read the score
 
 
-def _closed(stat, g: GaussianComponent) -> ScalarEstimate:
-    """The one closed form of ``stat`` for the Gaussian ``g``."""
-    kind, arg = stat
+def _closed(stats, g: GaussianComponent) -> list[ScalarEstimate]:
+    """The one closed form of each statistic of ``stats`` for the Gaussian ``g``.
+    The Fisher information and the score moments read the inverse Cholesky
+    factor L^-1, made once: Sigma^-1 = L^-T L^-1."""
     n, cov = g.dim, g.cov
-    if kind == "entropy":  # (n ln(2 pi e) + ln det Sigma) / 2
-        value = 0.5 * (n * LN_2PIE + cov.log_det)
-    elif kind == "marginal_entropy":
-        value = 0.5 * (len(arg) * LN_2PIE + _principal_logdet(cov, arg))
-    elif kind == "conditional_entropy":  # h(joint) - h(given)
-        value = 0.5 * ((n - len(arg)) * LN_2PIE + cov.log_det - _principal_logdet(cov, arg))
-    elif kind == "fisher":  # tr Sigma^-1, from the inverse Cholesky factor
-        value = float(np.sum(np.linalg.solve(cov.chol, np.eye(n)) ** 2))
-    else:  # u' Sigma^-1 u
-        w = np.linalg.solve(cov.chol, arg)
-        value = float(w @ w)
-    return ScalarEstimate(value, 0.0, 0, METHOD_CLOSED)
+    inv_chol = None
+    ests = []
+    for kind, arg in stats:
+        if kind == "entropy":  # (n ln(2 pi e) + ln det Sigma) / 2
+            value = 0.5 * (n * LN_2PIE + cov.log_det)
+        elif kind == "marginal_entropy":
+            value = 0.5 * (len(arg) * LN_2PIE + _principal_logdet(cov, arg))
+        elif kind == "conditional_entropy":  # h(joint) - h(given)
+            value = 0.5 * ((n - len(arg)) * LN_2PIE + cov.log_det - _principal_logdet(cov, arg))
+        elif kind == "projective_fisher":  # u' Sigma^-1 u
+            w = np.linalg.solve(cov.chol, arg)
+            value = float(w @ w)
+        else:  # tr Sigma^-1, or the entry (Sigma^-1)_ij
+            if inv_chol is None:
+                inv_chol = np.linalg.solve(cov.chol, np.eye(n))
+            value = float(np.sum(inv_chol**2) if arg is None
+                          else inv_chol[:, arg[0]] @ inv_chol[:, arg[1]])
+        ests.append(ScalarEstimate(value, 0.0, 0, METHOD_CLOSED))
+    return ests
 
 
 def _row(stat, log_f, log_prefix, score) -> np.ndarray:
@@ -116,6 +125,8 @@ def _row(stat, log_f, log_prefix, score) -> np.ndarray:
     kind, arg = stat
     if kind.endswith("fisher"):  # |score|^2, or <score, u>^2
         return np.einsum("ij,ij->i", score, score) if arg is None else (score @ arg) ** 2
+    if kind == "score_moment":
+        return score[:, arg[0]] * score[:, arg[1]]
     if kind == "entropy":
         return -log_f
     return -log_f + log_prefix if kind == "conditional_entropy" else -log_prefix
@@ -126,9 +137,9 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
     the increasing ``looks``, the means of the statistics' rows on the first
     m_j draws of ``gm`` and their covariance.  The draws are those of
     ``gm.sample(rng, looks[-1])``; a look draws, places and evaluates
-    (``_kernel``) only its new draws and keeps their per-sample rows, so with
-    looks at multiples of BLOCK every row is the one a single look at
-    looks[-1] makes.  A lone statistic keeps its estimator's CLT bar
+    (``_kernel``) only its new draws and appends their per-sample rows, so a
+    row is only as long as the look, and with looks at multiples of BLOCK
+    every row is the one a single look at looks[-1] makes.  A lone statistic keeps its estimator's CLT bar
     ``_std_error`` (np.cov would differ from it in the last bit); several take
     np.cov / m_j.  Fewer than 2 draws have no error bar and are refused."""
     if rng is None:
@@ -141,10 +152,12 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
     prefix = list(prefixes.pop()) if prefixes else []
     order = prefix + [i for i in range(gm.dim) if i not in prefix]
     law = gm if order == list(range(gm.dim)) else gm.marginal(order)
-    scored = any(kind.endswith("fisher") for kind, _ in stats)
+    scored = any(kind in SCORED for kind, _ in stats)
     idx = _labels(rng, gm.weights, looks[-1])
-    rows = [np.empty(looks[-1]) for _ in stats]
+    rows = [np.empty(0) for _ in stats]
     for lo, hi in zip([0, *looks], looks):
+        # grown before the look's scratch is made: freed after the rows, it leaves no hole
+        rows = [np.concatenate((row, np.empty(hi - lo))) for row in rows]
         pts = gm._piece(rng, idx, lo, hi)
         log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix),
                                                scored)
@@ -154,11 +167,11 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
             row[lo:hi] = _row(stat, log_f, log_prefix, score)
         del pts, log_f, log_prefix, score  # only the rows outlive a look
         if len(rows) == 1:
-            est = _mean_and_se(rows[0][:hi], METHOD_MC)
+            est = _mean_and_se(rows[0], METHOD_MC)
             yield [est], np.array([[est.std_error**2]])
             continue
-        cov = np.cov([row[:hi] for row in rows], ddof=1) / hi
-        yield [ScalarEstimate(float(np.mean(row[:hi])), float(np.sqrt(var)), hi, METHOD_MC)
+        cov = np.cov(rows, ddof=1) / hi
+        yield [ScalarEstimate(float(np.mean(row)), float(np.sqrt(var)), hi, METHOD_MC)
                for row, var in zip(rows, cov.diagonal())], cov
 
 
@@ -170,7 +183,7 @@ def _term_looks(groups, looks, rng_for):
     group, and extends its draws from look to look (``_sampled``), so a caller
     that stops at a look has drawn nothing beyond it."""
     parts = [
-        [_closed(stat, law.components[0]) for stat in stats] if law.is_gaussian
+        _closed(stats, law.components[0]) if law.is_gaussian
         else _sampled(law, stats, looks, rng_for(role))
         for law, role, stats in groups
     ]
@@ -211,7 +224,7 @@ def _direction(u, n: int) -> np.ndarray:
 
 def gaussian_entropy(g: GaussianComponent) -> ScalarEstimate:
     """h = (n ln(2 pi e) + ln det Sigma) / 2, exact."""
-    return _closed(ENTROPY, g)
+    return _closed((ENTROPY,), g)[0]
 
 
 def _npow(h, n: int):
@@ -318,7 +331,7 @@ def conditional_entropy_last(
 
 def gaussian_fisher(g: GaussianComponent) -> ScalarEstimate:
     """I = tr(Sigma^-1), from the inverse Cholesky factor."""
-    return _closed(FISHER, g)
+    return _closed((FISHER,), g)[0]
 
 
 def mc_fisher(gm: GaussianMixture, m: int, rng: np.random.Generator) -> ScalarEstimate:

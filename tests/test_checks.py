@@ -295,6 +295,19 @@ class TestEntropicBergstrom:
             TWO_PI_E * bergstrom_gap(a, b, n - 1), rel=1e-10, abs=1e-12
         )
 
+    def test_sides_are_twice_the_half_conditional_form(self):
+        # sqrt(1/2) (X + Y) halves exp(2 h(last | rest)), so each side is twice
+        # that of conditional_form(1/2); relative bound fixed before the first run
+        for n in range(2, 6):
+            for i in range(50):
+                rng = rng_from_tokens(i, "bergstrom-half", n)
+                a, b = random_spd(n, rng, 1e4), random_spd(n, rng, 1e4)
+                x, y = gauss(a.entries), gauss(b.entries)
+                full, half = check_entropic_bergstrom(x, y, CFG), check_conditional_form(
+                    x, y, 0.5, CFG)
+                assert abs(full.lhs - 2.0 * half.lhs) <= 1e-13 * full.lhs
+                assert abs(full.rhs - 2.0 * half.rhs) <= 1e-13 * full.rhs
+
 
 class TestConditionalForm:
     def test_endpoints_share_one_estimate(self):
@@ -371,6 +384,16 @@ class TestEntropicKyfan:
         cond = check_conditional_form(x, y, 0.5, CFG)
         assert block.lhs == pytest.approx(cond.lhs, rel=1e-12)
         assert block.rhs == pytest.approx(cond.rhs, rel=1e-12)
+
+    def test_last_coordinate_is_conditional_form_bit_for_bit(self):
+        for n in range(2, 6):
+            for i in range(50):
+                rng = rng_from_tokens(i, "kyfan-last", n)
+                a, b = random_spd(n, rng, 1e4), random_spd(n, rng, 1e4)
+                x, y = gauss(a.entries), gauss(b.entries)
+                block = check_entropic_kyfan(x, y, [n - 1], 0.5, CFG)
+                cond = check_conditional_form(x, y, 0.5, CFG)
+                assert (block.lhs, block.rhs, block.gap) == (cond.lhs, cond.rhs, cond.gap)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6), st.floats(0.05, 0.95))
@@ -1057,6 +1080,10 @@ def equality_instances():
             split(gauss(np.diag([1.0, 1.0, 4.0]))), cfg),
         "isoperimetric_dominance": lambda cfg: check_isoperimetric_dominance(
             split(gauss(np.eye(3))), cfg),
+        # isotropic laws: I_u(X) = I(X) / n in every direction u, so the lower
+        # link's gap is zero in law
+        "stam_recovery": lambda cfg: check_stam_recovery(
+            split(gauss(np.eye(3))), split(gauss(2.0 * np.eye(3))), cfg=cfg),
     }
 
 
@@ -1092,6 +1119,19 @@ class TestLooks:
         assert rep.verdict == VERDICT_HOLDS
         assert kernel_rows == [BLOCK] * 3  # the sum, x and y laws, one block each
 
+    def test_far_stam_pair_stops_after_one_block(self, kernel_rows):
+        rep = check_stam_recovery(two_part(), two_part(6.0), cfg=CheckConfig(m=100_000))
+        assert rep.verdict == VERDICT_HOLDS
+        assert kernel_rows == [BLOCK] * 3  # the x, y and sum laws, one block each
+
+    def test_endpoint_identity_stops_after_one_block(self, kernel_rows):
+        # one estimate on both sides: gap and stderr are exactly 0 at every look
+        for lam in (0.0, 1.0):
+            kernel_rows.clear()
+            rep = check_conditional_form(two_part(), two_part(1.0), lam, CheckConfig(m=100_000))
+            assert (rep.gap, rep.stderr, rep.verdict) == (0.0, 0.0, VERDICT_EQUALITY)
+            assert kernel_rows == [BLOCK]
+
     def test_equality_pair_reaches_m(self, kernel_rows):
         m = 100_000
         rep = check_epi(split(gauss(COV_A)), split(gauss(2.0 * COV_A)), CheckConfig(m=m))
@@ -1120,6 +1160,8 @@ class TestLooks:
                      lambda: check_conditional_form(gauss(COV_A), gauss(COV_B), 0.3, CFG),
                      lambda: check_isoperimetric_sharp(gauss(np.eye(3)), CFG)):
             assert call().stderr == 0.0
+        # the mean over random directions keeps its error bar on the closed-form route
+        assert check_stam_recovery(gauss(COV_A), gauss(COV_B), cfg=CFG).stderr > 0.0
 
 
 class TestLookCalibration:
@@ -1161,4 +1203,19 @@ class TestLookCalibration:
             exact = TWO_PI_E * (schur((1 - lam) * sx + lam * sy)
                                 - (1 - lam) * schur(sx) - lam * schur(sy))
             beyond += abs(rep.gap - exact) > 3.0 * rep.stderr
+        assert beyond <= binomial_allowance(records, 2.0 * ndtr(-3.0))
+
+    def test_stam_first_look_error_bars_cover(self):
+        # isotropic pairs: I_u(X) = I(X) / n for every direction u, so the lower
+        # link's gap is exactly zero; one look at m = BLOCK, at z = 3
+        cfg, records = CheckConfig(m=BLOCK, seed=33), 300
+        beyond = 0
+        for i in range(records):
+            rng = rng_from_tokens(33, "stam-cal", i)
+            n = int(rng.integers(2, 5))
+            a, b = rng.uniform(0.5, 2.0, size=2)
+            x = split(gauss(a * np.eye(n), rng.normal(size=n)))
+            y = split(gauss(b * np.eye(n), rng.normal(size=n)))
+            rep = check_stam_recovery(x, y, cfg=cfg)
+            beyond += abs(rep.gap) > 3.0 * rep.stderr
         assert beyond <= binomial_allowance(records, 2.0 * ndtr(-3.0))

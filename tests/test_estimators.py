@@ -312,8 +312,8 @@ class TestConditionalEntropy:
         ld = np.linalg.slogdet(cov)[1]
         for keep in [list(range(k)) for k in range(1, n)] + [list(range(1, n)), [n - 1]]:
             ld_keep = np.linalg.slogdet(cov[np.ix_(keep, keep)])[1]
-            marginal = _closed(("marginal_entropy", keep), g).value
-            given_keep = _closed(("conditional_entropy", keep), g).value
+            marginal, given_keep = (e.value for e in _closed(
+                [("marginal_entropy", keep), ("conditional_entropy", keep)], g))
             assert abs(marginal - 0.5 * (len(keep) * LN_2PIE + ld_keep)) <= 0.5 * tol
             assert abs(given_keep - 0.5 * ((n - len(keep)) * LN_2PIE + ld - ld_keep)) <= tol
 
@@ -522,7 +522,8 @@ class TestTermEngine:
 
     def test_shared_draw_group_matches_separate_rows(self):
         gm, m = three_d_mixture(), 4000
-        stats = (ENTROPY, ("marginal_entropy", [0, 1]), FISHER, ("projective_fisher", U_3D))
+        stats = (ENTROPY, ("marginal_entropy", [0, 1]), FISHER, ("projective_fisher", U_3D),
+                 ("score_moment", (0, 2)))
         ests, cov = _terms([(gm, "g", stats)], m, streams(19))
         pts = gm.sample(rng_from_tokens(19, "engine", "g"), m)
         score = gm.score(pts)
@@ -531,6 +532,7 @@ class TestTermEngine:
             -gm.marginal([0, 1]).log_density(pts[:, :2]),
             np.einsum("ij,ij->i", score, score),
             (score @ U_3D) ** 2,
+            score[:, 0] * score[:, 2],
         ])
         assert [e.value for e in ests] == pytest.approx(rows.mean(axis=1), rel=1e-12)
         assert cov == pytest.approx(np.cov(rows, ddof=1) / m, rel=1e-9, abs=1e-15)
@@ -555,6 +557,17 @@ class TestTermEngine:
         marginal = GaussianComponent([1.0, 3.0], COV_3D[np.ix_([0, 2], [0, 2])])
         assert est == gaussian_entropy(marginal)
         assert est.value < gaussian_entropy(g).value
+
+    def test_score_moments_closed_form(self):
+        # (Sigma^-1)_ij against numpy's inverse; their trace is the Fisher information
+        pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+        stats = [("score_moment", ij) for ij in pairs] + [FISHER]
+        ests, cov = _terms([(gauss(COV_3D), "s", stats)], 10, streams(0))
+        inv = np.linalg.inv(COV_3D)
+        assert [e.value for e in ests[:-1]] == pytest.approx([inv[ij] for ij in pairs], rel=1e-12)
+        trace = sum(e.value for (i, j), e in zip(pairs, ests) if i == j)
+        assert trace == pytest.approx(ests[-1].value, rel=1e-14)
+        assert not cov.any()
 
     def test_two_prefixes_in_one_group_refused(self):
         stats = (("conditional_entropy", [1]), ("marginal_entropy", [0]))
@@ -604,7 +617,7 @@ def one_shot(gm, stats, m, rng):
     order = prefix + [i for i in range(gm.dim) if i not in prefix]
     law = gm if order == list(range(gm.dim)) else gm.marginal(order)
     pts = gm.sample(rng, m)
-    scored = any(kind.endswith("fisher") for kind, _ in stats)
+    scored = any(kind.endswith("fisher") or kind == "score_moment" for kind, _ in stats)
     log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix), scored)
     if scored and law is not gm:
         score = score[:, np.argsort(order)]
@@ -628,6 +641,7 @@ class TestLookIdentity:
                            ("projective_fisher", U_3D))),
             (gm, "reordered", (("conditional_entropy", [1]),)),
             (gm, "fisher", (FISHER,)),
+            (gm, "moments", (("score_moment", (0, 1)), ("score_moment", (2, 2)))),
         ]
         looks = _looks(m)
         seen = []
@@ -645,6 +659,7 @@ class TestLookIdentity:
         assert all(e.n_samples == m for e in ests)
         assert np.array_equal(cov[:4, :4], blocks[0])
         assert cov[4, 4] == blocks[1][0, 0] and cov[5, 5] == blocks[2][0, 0]
+        assert np.array_equal(cov[6:, 6:], blocks[3])
 
     def test_early_looks_use_the_first_draws(self):
         # a look's estimate is the one-shot estimate on its prefix of the draws
