@@ -139,9 +139,10 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
     ``gm.sample(rng, looks[-1])``; a look draws, places and evaluates
     (``_kernel``) only its new draws and appends their per-sample rows, so a
     row is only as long as the look, and with looks at multiples of BLOCK
-    every row is the one a single look at looks[-1] makes.  A lone statistic keeps its estimator's CLT bar
-    ``_std_error`` (np.cov would differ from it in the last bit); several take
-    np.cov / m_j.  Fewer than 2 draws have no error bar and are refused."""
+    every row is the one a single look at looks[-1] makes.  A lone statistic
+    keeps its estimator's CLT bar ``_std_error`` (np.cov would differ from it
+    in the last bit); several take np.cov / m_j.  Fewer than 2 draws have no
+    error bar and are refused."""
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
     if looks[0] < 2:
@@ -156,7 +157,8 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
     idx = _labels(rng, gm.weights, looks[-1])
     rows = [np.empty(0) for _ in stats]
     for lo, hi in zip([0, *looks], looks):
-        # grown before the look's scratch is made: freed after the rows, it leaves no hole
+        # grown before the look's scratch is made, so that the scratch, freed at the
+        # end of the look, leaves no hole under the rows that keeps the heap large
         rows = [np.concatenate((row, np.empty(hi - lo))) for row in rows]
         pts = gm._piece(rng, idx, lo, hi)
         log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix),
