@@ -21,7 +21,7 @@ from scipy.special import digamma
 from .exceptions import DimensionError
 from .matrices import _is_int, _principal_logdet
 from .mixtures import (
-    BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _coordinates, _labels, _logsumexp,
+    BLOCK, LN_2PI, GaussianComponent, GaussianMixture, _coordinates, _labels, _logsumexp, _skip,
 )
 from .seeding import rng_from_tokens, stable_digest
 
@@ -136,15 +136,20 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
     """The Monte-Carlo route of one draw group, look by look: at each m_j of
     the increasing ``looks``, the means of the statistics' rows on the first
     m_j draws of ``gm`` and their covariance.  The draws are those of
-    ``gm.sample(rng, looks[-1])``; a look draws, places and evaluates
-    (``_kernel``) only its new draws and appends their per-sample rows, so a
-    row is only as long as the look, and with looks at multiples of BLOCK
-    every row is the one a single look at looks[-1] makes.  A lone statistic
-    keeps its estimator's CLT bar ``_std_error`` (np.cov would differ from it
-    in the last bit); several take np.cov / m_j.  Fewer than 2 draws have no
-    error bar and are refused."""
+    ``gm.sample(rng, looks[-1])``, m labels and then the normals.  A look
+    labels only its new draws, from a cursor that ``rng`` has skipped past
+    (``_skip``: Philox only, with several looks), then places and evaluates
+    (``_kernel``) them and appends their per-sample rows, so with looks at
+    multiples of BLOCK every row is the one a single look at looks[-1] makes.
+    A component drawn once so far has all the labels drawn at once, so that
+    ``_place`` pairs its rows as ``sample`` does.  A lone statistic keeps its
+    estimator's CLT bar ``_std_error`` (np.cov would differ from it in the last
+    bit); several take np.cov / m_j.  Counts that are not integers, and fewer
+    than 2 draws, which have no error bar, are refused before any draw."""
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
+    if not all(map(_is_int, looks)):
+        raise ValueError(f"sample counts must be integers, got m={looks[-1]!r}")
     if looks[0] < 2:
         raise ValueError(f"the Monte-Carlo route needs at least 2 draws, got m={looks[0]!r}")
     prefixes = {tuple(arg) for kind, arg in stats if kind in PREFIXED}
@@ -154,9 +159,17 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
     order = prefix + [i for i in range(gm.dim) if i not in prefix]
     law = gm if order == list(range(gm.dim)) else gm.marginal(order)
     scored = any(kind in SCORED for kind, _ in stats)
-    idx = _labels(rng, gm.weights, looks[-1])
+    idx = _labels(rng, gm.weights, looks[0])
+    if len(looks) > 1:  # the next label's place, while rng goes on past the unread ones
+        cursor = rng.bit_generator.state
+        _skip(rng, looks[-1] - looks[0])
     rows = [np.empty(0) for _ in stats]
     for lo, hi in zip([0, *looks], looks):
+        for upto in (hi, looks[-1]):  # the look's labels, then all once a component is lone
+            if idx.size < upto and (upto == hi or 1 in np.bincount(idx)):
+                normals, rng.bit_generator.state = rng.bit_generator.state, cursor
+                idx = np.concatenate((idx, _labels(rng, gm.weights, upto - idx.size)))
+                cursor, rng.bit_generator.state = rng.bit_generator.state, normals
         # grown before the look's scratch is made, so that the scratch, freed at the
         # end of the look, leaves no hole under the rows that keeps the heap large
         rows = [np.concatenate((row, np.empty(hi - lo))) for row in rows]
@@ -384,6 +397,9 @@ def conditional_fisher_last(
         raise DimensionError("conditioning needs dimension at least 2")
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
+    if not (_is_int(m_outer) and _is_int(m_inner)):
+        raise ValueError(f"sample counts must be integers, got m_outer={m_outer!r}, "
+                         f"m_inner={m_inner!r}")
     if m_outer < 2 or m_inner < 1:  # one outer draw has no error bar
         raise ValueError(f"sample counts must be positive, with at least 2 outer draws, "
                          f"got m_outer={m_outer!r}, m_inner={m_inner!r}")

@@ -97,6 +97,25 @@ def _labels(rng: np.random.Generator, weights: np.ndarray, m: int) -> np.ndarray
     return key
 
 
+def _skip(rng: np.random.Generator, count: int) -> None:
+    """Leave the Philox ``rng`` in the state ``rng.random(count)`` leaves (one
+    64-bit word per double) without making the doubles: the buffer's words are
+    drawn, the counter jumps four words a step (Salmon et al., SC'11), and as
+    ``advance`` drops the buffer and a saved 32-bit half, the last one to four
+    words are drawn and the half put back.  Other generators raise TypeError."""
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.Philox):
+        raise TypeError(f"only a Philox generator can skip draws, got {type(bits).__name__}")
+    state = bits.state
+    rest = count - min(count, 4 - state["buffer_pos"])
+    rng.random(count - rest)
+    if rest:
+        bits.advance((rest - 1) // 4)
+        bits.state = {**bits.state, "has_uint32": state["has_uint32"],
+                      "uinteger": state["uinteger"]}
+        rng.random((rest - 1) % 4 + 1)
+
+
 def _whiten(chol: np.ndarray, pts: np.ndarray, mean: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """z = L^-1 (x - mu) for the rows x of ``pts`` (m, n), coordinate-major in
     the C-ordered (n, m) ``buf``: one right-side BLAS solve Z L' = X - mu on
@@ -251,8 +270,8 @@ class GaussianMixture:
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """Draw ``m`` points: categorical component choice, then Cholesky."""
-        if m < 1:
-            raise ValueError("sample count must be positive")
+        if not _is_int(m) or m < 1:
+            raise ValueError(f"sample count must be a positive integer, got m={m!r}")
         return self._piece(rng, _labels(rng, self.weights, m), 0, m)
 
     def _piece(self, rng: np.random.Generator, idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -273,9 +292,11 @@ class GaussianMixture:
         scratch made once per call, a stable counting sort groups the rows by
         component, each group is placed as mean + rows @ chol.T by one product,
         and the rows go back in draw order.  numpy makes a one-row product a
-        matrix-vector product, which rounds differently, so a component with
-        two or more draws among all of ``idx`` never gets one: a lone row in a
-        block is multiplied along with the next row."""
+        matrix-vector product, which rounds differently, so only a component
+        drawn once among all of ``idx`` gets one: any other lone row in a block
+        is multiplied along with the next row.  The rows are those of
+        ``sample`` when ``idx`` holds all its labels, or enough of them to
+        leave no component drawn once, as ``_sampled`` keeps it."""
         m, n = z.shape
         out = np.empty((m, n)) if out is None else out
         k = self.n_components

@@ -22,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epicheck import (
+    CheckConfig,
     DimensionError,
     GaussianComponent,
     GaussianMixture,
     ScalarEstimate,
+    check_epi,
     conditional_entropy,
     conditional_entropy_last,
     conditional_fisher_last,
@@ -41,11 +43,13 @@ from epicheck import (
     random_mixture,
     random_spd,
 )
+from epicheck import estimators
 from epicheck.checks import _looks
 from epicheck.estimators import (
-    ENTROPY, FISHER, LN_2PIE, PREFIXED, _closed, _delta, _mean_and_se, _row, _term_looks, _terms,
+    ENTROPY, FISHER, LN_2PIE, PREFIXED, _closed, _delta, _mean_and_se, _row, _sampled,
+    _term_looks, _terms,
 )
-from epicheck.mixtures import BLOCK
+from epicheck.mixtures import BLOCK, _labels
 from epicheck.seeding import rng_from_tokens
 
 H_STD_1D = 1.4189385332046727
@@ -697,3 +701,121 @@ class TestTooFewDraws:
     def test_two_draws_carry_an_error_bar(self):
         est = entropy(three_d_mixture(), 2, rng_from_tokens(24, "few"))
         assert est.method == "plug_in_mc" and est.std_error > 0.0
+
+
+class TestSampleCounts:
+    """A count that is not an integer is refused before any draw, as
+    ``CheckConfig`` refuses it; numpy integers are counts."""
+
+    @pytest.mark.parametrize("call", [
+        lambda gm, rng: entropy(gm, 2.5, rng),
+        lambda gm, rng: mc_entropy(gm, 1e5, rng),
+        lambda gm, rng: mc_fisher(gm, True, rng),
+        lambda gm, rng: conditional_fisher_last(gm, 2.5, 5, rng),
+        lambda gm, rng: conditional_fisher_last(gm, 3, True, rng),
+    ])
+    def test_non_integer_counts_refused_before_drawing(self, call):
+        rng = rng_from_tokens(25, "counts")
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample counts must be integers"):
+            call(three_d_mixture(), rng)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+
+    def test_numpy_integer_counts_accepted(self):
+        gm, rng = three_d_mixture(), rng_from_tokens(25, "counts")
+        assert entropy(gm, np.int64(100), rng).n_samples == 100
+        assert conditional_fisher_last(gm, np.int64(3), np.int32(4), rng).n_samples == 3
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The labels every ``_labels`` call of the term engine returns and the
+    rows every ``_piece`` call places, in call order."""
+    seen = {"labels": [], "rows": []}
+    labels, piece = estimators._labels, GaussianMixture._piece
+
+    def spied_labels(*args):
+        seen["labels"].append(labels(*args))
+        return seen["labels"][-1]
+
+    def spied_piece(self, *args):
+        seen["rows"].append(piece(self, *args))
+        return seen["rows"][-1]
+
+    monkeypatch.setattr(estimators, "_labels", spied_labels)
+    monkeypatch.setattr(GaussianMixture, "_piece", spied_piece)
+    return seen
+
+
+def lone_mixture(seed: int, weight: float) -> GaussianMixture:
+    """Three components in dimension 3, the first of weight about ``weight``."""
+    rng = rng_from_tokens(seed, "lone-law")
+    w = np.array([weight, 0.5, 0.5])
+    comps = [(rng.normal(0.0, 3.0, size=3), random_spd(3, rng, 1e4)) for _ in range(3)]
+    return GaussianMixture(w / w.sum(), comps)
+
+
+class TestLookLabels:
+    """A draw group labels only the draws its looks read: the labels go on
+    from a cursor while the generator skips to the normals, so every row and
+    the generator's last state are those of ``sample`` on all m draws."""
+
+    def test_looks_draw_their_own_labels(self, drawn):
+        gm, m = nine_part_mixture(), 100_000
+        rng = rng_from_tokens(26, "look-labels")
+        for _ in _sampled(gm, (ENTROPY,), _looks(m), rng):
+            pass
+        assert [len(idx) for idx in drawn["labels"]] == [BLOCK, 3 * BLOCK, m - 4 * BLOCK]
+        expected = rng_from_tokens(26, "look-labels")
+        assert np.array_equal(np.concatenate(drawn["labels"]), _labels(expected, gm.weights, m))
+        expected = rng_from_tokens(26, "look-labels")
+        assert np.array_equal(np.concatenate(drawn["rows"]), gm.sample(expected, m))
+        np.testing.assert_equal(rng.bit_generator.state, expected.bit_generator.state)
+
+    def test_far_pair_draws_one_block_of_labels(self, drawn):
+        x = GaussianMixture([0.4, 0.6], [(np.zeros(2), np.eye(2)),
+                                         ([0.0, 3.0], [[2.0, 0.5], [0.5, 1.0]])])
+        rep = check_epi(x, x.scale(3.0), CheckConfig(m=100_000))
+        assert rep.verdict == "holds"
+        assert [len(idx) for idx in drawn["labels"]] == [BLOCK] * 3  # the sum, x and y laws
+
+    @pytest.mark.parametrize("again", [True, False], ids=["drawn-again", "lone-in-call"])
+    def test_component_drawn_once_keeps_the_rows_of_sample(self, drawn, again):
+        # _place gives a component drawn once in the whole call a one-row
+        # product, so once the first look holds one, the rest are labelled;
+        # the seed is one whose lone row a one-row product rounds differently,
+        # where this BLAS has one
+        m = 4 * BLOCK + 7
+        weight = 2.0 / BLOCK if again else 2.0 / m
+
+        def lone_row(seed):
+            rng = rng_from_tokens(seed, "lone")
+            idx = _labels(rng, lone_mixture(seed, weight).weights, m)
+            first, total = (np.count_nonzero(idx[:hi] == 0) for hi in (BLOCK, m))
+            if first == 1 and (total > 1) == again:
+                return rng.standard_normal((m, 3))[np.argmax(idx == 0)]
+
+        def rounds_apart(seed, row):
+            chol_t = lone_mixture(seed, weight).components[0].cov.chol.T
+            return not np.array_equal(row @ chol_t, (np.stack([row, row]) @ chol_t)[0])
+
+        rows = {s: row for s in range(200) if (row := lone_row(s)) is not None}
+        seed = next((s for s, row in rows.items() if rounds_apart(s, row)), next(iter(rows)))
+        gm, rng = lone_mixture(seed, weight), rng_from_tokens(seed, "lone")
+        for _ in _sampled(gm, (FISHER,), _looks(m), rng):
+            pass
+        assert [len(idx) for idx in drawn["labels"]] == [BLOCK, m - BLOCK]
+        expected = rng_from_tokens(seed, "lone")
+        assert np.array_equal(np.concatenate(drawn["rows"]), gm.sample(expected, m))
+        np.testing.assert_equal(rng.bit_generator.state, expected.bit_generator.state)
+
+    def test_public_estimators_take_any_generator(self):
+        gm = three_d_mixture()
+        est = entropy(gm, 1000, np.random.default_rng(0))
+        pts = gm.sample(np.random.default_rng(0), 1000)
+        assert est.value == float(np.mean(-gm.log_density(pts)))
+
+    def test_several_looks_need_philox(self):
+        with pytest.raises(TypeError, match="Philox"):
+            list(_term_looks([(three_d_mixture(), "p", (ENTROPY,))], _looks(4 * BLOCK),
+                             lambda _role: np.random.default_rng(0)))

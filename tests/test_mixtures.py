@@ -32,7 +32,7 @@ from epicheck import (
 )
 from epicheck.checks import _looks
 from epicheck.matrices import _chol_logdet
-from epicheck.mixtures import BLOCK, LN_2PI, _labels, _logsumexp
+from epicheck.mixtures import BLOCK, LN_2PI, _labels, _logsumexp, _skip
 from epicheck.seeding import rng_from_tokens
 
 
@@ -636,6 +636,40 @@ class TestSampling:
         )
         emp = pts.T @ pts / len(pts)
         assert np.allclose(emp, second, atol=0.05)
+
+    @pytest.mark.parametrize("m", [3.0, 2.5, True, 0])
+    def test_count_must_be_a_positive_integer(self, m):
+        rng = rng_from_tokens(12, "samp")
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample count must be a positive integer"):
+            two_part_mixture().sample(rng, m)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+        assert two_part_mixture().sample(rng, np.int64(3)).shape == (3, 2)
+
+
+class TestLookLabels:
+    @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, BLOCK - 1, 100_000 - BLOCK])
+    @pytest.mark.parametrize("before", [0, 1, 2, 3])
+    def test_skip_leaves_the_state_of_the_draws(self, before, count):
+        expected, got = (rng_from_tokens(before, count, "skip") for _ in range(2))
+        expected.random(before + count)
+        got.random(before)
+        _skip(got, count)
+        np.testing.assert_equal(got.bit_generator.state, expected.bit_generator.state)
+        assert np.array_equal(got.random(9), expected.random(9))
+
+    def test_skip_keeps_a_saved_32_bit_half(self):
+        expected, got = rng_from_tokens("skip-half"), rng_from_tokens("skip-half")
+        for rng in (expected, got):
+            rng.integers(0, 5, dtype=np.uint32)
+        assert got.bit_generator.state["has_uint32"] == 1
+        expected.random(BLOCK + 2)
+        _skip(got, BLOCK + 2)
+        np.testing.assert_equal(got.bit_generator.state, expected.bit_generator.state)
+
+    def test_skip_needs_philox(self):
+        with pytest.raises(TypeError, match="Philox"):
+            _skip(np.random.default_rng(0), 5)
 
 
 class TestClosureOps:
