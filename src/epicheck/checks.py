@@ -35,12 +35,11 @@ from .estimators import (
     _delta,
     _direction,
     _npow,
+    _shared,
     _std_error,
     _term_looks,
     _terms,
     entropy_power,
-    gaussian_entropy,
-    gaussian_fisher,
 )
 from .exceptions import ConfigError, DimensionError, PreconditionError
 from .matrices import (
@@ -60,9 +59,7 @@ from .matrices import (
     _sum_ratios,
     make_bonnesen_equality_pair,
 )
-from .mixtures import (
-    BLOCK, GaussianComponent, GaussianMixture, MarkovTriple, _coordinates, _labels,
-)
+from .mixtures import BLOCK, GaussianComponent, GaussianMixture, MarkovTriple, _coordinates
 from .seeding import rng_from_tokens, stable_digest
 
 TWO_PI_E = math.exp(LN_2PIE)
@@ -286,7 +283,7 @@ class _Run:
         only read at the last look.  A plan with no Monte-Carlo group has one
         look, at cfg.z."""
         cfg = self.cfg
-        sampled = not all(law.is_gaussian for law, _, _ in groups)
+        sampled = not all(g.is_gaussian for law, _, stats in groups for g in _shared(law, stats)[0])
         looks = _looks(cfg.m) if sampled else [cfg.m]
         zs = _look_zs(cfg.z, len(looks))
         for z, (ests, cov) in zip(zs, _term_looks(groups, looks, self.rng)):
@@ -643,42 +640,26 @@ def check_de_bruijn(
     """Heat-flow derivative identity: d/dt h(X + sqrt(t) Z) = I(X + sqrt(t) Z)/2.
 
     The left side is a central difference of entropies at t +/- dt; adding
-    sqrt(s) Z is realized exactly as a covariance shift + s I.  On the
-    Monte-Carlo route all three smoothed laws share the same underlying
-    normal draws, so the finite difference is a paired per-sample statistic.
-    The equality window is widened by an O(dt^2) curvature term.
+    sqrt(s) Z is realized exactly as a covariance shift + s I of each
+    component.  The three smoothed laws are one draw group: on the
+    Monte-Carlo route they share their labels and normals, so the finite
+    difference is paired, and ``_sides`` bars the gap with the covariance of
+    the three terms.  An identity never stops early, so the check reads one
+    look at m.  The equality window is widened by an O(dt^2) curvature term.
     """
     if not _heat_steps_ok(t, dt):
         raise ValueError(f"need finite 0 < dt < t, got t={t}, dt={dt}")
     run = _Run("de_bruijn", cfg, instance_id, x)
     n = x.dim
-    min_eig = min(
-        float(np.linalg.eigvalsh(c.cov.entries)[0]) for c in x.components
-    )
+    min_eig = min(float(np.linalg.eigvalsh(c.cov.entries)[0]) for c in x.components)
     extra = dt * dt * n / (min_eig + t - dt) ** 3
-    eye = np.eye(n)
-    shifts = (t - dt, t, t + dt)
-    if x.is_gaussian:
-        g = x.components[0]
-        smoothed = {s: GaussianComponent(g.mean, _factored(g.cov.entries + s * eye))
-                    for s in shifts}
-        h_up, h_down = (gaussian_entropy(smoothed[s]).value for s in (t + dt, t - dt))
-        lhs = (h_up - h_down) / (2.0 * dt)
-        rhs = 0.5 * gaussian_fisher(smoothed[t]).value
-        return run.report(n, None, lhs, rhs, 0.0, extra_eq_tol=extra)
-
-    m = run.cfg.m
-    rng = run.rng("mc")
-    idx = _labels(rng, x.weights, m)
-    z = rng.standard_normal((m, n))
-    laws = {s: x.convolve(GaussianMixture.gaussian(np.zeros(n), s * eye)) for s in shifts}
-    out = {s: law._kernel(law._place(idx, z), 0, s == t) for s, law in laws.items()}
-    diff = (-out[t + dt][0] + out[t - dt][0]) / (2.0 * dt)
-    half_sq = 0.5 * np.einsum("ij,ij->i", out[t][2], out[t][2])
-    return run.report(
-        n, None, float(diff.mean()), float(half_sq.mean()), _std_error(diff - half_sq),
-        extra_eq_tol=extra,
-    )
+    laws = tuple(GaussianMixture(x.weights, [
+        GaussianComponent(c.mean, _factored(c.cov.entries + s * np.eye(n))) for c in x.components
+    ]) for s in (t - dt, t, t + dt))
+    ests, cov = run.terms((laws, "mc", ((ENTROPY,), (FISHER,), (ENTROPY,))))
+    lhs, rhs, stderr = _sides(lambda v: (v[2] - v[0]) / (2.0 * dt), lambda v: 0.5 * v[1],
+                              [e.value for e in ests], cov)
+    return run.report(n, None, lhs, rhs, stderr, extra_eq_tol=extra)
 
 
 def check_blachman_stam(

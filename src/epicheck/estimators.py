@@ -132,38 +132,58 @@ def _row(stat, log_f, log_prefix, score) -> np.ndarray:
     return -log_f + log_prefix if kind == "conditional_entropy" else -log_prefix
 
 
-def _sampled(gm: GaussianMixture, stats, looks, rng):
-    """The Monte-Carlo route of one draw group, look by look: at each m_j of
-    the increasing ``looks``, the means of the statistics' rows on the first
-    m_j draws of ``gm`` and their covariance.  The draws are those of
-    ``gm.sample(rng, looks[-1])``, m labels and then the normals.  A look
-    labels only its new draws, from a cursor that ``rng`` has skipped past
-    (``_skip``: Philox only, with several looks), then places and evaluates
-    (``_kernel``) them and appends their per-sample rows, so with looks at
-    multiples of BLOCK every row is the one a single look at looks[-1] makes.
-    A component drawn once so far has all the labels drawn at once, so that
-    ``_place`` pairs its rows as ``sample`` does.  A lone statistic keeps its
-    estimator's CLT bar ``_std_error`` (np.cov would differ from it in the last
-    bit); several take np.cov / m_j.  Counts that are not integers, and fewer
-    than 2 draws, which have no error bar, are refused before any draw."""
-    if rng is None:
-        raise ValueError("a generator is required for the Monte-Carlo route")
+def _shared(law, stats):
+    """A draw group's laws and each law's statistics: one law with its tuple of
+    statistics, or a tuple of laws that share one weight vector, each with its
+    own tuple of statistics."""
+    return (law, stats) if isinstance(law, tuple) else ((law,), (stats,))
+
+
+def _counts(looks) -> None:
+    """Refuse counts that are not integers, and fewer than 2 draws, which have
+    no error bar, on either route."""
     if not all(map(_is_int, looks)):
         raise ValueError(f"sample counts must be integers, got m={looks[-1]!r}")
     if looks[0] < 2:
-        raise ValueError(f"the Monte-Carlo route needs at least 2 draws, got m={looks[0]!r}")
-    prefixes = {tuple(arg) for kind, arg in stats if kind in PREFIXED}
-    if len(prefixes) > 1:
-        raise ValueError(f"a draw group has at most one prefix, got {sorted(prefixes)}")
-    prefix = list(prefixes.pop()) if prefixes else []
-    order = prefix + [i for i in range(gm.dim) if i not in prefix]
-    law = gm if order == list(range(gm.dim)) else gm.marginal(order)
-    scored = any(kind in SCORED for kind, _ in stats)
+        raise ValueError(f"an estimate needs at least 2 draws, got m={looks[0]!r}")
+
+
+def _sampled(law, stats, looks, rng):
+    """The Monte-Carlo route of one draw group (``_shared``), look by look: at
+    each m_j of the increasing ``looks``, the means of the statistics' rows on
+    the first m_j draws and their covariance.  The draws are those of the
+    first law's ``sample(rng, looks[-1])``, m labels and then the normals, and
+    every law places the same labels and normals through its own components
+    (``_place``), the last in place over the normals.  A look labels only its
+    new draws, from a cursor that ``rng`` has skipped past (``_skip``: Philox
+    only, with several looks), then places and evaluates (``_kernel``) them and
+    appends their per-sample rows, so with looks at multiples of BLOCK every
+    row is the one a single look at looks[-1] makes.  A component drawn once
+    so far has all the labels drawn at once, so that ``_place`` pairs its rows
+    as ``sample`` does.  A lone statistic keeps its estimator's CLT bar
+    ``_std_error`` (np.cov would differ from it in the last bit); several take
+    np.cov / m_j.  Bad counts (``_counts``) are refused before any draw."""
+    laws, stats = _shared(law, stats)
+    if rng is None:
+        raise ValueError("a generator is required for the Monte-Carlo route")
+    _counts(looks)
+    gm = laws[0]
+    if any(g.dim != gm.dim or not np.array_equal(g.weights, gm.weights) for g in laws):
+        raise ValueError("the laws of a draw group share one dimension and one weight vector")
+    plans = []
+    for g, law_stats in zip(laws, stats):
+        prefixes = {tuple(arg) for kind, arg in law_stats if kind in PREFIXED}
+        if len(prefixes) > 1:
+            raise ValueError(f"a law's statistics have at most one prefix, got {sorted(prefixes)}")
+        prefix = list(prefixes.pop()) if prefixes else []
+        order = prefix + [i for i in range(g.dim) if i not in prefix]
+        plans.append((g, law_stats, order, g if order == list(range(g.dim)) else g.marginal(order),
+                      len(prefix), any(kind in SCORED for kind, _ in law_stats)))
     idx = _labels(rng, gm.weights, looks[0])
     if len(looks) > 1:  # the next label's place, while rng goes on past the unread ones
         cursor = rng.bit_generator.state
         _skip(rng, looks[-1] - looks[0])
-    rows = [np.empty(0) for _ in stats]
+    rows = [np.empty(0) for law_stats in stats for _ in law_stats]
     for lo, hi in zip([0, *looks], looks):
         for upto in (hi, looks[-1]):  # the look's labels, then all once a component is lone
             if idx.size < upto and (upto == hi or 1 in np.bincount(idx)):
@@ -173,14 +193,17 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
         # grown before the look's scratch is made, so that the scratch, freed at the
         # end of the look, leaves no hole under the rows that keeps the heap large
         rows = [np.concatenate((row, np.empty(hi - lo))) for row in rows]
-        pts = gm._piece(rng, idx, lo, hi)
-        log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix),
-                                               scored)
-        if scored and law is not gm:
-            score = score[:, np.argsort(order)]  # back to the coordinates of gm
-        for row, stat in zip(rows, stats):
-            row[lo:hi] = _row(stat, log_f, log_prefix, score)
-        del pts, log_f, log_prefix, score  # only the rows outlive a look
+        z = rng.standard_normal((hi - lo, gm.dim))
+        looked = iter(rows)
+        for j, (g, law_stats, order, law, k, scored) in enumerate(plans):
+            pts = g._place(idx, z, out=z if j == len(laws) - 1 else None, first=lo)
+            log_f, log_prefix, score = law._kernel(pts if law is g else pts[:, order], k, scored)
+            if scored and law is not g:
+                score = score[:, np.argsort(order)]  # back to the coordinates of g
+            for stat in law_stats:
+                next(looked)[lo:hi] = _row(stat, log_f, log_prefix, score)
+            del pts, log_f, log_prefix, score  # only the rows outlive a look
+        del z
         if len(rows) == 1:
             est = _mean_and_se(rows[0], METHOD_MC)
             yield [est], np.array([[est.std_error**2]])
@@ -193,15 +216,21 @@ def _sampled(gm: GaussianMixture, stats, looks, rng):
 def _term_looks(groups, looks, rng_for):
     """Estimates of the statistics of the draw groups (law, RNG role, stats), in
     order, and their block-diagonal covariance, at each look m_j of the
-    increasing ``looks``.  A pure Gaussian takes the closed forms, once, and no
-    generator; any other law draws from ``rng_for(role)``, one generator per
-    group, and extends its draws from look to look (``_sampled``), so a caller
-    that stops at a look has drawn nothing beyond it."""
-    parts = [
-        _closed(stats, law.components[0]) if law.is_gaussian
-        else _sampled(law, stats, looks, rng_for(role))
-        for law, role, stats in groups
-    ]
+    increasing ``looks``.  A group whose laws (``_shared``) are all pure
+    Gaussians takes the closed forms, once, and no generator; any other group
+    draws from ``rng_for(role)``, one generator per group, and extends its
+    draws from look to look (``_sampled``), so a caller that stops at a look
+    has drawn nothing beyond it.  The counts are checked (``_counts``) before
+    a route is chosen."""
+    _counts(looks)
+    parts = []
+    for law, role, stats in groups:
+        laws, law_stats = _shared(law, stats)
+        parts.append(
+            [est for g, s in zip(laws, law_stats) for est in _closed(s, g.components[0])]
+            if all(g.is_gaussian for g in laws)
+            else _sampled(law, stats, looks, rng_for(role))
+        )
     for _ in looks:
         ests, blocks = [], []
         for part in parts:

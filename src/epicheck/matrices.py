@@ -278,23 +278,14 @@ def bonnesen_linear_gap(a: SpdMatrix, b: SpdMatrix, lam: float, i: int) -> float
     return det_mixed - lam * _det(a.log_det) - (1.0 - lam) * _det(b.log_det)
 
 
-def _minor_logdet(m: SpdMatrix, i: int) -> float:
-    """log det M_i from the first n-1 pivots of the factor of M with row and
-    column i moved last, which is M's own factor for i = n-1.  Among matrices
-    of one size those pivots depend only on M_i, so equal minors give equal
-    bits at any condition number; det(M) / (its deletion ratio) would not (it
-    misses by up to ~1e-8 relative at condition 1e8, beyond DET_MATCH_RTOL)."""
-    chol = m.chol
-    if i != m.dim - 1:
-        order = [j for j in range(m.dim) if j != i] + [i]
-        chol = _cholesky(m.entries[np.ix_(order, order)])
-    return _chol_logdet(chol[:-1, :-1])
-
-
 def _check_equal_minors(a: SpdMatrix, b: SpdMatrix, i: int) -> None:
-    """PreconditionError unless det(A_i) = det(B_i) to DET_MATCH_RTOL; NaN fails."""
-    det_ai = _det(_minor_logdet(a, i))
-    det_bi = _det(_minor_logdet(b, i))
+    """PreconditionError unless det(A_i) = det(B_i) to DET_MATCH_RTOL; NaN fails.
+    Each minor's log-det is read from its own pivots (``_principal_logdet``),
+    so equal minors give equal bits at any condition number; det(M) / (its
+    deletion ratio) would not (it misses by up to ~1e-8 relative at condition
+    1e8, beyond DET_MATCH_RTOL)."""
+    keep = [j for j in range(a.dim) if j != i]
+    det_ai, det_bi = (_det(_principal_logdet(m, keep)) for m in (a, b))
     if not abs(det_ai - det_bi) <= DET_MATCH_RTOL * max(abs(det_ai), abs(det_bi)):
         raise PreconditionError(
             f"minor determinants differ: det(A_{i}) = {det_ai!r}, det(B_{i}) = {det_bi!r}"

@@ -272,23 +272,17 @@ class GaussianMixture:
         """Draw ``m`` points: categorical component choice, then Cholesky."""
         if not _is_int(m) or m < 1:
             raise ValueError(f"sample count must be a positive integer, got m={m!r}")
-        return self._piece(rng, _labels(rng, self.weights, m), 0, m)
-
-    def _piece(self, rng: np.random.Generator, idx: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi of the draws whose labels ``idx`` came first from
-        ``rng``: the next normals of ``rng``, placed as ``sample`` places them.
-        After ``idx = _labels(rng, self.weights, m)``, consecutive pieces that
-        start at multiples of BLOCK are the rows of ``sample(rng, m)`` bit for
-        bit, and a piece never drawn costs nothing."""
-        z = rng.standard_normal((hi - lo, self.dim))
-        return self._place(idx, z, out=z, first=lo)
+        idx = _labels(rng, self.weights, m)
+        z = rng.standard_normal((m, self.dim))
+        return self._place(idx, z, out=z)
 
     def _place(self, idx: np.ndarray, z: np.ndarray, out: np.ndarray | None = None,
                first: int = 0) -> np.ndarray:
         """Map standard normal rows ``z``, those of the labels
         ``idx[first:first + len(z)]``, through the components they name into
         ``out`` (a fresh array by default, or ``z`` itself); laws with one
-        component layout can share the draws.  BLOCK rows at a time, through
+        weight vector share the draws (a draw
+        group of ``estimators._sampled``).  BLOCK rows at a time, through
         scratch made once per call, a stable counting sort groups the rows by
         component, each group is placed as mean + rows @ chol.T by one product,
         and the rows go back in draw order.  numpy makes a one-row product a

@@ -27,6 +27,7 @@ from scipy.special import ndtr
 from epicheck import (
     CheckConfig,
     DimensionError,
+    GaussianComponent,
     GaussianMixture,
     MarkovTriple,
     PreconditionError,
@@ -59,6 +60,8 @@ from epicheck import (
     conditional_entropy,
     delete_row_col,
     entropy,
+    gaussian_entropy,
+    gaussian_fisher,
     kyfan_gap,
     leading_principal,
     lambda_concavity_scan,
@@ -70,7 +73,7 @@ from epicheck import (
 )
 from epicheck import checks, matrices, runner
 from epicheck.checks import REPORT_KEYS
-from epicheck.matrices import make_bonnesen_equality_pair
+from epicheck.matrices import _factored, make_bonnesen_equality_pair
 from epicheck.mixtures import BLOCK
 
 TWO_PI_E = 17.079468445347132
@@ -643,21 +646,36 @@ class TestDeBruijn:
         assert rep.verdict == VERDICT_EQUALITY
 
     def test_shared_normal_block_unchanged(self, monkeypatch):
-        # the three smoothed laws are placed from one (idx, z); none may overwrite z
+        # the three smoothed laws are placed from one (idx, z) and see the same
+        # normals: only the last placement may overwrite z
         seen = []
         place = GaussianMixture._place
 
-        def spy(law, idx, z, out=None):
-            seen.append((z, z.copy()))
-            return place(law, idx, z, out)
+        def spy(law, idx, z, out=None, first=0):
+            seen.append((idx, z, z.copy(), out))
+            return place(law, idx, z, out, first)
 
         monkeypatch.setattr(GaussianMixture, "_place", spy)
         check_de_bruijn(two_part(), t=0.1, dt=1e-3, cfg=CheckConfig(m=2_000, seed=3))
-        placements = [call for call in seen if call[0].shape == (2_000, 2)]
-        assert len(placements) == 3
-        block, before = placements[0]
-        assert all(z is block for z, _ in placements)
-        assert np.array_equal(block, before)
+        assert len(seen) == 3
+        labels, block, before, _ = seen[0]
+        assert all(idx is labels and z is block for idx, z, _, _ in seen)
+        assert all(np.array_equal(normals, before) for _, _, normals, _ in seen)
+        assert [out is block for *_, out in seen] == [False, False, True]
+
+    @pytest.mark.parametrize("cov", [[[1.0]], COV_A, [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2],
+                                                      [0.1, -0.2, 1.5]]])
+    def test_closed_form_is_the_gaussian_arithmetic(self, cov):
+        # bit for bit the central difference of gaussian_entropy and half of gaussian_fisher
+        t, dt = 0.1, 1e-3
+        g = gauss(cov).components[0]
+        smoothed = {s: GaussianComponent(g.mean, _factored(g.cov.entries + s * np.eye(g.dim)))
+                    for s in (t - dt, t, t + dt)}
+        h_up, h_down = (gaussian_entropy(smoothed[s]).value for s in (t + dt, t - dt))
+        rep = check_de_bruijn(gauss(cov), t, dt, CFG)
+        assert rep.lhs == (h_up - h_down) / (2.0 * dt)
+        assert rep.rhs == 0.5 * gaussian_fisher(smoothed[t]).value
+        assert rep.stderr == 0.0
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
@@ -1204,6 +1222,21 @@ class TestLookCalibration:
                                 - (1 - lam) * schur(sx) - lam * schur(sy))
             beyond += abs(rep.gap - exact) > 3.0 * rep.stderr
         assert beyond <= binomial_allowance(records, 2.0 * ndtr(-3.0))
+
+    def test_de_bruijn_error_bars_are_calibrated(self):
+        # the paired gap of the three smoothed laws, one look at m = 2e4; its
+        # exact value is the closed-form record's gap on the same Gaussian
+        cfg, records = CheckConfig(m=20_000, seed=34), 200
+        zs = np.empty(records)
+        for i in range(records):
+            rng = rng_from_tokens(34, "bruijn-cal", i)
+            n = int(rng.integers(1, 4))
+            law = gauss(random_spd(n, rng).entries, rng.normal(size=n))
+            rep = check_de_bruijn(split(law), cfg=cfg)
+            zs[i] = (rep.gap - check_de_bruijn(law, cfg=cfg).gap) / rep.stderr
+        assert abs(zs.mean()) <= 0.25
+        assert 0.8 <= zs.std(ddof=1) <= 1.25
+        assert np.abs(zs).max() <= 4.5
 
     def test_stam_first_look_error_bars_cover(self):
         # isotropic pairs: I_u(X) = I(X) / n for every direction u, so the lower

@@ -614,18 +614,22 @@ def nine_part_mixture() -> GaussianMixture:
     return GaussianMixture(raw / raw.sum(), comps)
 
 
-def one_shot(gm, stats, m, rng):
-    """One draw group's means and covariance from one ``sample`` and one
-    ``_kernel`` call over all m draws."""
+def kernel_rows(gm, stats, pts):
+    """The per-sample rows of ``stats`` from one ``_kernel`` call of ``gm`` at ``pts``."""
     prefix = next((list(arg) for kind, arg in stats if kind in PREFIXED), [])
     order = prefix + [i for i in range(gm.dim) if i not in prefix]
     law = gm if order == list(range(gm.dim)) else gm.marginal(order)
-    pts = gm.sample(rng, m)
     scored = any(kind.endswith("fisher") or kind == "score_moment" for kind, _ in stats)
     log_f, log_prefix, score = law._kernel(pts if law is gm else pts[:, order], len(prefix), scored)
     if scored and law is not gm:
         score = score[:, np.argsort(order)]
-    rows = [_row(stat, log_f, log_prefix, score) for stat in stats]
+    return [_row(stat, log_f, log_prefix, score) for stat in stats]
+
+
+def one_shot(gm, stats, m, rng):
+    """One draw group's means and covariance from one ``sample`` and one
+    ``_kernel`` call over all m draws."""
+    rows = kernel_rows(gm, stats, gm.sample(rng, m))
     if len(rows) == 1:
         est = _mean_and_se(rows[0], "plug_in_mc")
         return [est.value], [est.std_error], np.array([[est.std_error**2]])
@@ -675,6 +679,78 @@ class TestLookIdentity:
         assert first[0][0].n_samples == BLOCK
 
 
+def smoothed(gm: GaussianMixture, s: float) -> GaussianMixture:
+    """The law of X + sqrt(s) Z, with the weights of ``gm``."""
+    return GaussianMixture(gm.weights, [(c.mean, c.cov.entries + s * np.eye(gm.dim))
+                                        for c in gm.components])
+
+
+def shared_group():
+    """Three laws on one weight vector, with a reordered prefix, a score and a
+    multi-statistic law among them."""
+    gm = nine_part_mixture()
+    laws = (smoothed(gm, 0.1), gm, smoothed(gm, 0.3))
+    stats = ((ENTROPY,), (("conditional_entropy", [1]), FISHER), (ENTROPY, FISHER))
+    return laws, stats
+
+
+class TestSharedGroups:
+    """A draw group of several laws on one weight vector draws its labels and
+    normals once, as ``sample`` of the first law does, and places them
+    through each law."""
+
+    @pytest.mark.parametrize("m", [BLOCK - 1, 4 * BLOCK + 7])
+    def test_rows_are_each_laws_placement_of_the_sample_draws(self, m):
+        laws, stats = shared_group()
+        ests, cov = _terms([(laws, "g", stats)], m, streams(40))
+        rng = rng_from_tokens(40, "engine", "g")
+        idx = _labels(rng, laws[0].weights, m)
+        z = rng.standard_normal((m, 3))
+        rows = [row for law, law_stats in zip(laws, stats)
+                for row in kernel_rows(law, law_stats, law._place(idx, z))]
+        assert [e.value for e in ests] == [float(np.mean(row)) for row in rows]
+        assert np.array_equal(cov, np.cov(rows, ddof=1) / m)
+        assert all(e.n_samples == m and e.method == "plug_in_mc" for e in ests)
+
+    def test_generator_ends_where_sample_leaves_it(self):
+        laws, stats = shared_group()
+        m = 4 * BLOCK + 7
+        rng = rng_from_tokens(41, "shared-end")
+        for _ in _sampled(laws, stats, _looks(m), rng):
+            pass
+        expected = rng_from_tokens(41, "shared-end")
+        laws[0].sample(expected, m)
+        np.testing.assert_equal(rng.bit_generator.state, expected.bit_generator.state)
+
+    @pytest.mark.parametrize("m", [BLOCK + 1, 4 * BLOCK + 7])
+    def test_looks_end_on_the_one_look_run(self, m):
+        laws, stats = shared_group()
+        groups = [(laws, "g", stats), (three_d_mixture(), "x", (ENTROPY,))]
+        *_, (ests, cov) = _term_looks(groups, _looks(m), streams(42))
+        one, one_cov = _terms(groups, m, streams(42))
+        assert ests == one
+        assert np.array_equal(cov, one_cov)
+
+    def test_gaussian_laws_take_the_closed_forms(self):
+        def refuse(role):
+            raise AssertionError(f"a generator was made for role {role!r}")
+
+        laws = tuple(gauss(COV_3D + s * np.eye(3)) for s in (0.1, 0.2))
+        ests, cov = _terms([(laws, "g", ((ENTROPY,), (FISHER, ENTROPY)))], 100, refuse)
+        expected = [gaussian_entropy(laws[0].components[0]), gaussian_fisher(laws[1].components[0]),
+                    gaussian_entropy(laws[1].components[0])]
+        assert ests == expected and not cov.any()
+
+    @pytest.mark.parametrize("other", [
+        lambda gm: GaussianMixture(np.roll(gm.weights, 1), gm.components),
+        lambda gm: gm.marginal([0, 1]),
+    ], ids=["weights", "dimension"])
+    def test_laws_must_share_weights_and_dimension(self, other):
+        gm = nine_part_mixture()
+        with pytest.raises(ValueError, match="one weight vector"):
+            _terms([((gm, other(gm)), "g", ((ENTROPY,), (ENTROPY,)))], 100, streams(43))
+
+
 class TestTooFewDraws:
     """One draw has no error bar: the Monte-Carlo route refuses it rather than
     report a zero standard error that reads as a closed form."""
@@ -685,6 +761,14 @@ class TestTooFewDraws:
         _, public = PUBLIC[name]
         with pytest.raises(ValueError, match="at least 2 draws"):
             public(three_d_mixture(), m, rng_from_tokens(24, "few"))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("name", sorted(PUBLIC))
+    def test_gaussian_refuses_as_a_mixture_does(self, name, m):
+        # the count rule comes before the route: a closed form does not skip it
+        _, public = PUBLIC[name]
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            public(gauss(COV_3D), m, None)
 
     @pytest.mark.parametrize("estimator", [mc_entropy, mc_fisher])
     def test_forced_monte_carlo_refuses(self, estimator):
@@ -721,6 +805,16 @@ class TestSampleCounts:
             call(three_d_mixture(), rng)
         np.testing.assert_equal(rng.bit_generator.state, state)
 
+    @pytest.mark.parametrize("call", [
+        lambda gm: entropy(gm, 2.5, None),
+        lambda gm: fisher(gm, True, None),
+        lambda gm: conditional_entropy(gm, [0], 1e3, None),
+        lambda gm: projective_fisher(gm, U_3D, 2.0, None),
+    ])
+    def test_gaussian_non_integer_counts_refused(self, call):
+        with pytest.raises(ValueError, match="sample counts must be integers"):
+            call(gauss(COV_3D))
+
     def test_numpy_integer_counts_accepted(self):
         gm, rng = three_d_mixture(), rng_from_tokens(25, "counts")
         assert entropy(gm, np.int64(100), rng).n_samples == 100
@@ -730,20 +824,20 @@ class TestSampleCounts:
 @pytest.fixture
 def drawn(monkeypatch):
     """The labels every ``_labels`` call of the term engine returns and the
-    rows every ``_piece`` call places, in call order."""
+    rows every ``_place`` call places, in call order."""
     seen = {"labels": [], "rows": []}
-    labels, piece = estimators._labels, GaussianMixture._piece
+    labels, place = estimators._labels, GaussianMixture._place
 
     def spied_labels(*args):
         seen["labels"].append(labels(*args))
         return seen["labels"][-1]
 
-    def spied_piece(self, *args):
-        seen["rows"].append(piece(self, *args))
+    def spied_place(self, *args, **kwargs):
+        seen["rows"].append(place(self, *args, **kwargs))
         return seen["rows"][-1]
 
     monkeypatch.setattr(estimators, "_labels", spied_labels)
-    monkeypatch.setattr(GaussianMixture, "_piece", spied_piece)
+    monkeypatch.setattr(GaussianMixture, "_place", spied_place)
     return seen
 
 

@@ -597,9 +597,10 @@ class TestSampling:
     @pytest.mark.parametrize("n", [3, 8])
     @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 4 * BLOCK + 7, 100_000])
     def test_pieces_are_the_rows_of_sample(self, n, m):
-        # a check's looks: each piece is the next rows of sample(rng, m) bit
-        # for bit, lone rows in a block included (rare components), and the
-        # generator ends where sample leaves it
+        # a check's looks: each look's next normals, placed from the first
+        # draw of the look, are the next rows of sample(rng, m) bit for bit,
+        # lone rows in a block included (rare components), and the generator
+        # ends where sample leaves it
         looks = _looks(m)
         for k in (2, 9):
             gm = rare_component_mixture(n, k, m, rng_from_tokens(n, k, m, "pieces-law"))
@@ -607,7 +608,8 @@ class TestSampling:
             whole = gm.sample(expected, m)
             idx = _labels(got, gm.weights, m)
             for lo, hi in zip([0, *looks], looks):
-                assert np.array_equal(gm._piece(got, idx, lo, hi), whole[lo:hi]), (k, hi)
+                z = got.standard_normal((hi - lo, n))
+                assert np.array_equal(gm._place(idx, z, out=z, first=lo), whole[lo:hi]), (k, hi)
             np.testing.assert_equal(got.bit_generator.state, expected.bit_generator.state)
 
     def test_scratch_memory_does_not_grow_with_m(self):
