@@ -294,11 +294,11 @@ class _Run:
         return lhs, rhs, stderr, verdict
 
     def report(self, dim: int, lam: float | None, lhs: float, rhs: float, stderr: float,
-               verdict: str | None = None, extra_eq_tol: float = 0.0) -> InequalityReport:
+               verdict: str | None = None) -> InequalityReport:
         """The check's record, classified at cfg.z unless ``verdict`` is given;
         wall_ms runs from the opening of the run."""
         if verdict is None:
-            verdict = classify(lhs, rhs, stderr, self.cfg, extra_eq_tol)
+            verdict = classify(lhs, rhs, stderr, self.cfg)
         wall_ms = (time.perf_counter() - self.t0) * 1e3
         return InequalityReport(
             self.name, self.iid, dim, lam, lhs, rhs, lhs - rhs, stderr, verdict, self.cfg.seed,
@@ -323,12 +323,12 @@ def _sides(lhs_fn, rhs_fn, mu, cov) -> tuple[float, float, float]:
     return float(lhs_fn(mu)), float(rhs_fn(mu)), stderr
 
 
-def _classified(lhs_fn, rhs_fn):
-    """The reading of a look (``_Run.sides``) for lhs_fn(mu) >= rhs_fn(mu):
-    ``_sides`` of the means and covariance, and its ``classify`` verdict."""
+def _classified(lhs_fn, rhs_fn, extra: float = 0.0):
+    """The reading of a look (``_Run.sides``) for lhs_fn(mu) >= rhs_fn(mu): ``_sides``
+    of the means and covariance, and its ``classify`` verdict, equality allowance ``extra``."""
     def read(mu, cov, cfg):
         lhs, rhs, stderr = _sides(lhs_fn, rhs_fn, mu, cov)
-        return lhs, rhs, stderr, classify(lhs, rhs, stderr, cfg)
+        return lhs, rhs, stderr, classify(lhs, rhs, stderr, cfg, extra)
     return read
 
 
@@ -644,8 +644,8 @@ def check_de_bruijn(
     component.  The three smoothed laws are one draw group: on the
     Monte-Carlo route they share their labels and normals, so the finite
     difference is paired, and ``_sides`` bars the gap with the covariance of
-    the three terms.  An identity never stops early, so the check reads one
-    look at m.  The equality window is widened by an O(dt^2) curvature term.
+    the three terms, look by look (``_Run.sides``).  The equality window is
+    widened by an O(dt^2) curvature term.
     """
     if not _heat_steps_ok(t, dt):
         raise ValueError(f"need finite 0 < dt < t, got t={t}, dt={dt}")
@@ -656,10 +656,8 @@ def check_de_bruijn(
     laws = tuple(GaussianMixture(x.weights, [
         GaussianComponent(c.mean, _factored(c.cov.entries + s * np.eye(n))) for c in x.components
     ]) for s in (t - dt, t, t + dt))
-    ests, cov = run.terms((laws, "mc", ((ENTROPY,), (FISHER,), (ENTROPY,))))
-    lhs, rhs, stderr = _sides(lambda v: (v[2] - v[0]) / (2.0 * dt), lambda v: 0.5 * v[1],
-                              [e.value for e in ests], cov)
-    return run.report(n, None, lhs, rhs, stderr, extra_eq_tol=extra)
+    read = _classified(lambda v: (v[2] - v[0]) / (2.0 * dt), lambda v: 0.5 * v[1], extra)
+    return run.report(n, None, *run.sides(read, (laws, "mc", ((ENTROPY,), (FISHER,), (ENTROPY,)))))
 
 
 def check_blachman_stam(
@@ -698,6 +696,19 @@ def compression_map(n: int, m: float) -> np.ndarray:
     return t
 
 
+def _squeeze_groups(x: GaussianMixture, m_values) -> tuple[np.ndarray, list]:
+    """The squares of the squeeze factors, read once, and the draw group of
+    I(T_m X) for each factor m (RNG role "tm-<m>")."""
+    m_values = list(m_values)
+    if not _squeeze_factors_ok(m_values):
+        raise ValueError(f"need at least two increasing positive squeeze factors, got {m_values!r}")
+    if x.dim < 2:
+        raise DimensionError("needs dimension at least 2")
+    m_values = [float(mv) for mv in m_values]
+    return np.square(m_values), [(x.linear_map(compression_map(x.dim, mv)), f"tm-{mv}", (FISHER,))
+                                 for mv in m_values]
+
+
 def tm_sequence(
     x: GaussianMixture,
     m_values,
@@ -709,19 +720,11 @@ def tm_sequence(
     T_m squeezes the last axis by 1/m; as m grows the normalized Fisher
     information decreases exactly like limit + (I(X) - limit)/m^2 toward
     the directional Fisher information along the last axis.  The draws are
-    those of ``check_tm_limit`` on the same instance.
+    those of a ``check_tm_limit`` record on the same instance that runs to m.
     """
-    if not _squeeze_factors_ok(list(m_values)):
-        raise ValueError(f"need at least two increasing positive squeeze factors, got {m_values!r}")
-    if x.dim < 2:
-        raise DimensionError("needs dimension at least 2")
-    m_values = [float(mv) for mv in m_values]
-    run = _Run("tm_limit", cfg, instance_id, x)
-    ests, _ = run.terms(
-        *((x.linear_map(compression_map(x.dim, mv)), f"tm-{mv}", (FISHER,)) for mv in m_values)
-    )
-    return (np.array([e.value / mv**2 for e, mv in zip(ests, m_values)]),
-            np.array([e.std_error / mv**2 for e, mv in zip(ests, m_values)]))
+    sq, groups = _squeeze_groups(x, m_values)
+    ests, _ = _Run("tm_limit", cfg, instance_id, x).terms(*groups)
+    return np.array([e.value for e in ests]) / sq, np.array([e.std_error for e in ests]) / sq
 
 
 def check_tm_limit(
@@ -736,27 +739,24 @@ def check_tm_limit(
 
     The reported comparison is the largest-m sequence value against the
     directional target, with the fitted C/m^2 added to the equality window.
-    A sequence that fails monotonicity beyond noise is inconclusive.
+    A sequence that fails monotonicity beyond noise is inconclusive.  Both
+    are read look by look, at each look's z (``_Run.sides``).
     """
     run = _Run("tm_limit", cfg, instance_id, x)
-    n = x.dim
-    values, errors = tm_sequence(x, m_values, run.cfg, run.iid)
-    m_values = [float(mv) for mv in m_values]
-    (target,), _ = run.terms((x, "target", (("projective_fisher", np.eye(n)[-1]),)))
+    sq, groups = _squeeze_groups(x, m_values)
+    inv_sq = 1.0 / sq
 
-    monotone = not any(
-        _window(values[j], values[j + 1], errors[j] + errors[j + 1], run.cfg)[0]
-        for j in range(len(values) - 1)
-    )
-    inv_sq = 1.0 / np.square(m_values)
-    envelope = float(np.dot(values - target.value, inv_sq) / np.dot(inv_sq, inv_sq))
-    extra = max(envelope, 0.0) * inv_sq[-1]
-    terms = [values[-1], target.value], np.diag([errors[-1], target.std_error]) ** 2
-    _, stderr = _delta(lambda v: v[0] - v[1], *terms)
-    verdict = None if monotone else VERDICT_INCONCLUSIVE
-    return run.report(
-        n, None, float(values[-1]), target.value, stderr, extra_eq_tol=extra, verdict=verdict
-    )
+    def read(mu, cov, look_cfg):
+        vals, se = mu[:-1] / sq, np.sqrt(cov.diagonal()[:-1]) / sq
+        envelope = float(np.dot(vals - mu[-1], inv_sq) / np.dot(inv_sq, inv_sq))
+        lhs, rhs, stderr = _sides(lambda v: v[-2] / sq[-1], lambda v: v[-1], mu, cov)
+        verdict = classify(lhs, rhs, stderr, look_cfg, max(envelope, 0.0) * inv_sq[-1])
+        if any(_window(a, b, e, look_cfg)[0] for a, b, e in zip(vals, vals[1:], se[:-1] + se[1:])):
+            verdict = VERDICT_INCONCLUSIVE
+        return lhs, rhs, stderr, verdict
+
+    target = (x, "target", (("projective_fisher", np.eye(x.dim)[-1]),))
+    return run.report(x.dim, None, *run.sides(read, *groups, target))
 
 
 def check_sphere_identity(

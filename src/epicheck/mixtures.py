@@ -172,7 +172,7 @@ class GaussianMixture:
             raise DimensionError(
                 f"{w.shape[0]} weights for {len(components)} components"
             )
-        if not np.isfinite(w).all() or np.any(w <= 0.0):
+        if not np.isfinite(w).all() or (w <= 0.0).any():
             raise ValueError("mixture weights must be finite and strictly positive")
         if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
             raise ValueError("mixture weights must sum to 1 within 1e-12")
@@ -463,7 +463,7 @@ class MarkovTriple:
 
     def __init__(self, probs, x_given_z, y_given_z) -> None:
         p = np.array(probs, dtype=float).reshape(-1)
-        if p.size < 1 or not np.isfinite(p).all() or np.any(p <= 0.0):
+        if p.size < 1 or not np.isfinite(p).all() or (p <= 0.0).any():
             raise ValueError("label probabilities must be finite and strictly positive")
         if abs(float(p.sum()) - 1.0) > WEIGHT_TOL:
             raise ValueError("label probabilities must sum to 1 within 1e-12")

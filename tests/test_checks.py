@@ -775,6 +775,18 @@ class TestTmLimit:
         with pytest.raises(ValueError, match="squeeze factors"):
             tm_sequence(gauss(np.eye(2)), m_values, CFG)
 
+    def test_factors_read_once(self):
+        # an iterator of factors used to be validated on a copy and then read
+        # empty: two empty arrays, and an IndexError from check_tm_limit
+        x, cfg = two_part(), CheckConfig(m=2_000, seed=5)
+        values, errors = tm_sequence(x, (mv for mv in (2, 4, 8)), cfg)
+        expected = tm_sequence(x, [2, 4, 8], cfg)
+        assert len(values) == 3
+        assert np.array_equal(values, expected[0]) and np.array_equal(errors, expected[1])
+        rep, listed = check_tm_limit(x, iter((2, 4, 8)), cfg), check_tm_limit(x, [2, 4, 8], cfg)
+        assert (rep.lhs, rep.rhs, rep.stderr, rep.verdict) == (
+            listed.lhs, listed.rhs, listed.stderr, listed.verdict)
+
     def test_m_values_validation(self):
         with pytest.raises(ValueError):
             check_tm_limit(gauss(np.eye(2)), m_values=(4, 2), cfg=CFG)
@@ -1076,7 +1088,8 @@ def binomial_allowance(n: int, p: float, rate: float = 1e-6) -> int:
 
 def equality_instances():
     """One call per check with looks, on a split-Gaussian instance whose gap is
-    zero in law, so that its record runs to the last look."""
+    zero in law (tm_limit's is within its C/m^2 allowance), so that its record
+    runs to the last look."""
     s2, s3 = COV_A, random_spd(3, rng_from_tokens(0, "looks-3d")).entries
     x, y = split(gauss(s2)), split(gauss(2.0 * s2))
     x3, y3 = split(gauss(s3)), split(gauss(3.0 * s3))
@@ -1102,6 +1115,8 @@ def equality_instances():
         # link's gap is zero in law
         "stam_recovery": lambda cfg: check_stam_recovery(
             split(gauss(np.eye(3))), split(gauss(2.0 * np.eye(3))), cfg=cfg),
+        "de_bruijn": lambda cfg: check_de_bruijn(x3, cfg=cfg),
+        "tm_limit": lambda cfg: check_tm_limit(x3, cfg=cfg),
     }
 
 
@@ -1168,6 +1183,21 @@ class TestLooks:
         assert sum(rows) == sum(kernel_rows)  # every law evaluated all m draws
         assert (looked.lhs, looked.rhs, looked.gap, looked.stderr) == (
             single.lhs, single.rhs, single.gap, single.stderr)
+
+    @pytest.mark.parametrize("check", [check_tm_limit, check_de_bruijn])
+    def test_identities_read_every_look(self, check, monkeypatch):
+        read = []
+        term_looks = checks._term_looks
+
+        def spy(groups, looks, rng_for):
+            for look, terms in zip(looks, term_looks(groups, looks, rng_for)):
+                read.append(look)
+                yield terms
+
+        monkeypatch.setattr(checks, "_term_looks", spy)
+        rep = check(two_part(), cfg=CheckConfig(m=100_000))
+        assert rep.verdict == VERDICT_EQUALITY
+        assert read == [BLOCK, 4 * BLOCK, 100_000]
 
     def test_gaussian_plans_have_one_look(self, monkeypatch):
         def refuse(m):
@@ -1237,6 +1267,24 @@ class TestLookCalibration:
         assert abs(zs.mean()) <= 0.25
         assert 0.8 <= zs.std(ddof=1) <= 1.25
         assert np.abs(zs).max() <= 4.5
+
+    def test_tm_limit_error_bars_are_calibrated(self):
+        # the gap I(T_64 X) / 64^2 - I_{e_n}(X) of a Gaussian is exactly
+        # tr((Sigma^-1)_{<n,<n}) / 64^2; looks at m = 2e4
+        cfg, records = CheckConfig(m=20_000, seed=35), 60
+        zs, inconclusive = np.empty(records), 0
+        for i in range(records):
+            rng = rng_from_tokens(35, "tm-cal", i)
+            n = int(rng.integers(2, 5))
+            s = random_spd(n, rng).entries
+            rep = check_tm_limit(split(gauss(s, rng.normal(size=n))), cfg=cfg)
+            exact = np.trace(np.linalg.inv(s)[:-1, :-1]) / 64.0**2
+            zs[i] = (rep.gap - exact) / rep.stderr
+            inconclusive += rep.verdict == VERDICT_INCONCLUSIVE
+        assert abs(zs.mean()) <= 0.35
+        assert 0.75 <= zs.std(ddof=1) <= 1.3
+        assert np.abs(zs).max() <= 4.5
+        assert inconclusive <= 2
 
     def test_stam_first_look_error_bars_cover(self):
         # isotropic pairs: I_u(X) = I(X) / n for every direction u, so the lower
