@@ -5,8 +5,8 @@ One checker per inequality or identity: entropy-power superadditivity
 Bergstrom and Ky Fan determinant inequalities, the equal-prefix-entropy
 superadditivity of exp(2h) with its Gaussian equality family, the
 sharpened Gaussian isoperimetric bound, the de Bruijn derivative identity,
-Blachman-Stam and its directional refinement, the squeeze-map limit that
-recovers directional Fisher information, the sphere quadrature identity,
+Blachman-Stam and its directional refinement, the squeeze-map identity whose
+limit is the directional Fisher information, the sphere quadrature identity,
 and the sphere-average recovery of full Fisher information.
 
 Every checker selects its route by instance inspection: pure-Gaussian
@@ -71,6 +71,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 EQUALITY_GRID_POINTS = 21
 
+# the squeeze factor M of the ``tm_limit`` record
+TM_SQUEEZE = 64.0
+
 # the share of a record's one-sided alpha = Phi(-z) that its early looks spend, evenly
 EARLY_SPEND = 0.01
 
@@ -91,15 +94,6 @@ def _numbers(v, min_len: int) -> bool:
 def _heat_steps_ok(t, dt) -> bool:
     """The de Bruijn difference steps: finite numbers with 0 < dt < t."""
     return _is_finite(t) and _is_finite(dt) and 0 < dt < t
-
-
-def _squeeze_factors_ok(m_values) -> bool:
-    """At least two finite, positive, strictly increasing squeeze factors."""
-    return (
-        _numbers(m_values, 2)
-        and m_values[0] > 0
-        and all(a < b for a, b in zip(m_values, m_values[1:]))
-    )
 
 
 def _direction_count_ok(m_dirs) -> bool:
@@ -696,17 +690,11 @@ def compression_map(n: int, m: float) -> np.ndarray:
     return t
 
 
-def _squeeze_groups(x: GaussianMixture, m_values) -> tuple[np.ndarray, list]:
-    """The squares of the squeeze factors, read once, and the draw group of
-    I(T_m X) for each factor m (RNG role "tm-<m>")."""
-    m_values = list(m_values)
-    if not _squeeze_factors_ok(m_values):
-        raise ValueError(f"need at least two increasing positive squeeze factors, got {m_values!r}")
+def _squeeze_group(x: GaussianMixture, mv: float):
+    """The draw group of I(T_m X) for the squeeze factor m (RNG role "tm-<m>")."""
     if x.dim < 2:
         raise DimensionError("needs dimension at least 2")
-    m_values = [float(mv) for mv in m_values]
-    return np.square(m_values), [(x.linear_map(compression_map(x.dim, mv)), f"tm-{mv}", (FISHER,))
-                                 for mv in m_values]
+    return x.linear_map(compression_map(x.dim, mv)), f"tm-{mv}", (FISHER,)
 
 
 def tm_sequence(
@@ -715,48 +703,48 @@ def tm_sequence(
     cfg: CheckConfig | None = None,
     instance_id: str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """I(T_m X) / m^2 for each squeeze factor m, with standard errors.
+    """I(T_m X) / m^2 for each of at least two finite, positive, strictly
+    increasing squeeze factors m, with standard errors.
 
     T_m squeezes the last axis by 1/m; as m grows the normalized Fisher
     information decreases exactly like limit + (I(X) - limit)/m^2 toward
-    the directional Fisher information along the last axis.  The draws are
-    those of a ``check_tm_limit`` record on the same instance that runs to m.
+    the directional Fisher information along the last axis.  The value at
+    m = TM_SQUEEZE has the draws of a ``check_tm_limit`` record's lhs on the
+    same instance that runs to m.
     """
-    sq, groups = _squeeze_groups(x, m_values)
+    m_values = list(m_values)
+    if not (_numbers(m_values, 2) and m_values[0] > 0
+            and all(a < b for a, b in zip(m_values, m_values[1:]))):
+        raise ValueError(f"need at least two increasing positive squeeze factors, got {m_values!r}")
+    m_values = [float(mv) for mv in m_values]
+    groups = [_squeeze_group(x, mv) for mv in m_values]
     ests, _ = _Run("tm_limit", cfg, instance_id, x).terms(*groups)
+    sq = np.square(m_values)
     return np.array([e.value for e in ests]) / sq, np.array([e.std_error for e in ests]) / sq
 
 
 def check_tm_limit(
     x: GaussianMixture,
-    m_values=(2, 4, 8, 16, 32, 64),
     cfg: CheckConfig | None = None,
     instance_id: str | None = None,
 ) -> InequalityReport:
-    """Squeeze-map limit: I(T_m X)/m^2 converges to the directional Fisher
-    information along the last axis, monotonically from above with an
-    exactly C/m^2 envelope.
+    """Squeeze-map identity at M = TM_SQUEEZE: the score of T_M X at T_M x is
+    diag(1, .., 1, M) s_X(x), so exactly
 
-    The reported comparison is the largest-m sequence value against the
-    directional target, with the fitted C/m^2 added to the equality window.
-    A sequence that fails monotonicity beyond noise is inconclusive.  Both
-    are read look by look, at each look's z (``_Run.sides``).
+        I(T_M X) / M^2 = I_{e_n}(X) + (I(X) - I_{e_n}(X)) / M^2,
+
+    whose M -> infinity limit is the directional Fisher information along
+    the last axis.  The lhs is read from T_M X's own draws (role "tm-<M>"),
+    the rhs from one independent group of X (role "target") with both Fisher
+    terms on shared draws: draws of T_M X made by squeezing X's draws would
+    satisfy the identity sample by sample and test nothing.  Read look by
+    look (``_Run.sides``).
     """
     run = _Run("tm_limit", cfg, instance_id, x)
-    sq, groups = _squeeze_groups(x, m_values)
-    inv_sq = 1.0 / sq
-
-    def read(mu, cov, look_cfg):
-        vals, se = mu[:-1] / sq, np.sqrt(cov.diagonal()[:-1]) / sq
-        envelope = float(np.dot(vals - mu[-1], inv_sq) / np.dot(inv_sq, inv_sq))
-        lhs, rhs, stderr = _sides(lambda v: v[-2] / sq[-1], lambda v: v[-1], mu, cov)
-        verdict = classify(lhs, rhs, stderr, look_cfg, max(envelope, 0.0) * inv_sq[-1])
-        if any(_window(a, b, e, look_cfg)[0] for a, b, e in zip(vals, vals[1:], se[:-1] + se[1:])):
-            verdict = VERDICT_INCONCLUSIVE
-        return lhs, rhs, stderr, verdict
-
-    target = (x, "target", (("projective_fisher", np.eye(x.dim)[-1]),))
-    return run.report(x.dim, None, *run.sides(read, *groups, target))
+    squeezed, sq = _squeeze_group(x, TM_SQUEEZE), TM_SQUEEZE**2
+    target = (x, "target", (("projective_fisher", np.eye(x.dim)[-1]), FISHER))
+    read = _classified(lambda v: v[0] / sq, lambda v: v[1] + (v[2] - v[1]) / sq)
+    return run.report(x.dim, None, *run.sides(read, squeezed, target))
 
 
 def check_sphere_identity(

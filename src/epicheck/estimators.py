@@ -266,11 +266,6 @@ def _direction(u, n: int) -> np.ndarray:
     return u
 
 
-def gaussian_entropy(g: GaussianComponent) -> ScalarEstimate:
-    """h = (n ln(2 pi e) + ln det Sigma) / 2, exact."""
-    return _closed((ENTROPY,), g)[0]
-
-
 def _npow(h, n: int):
     """exp(2 h / n) of an entropy value h, real or complex (``_delta``'s step)."""
     return np.exp((2.0 / n) * h)
@@ -361,21 +356,6 @@ def conditional_entropy(
     """
     given = sorted(_coordinates(given, gm.dim, proper=True))
     return _estimate(gm, ("conditional_entropy", given), m, rng)
-
-
-def conditional_entropy_last(
-    gm: GaussianMixture,
-    m: int = DEFAULT_SAMPLES,
-    rng: np.random.Generator | None = None,
-) -> ScalarEstimate:
-    """h(X_n | X_1..X_{n-1}); closed form is half the log Schur complement plus
-    the Gaussian constant."""
-    return conditional_entropy(gm, range(gm.dim - 1), m, rng)
-
-
-def gaussian_fisher(g: GaussianComponent) -> ScalarEstimate:
-    """I = tr(Sigma^-1), from the inverse Cholesky factor."""
-    return _closed((FISHER,), g)[0]
 
 
 def mc_fisher(gm: GaussianMixture, m: int, rng: np.random.Generator) -> ScalarEstimate:

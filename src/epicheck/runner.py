@@ -63,7 +63,6 @@ from .checks import (
     _direction_count_ok,
     _heat_steps_ok,
     _numbers,
-    _squeeze_factors_ok,
 )
 from .exceptions import ConfigError
 from .matrices import _is_finite, _is_int, random_spd
@@ -296,9 +295,7 @@ REGISTRY: dict[str, RegistryEntry] = {
         "mixture_pair", 1, {"direction": "last_axis"},
         _runner(check_projective_fisher, _direction),
     ),
-    "tm_limit": RegistryEntry(
-        "mixture_single", 2, {"m_values": (2, 4, 8, 16, 32, 64)}, _runner(check_tm_limit)
-    ),
+    "tm_limit": RegistryEntry("mixture_single", 2, {}, _runner(check_tm_limit)),
     "sphere_identity": RegistryEntry("vector", 1, {}, _runner(check_sphere_identity)),
     "stam_recovery": RegistryEntry(
         "mixture_pair", 1, {"m_dirs": 256}, _runner(check_stam_recovery)
@@ -378,8 +375,6 @@ PARAM_RULES = {
     "dt": ("a number with 0 < dt < t", lambda v, params, dims: _heat_steps_ok(params["t"], v)),
     "direction": ("'last_axis' or 'random'",
                   lambda v, params, dims: v in ("last_axis", "random")),
-    "m_values": ("a list of at least 2 increasing positive numbers",
-                 lambda v, params, dims: _squeeze_factors_ok(v)),
     "m_dirs": ("an integer >= 2", lambda v, params, dims: _direction_count_ok(v)),
     "index": ("null or an integer in [0, dim - 1] at every dim of {dims}", _within(0)),
     "k": ("null or an integer in [1, dim - 1] at every dim of {dims}", _within(1)),

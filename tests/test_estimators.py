@@ -29,13 +29,10 @@ from epicheck import (
     ScalarEstimate,
     check_epi,
     conditional_entropy,
-    conditional_entropy_last,
     conditional_fisher_last,
     entropy,
     entropy_power,
     fisher,
-    gaussian_entropy,
-    gaussian_fisher,
     knn_entropy,
     mc_entropy,
     mc_fisher,
@@ -81,18 +78,12 @@ class TestScalarEstimate:
 
 class TestGaussianEntropy:
     def test_worked_values(self):
-        assert gaussian_entropy(GaussianComponent([0.0], [[1.0]])).value == pytest.approx(
-            H_STD_1D, rel=1e-12
-        )
-        assert gaussian_entropy(
-            GaussianComponent([0.0, 0.0], np.eye(2))
-        ).value == pytest.approx(H_STD_2D, rel=1e-12)
-        assert gaussian_entropy(GaussianComponent([0.0], [[4.0]])).value == pytest.approx(
-            H_VAR4_1D, rel=1e-12
-        )
+        assert entropy(gauss([[1.0]])).value == pytest.approx(H_STD_1D, rel=1e-12)
+        assert entropy(gauss(np.eye(2))).value == pytest.approx(H_STD_2D, rel=1e-12)
+        assert entropy(gauss([[4.0]])).value == pytest.approx(H_VAR4_1D, rel=1e-12)
 
     def test_closed_form_tagging(self):
-        est = gaussian_entropy(GaussianComponent([0.0], [[1.0]]))
+        est = entropy(gauss([[1.0]]))
         assert est.method == "closed_form" and est.std_error == 0.0
 
 
@@ -244,18 +235,18 @@ class TestKnnEntropy:
 
 class TestConditionalEntropy:
     def test_independent_coordinates(self):
-        est = conditional_entropy_last(gauss(np.eye(3)))
+        est = conditional_entropy(gauss(np.eye(3)), range(2))
         assert est.value == pytest.approx(H_STD_1D, rel=1e-12)
 
     def test_worked_schur_value(self):
-        est = conditional_entropy_last(gauss(COV_WORKED))
+        est = conditional_entropy(gauss(COV_WORKED), range(1))
         assert est.value == pytest.approx(H_COND_WORKED, rel=1e-12)
 
     def test_general_conditioning_set(self):
         cov = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 2.0]])
         est = conditional_entropy(gauss(cov), [1], 1000, None)
         # h(X_0, X_2 | X_1) = h(X) - h(X_1)
-        expected = gaussian_entropy(GaussianComponent(np.zeros(3), cov)).value - (
+        expected = entropy(gauss(cov)).value - (
             0.5 * (math.log(2.0 * math.pi * math.e) + math.log(3.0))
         )
         assert est.value == pytest.approx(expected, rel=1e-12)
@@ -287,7 +278,7 @@ class TestConditionalEntropy:
         mix = GaussianMixture(
             [0.6, 0.4], [([0.0, 0.0], COV_WORKED), ([1.0, 1.0], np.eye(2))]
         )
-        est = conditional_entropy_last(mix, m=40_000, rng=rng_from_tokens(6, "cond"))
+        est = conditional_entropy(mix, range(1), 40_000, rng_from_tokens(6, "cond"))
         assert est.method == "plug_in_mc"
         # conditioning reduces entropy: h(X_n | rest) <= h(X_n)
         marg = mix.marginal([1])
@@ -296,7 +287,7 @@ class TestConditionalEntropy:
 
     def test_dim_validation(self):
         with pytest.raises(DimensionError):
-            conditional_entropy_last(gauss([[1.0]]))
+            conditional_entropy(gauss([[1.0]]), range(0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.booleans())
@@ -324,15 +315,9 @@ class TestConditionalEntropy:
 
 class TestFisher:
     def test_gaussian_closed_forms(self):
-        assert gaussian_fisher(GaussianComponent(np.zeros(3), np.eye(3))).value == pytest.approx(
-            3.0, rel=1e-12
-        )
-        assert gaussian_fisher(GaussianComponent([0.0], [[4.0]])).value == pytest.approx(
-            0.25, rel=1e-12
-        )
-        assert gaussian_fisher(
-            GaussianComponent([0.0, 0.0], COV_WORKED)
-        ).value == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert fisher(gauss(np.eye(3))).value == pytest.approx(3.0, rel=1e-12)
+        assert fisher(gauss([[4.0]])).value == pytest.approx(0.25, rel=1e-12)
+        assert fisher(gauss(COV_WORKED)).value == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_mc_fisher_calibrated(self):
         gm = gauss(np.diag([1.0, 4.0]))
@@ -555,12 +540,10 @@ class TestTermEngine:
             assert est.value == pytest.approx(ref.value, rel=1e-12)
 
     def test_marginal_closed_form(self):
-        g = GaussianComponent([1.0, 2.0, 3.0], COV_3D)
-        (est,), _ = _terms([(gauss(COV_3D, [1.0, 2.0, 3.0]), "m", (("marginal_entropy", [0, 2]),))],
-                           10, streams(0))
-        marginal = GaussianComponent([1.0, 3.0], COV_3D[np.ix_([0, 2], [0, 2])])
-        assert est == gaussian_entropy(marginal)
-        assert est.value < gaussian_entropy(g).value
+        g = gauss(COV_3D, [1.0, 2.0, 3.0])
+        (est,), _ = _terms([(g, "m", (("marginal_entropy", [0, 2]),))], 10, streams(0))
+        assert est == entropy(gauss(COV_3D[np.ix_([0, 2], [0, 2])], [1.0, 3.0]))
+        assert est.value < entropy(g).value
 
     def test_score_moments_closed_form(self):
         # (Sigma^-1)_ij against numpy's inverse; their trace is the Fisher information
@@ -588,7 +571,7 @@ class TestTermEngine:
         assert cov.shape == (5, 5)
         assert cov[:2, :2].all() and not cov[:2, 2:].any() and not cov[2:4].any()
         assert cov[4, 4] == ests[4].std_error**2 and not cov[4, :4].any()
-        assert ests[2] == gaussian_entropy(GaussianComponent(np.zeros(3), COV_3D))
+        assert ests[2] == entropy(gauss(COV_3D))
 
     def test_gaussian_groups_make_no_generator(self):
         def refuse(role):
@@ -737,8 +720,7 @@ class TestSharedGroups:
 
         laws = tuple(gauss(COV_3D + s * np.eye(3)) for s in (0.1, 0.2))
         ests, cov = _terms([(laws, "g", ((ENTROPY,), (FISHER, ENTROPY)))], 100, refuse)
-        expected = [gaussian_entropy(laws[0].components[0]), gaussian_fisher(laws[1].components[0]),
-                    gaussian_entropy(laws[1].components[0])]
+        expected = [entropy(laws[0]), fisher(laws[1]), entropy(laws[1])]
         assert ests == expected and not cov.any()
 
     @pytest.mark.parametrize("other", [

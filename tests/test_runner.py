@@ -23,7 +23,6 @@ from epicheck import (
     check_matrix_kyfan,
     check_projective_fisher,
     check_stam_recovery,
-    check_tm_limit,
     config_from_dict,
     default_config,
     generate_instance,
@@ -366,8 +365,6 @@ REGISTRY_PARAM_CASES = [
      lambda inst, cfg, iid: [check_matrix_kyfan(*inst, 1, cfg, iid)]),
     ("de_bruijn", 2, {"t": 0.3, "dt": 0.01},
      lambda inst, cfg, iid: [check_de_bruijn(inst, 0.3, 0.01, cfg, iid)]),
-    ("tm_limit", 2, {"m_values": [1, 3, 9]},
-     lambda inst, cfg, iid: [check_tm_limit(inst, [1, 3, 9], cfg, iid)]),
     ("stam_recovery", 2, {"m_dirs": 32},
      lambda inst, cfg, iid: [check_stam_recovery(*inst, 32, cfg, iid)]),
     ("conditional_form", 2, {"lambdas": [0.2, 0.9]},
@@ -413,8 +410,6 @@ SHARED_ARGUMENT_RULES = [
     ("de_bruijn", {"t": math.nan}),
     ("de_bruijn", {"dt": math.nan}),
     ("de_bruijn", {"t": math.inf}),
-    ("tm_limit", {"m_values": [2, 2, 4]}),
-    ("tm_limit", {"m_values": [2, math.nan]}),
     ("stam_recovery", {"m_dirs": 2.5}),
     ("stam_recovery", {"m_dirs": 32.0}),
     ("conditional_form", {"lambdas": [True]}),
@@ -526,9 +521,7 @@ REFUSED_CONFIGS = [
         ("de_bruijn", [2], {"t": 0.1, "dt": 0.1}),
         ("de_bruijn", [2], {"t": math.inf}),
         ("projective_fisher", [2], {"direction": "randon"}),
-        ("tm_limit", [2], {"m_values": [4]}),
-        ("tm_limit", [2], {"m_values": [4, 2]}),
-        ("tm_limit", [2], {"m_values": [0, 2]}),
+        ("tm_limit", [2], {"m_values": [2, 4]}),  # the squeeze factor is a constant
         ("stam_recovery", [2], {"m_dirs": 1}),
         ("matrix_bergstrom", [2], {"index": 7}),
         ("matrix_bergstrom", [2, 3], {"index": 2}),
