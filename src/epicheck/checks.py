@@ -26,7 +26,6 @@ import time
 from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 from .estimators import (
     ENTROPY,
@@ -201,6 +200,8 @@ def _look_zs(z: float, n_looks: int) -> tuple[float, ...]:
     keeps z.  The tails are in log space, so a large z stays finite."""
     if n_looks == 1:
         return (z,)
+    from scipy.special import log_ndtr, ndtri_exp  # only a multi-look record loads scipy
+
     log_alpha = float(log_ndtr(-z))
     early = -float(ndtri_exp(log_alpha + math.log(EARLY_SPEND / (n_looks - 1))))
     return (early,) * (n_looks - 1) + (-float(ndtri_exp(log_alpha + math.log1p(-EARLY_SPEND))),)

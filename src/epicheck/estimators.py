@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .exceptions import DimensionError
 from .matrices import _is_int, _principal_logdet
@@ -304,8 +302,13 @@ def knn_entropy(samples, k: int = 4) -> ScalarEstimate:
     h ~ psi(m) - psi(k) + ln(unit-ball volume) + (d/m) sum ln r_i with r_i
     the Euclidean distance to the k-th neighbour.  Duplicate points get a
     deterministic sub-1e-9 jitter (with a warning) so the log distances
-    stay finite.  The standard error is a 10-fold grouped jackknife.
+    stay finite.  The standard error is a 10-fold grouped jackknife.  The k-d
+    tree and the digamma function come from scipy, imported here at the first
+    call: no other estimator needs ``scipy.spatial`` or ``scipy.special``.
     """
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     x = np.array(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]

@@ -16,7 +16,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .exceptions import DimensionError, NotPositiveDefiniteError, PreconditionError
 
@@ -196,29 +195,37 @@ def _principal_logdet(m: SpdMatrix, keep) -> float:
     return _logdet_raw(m.entries[np.ix_(keep, keep)])
 
 
-def _sum_ratios(ratios, a: SpdMatrix, b: SpdMatrix) -> tuple:
-    """``ratios`` of the Cholesky factors of A+B, A and B: the sum is the
-    only matrix factored here."""
-    return tuple(ratios(c) for c in (_cholesky(a.entries + b.entries), a.chol, b.chol))
+def _sum_ratios(ratios, a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
+    """``ratios`` of the Cholesky factors of A+B, A and B, one row each: the
+    sum is the only matrix factored here, and one call on the stacked
+    factors serves all three."""
+    chols = np.empty((3,) + a.chol.shape)
+    chols[0] = _cholesky(a.entries + b.entries)
+    chols[1], chols[2] = a.chol, b.chol
+    return ratios(chols)
 
 
 def _deletion_ratios(chol: np.ndarray) -> np.ndarray:
-    """det(M) / det(M_i) for every i, from the Cholesky factor L of M.
+    """det(M) / det(M_i) for every i, from the Cholesky factor L of M (or
+    from a stack of factors, a row of ratios each).
 
     The ratio is 1 / (M^-1)_ii, the Schur complement of M_i, and (M^-1)_ii is
-    |L^-1 e_i|^2, so one triangular inverse serves every i with no minor
-    factored.
+    |L^-1 e_i|^2, so one inverse of L serves every i with no minor factored.
+    The inverse is numpy's LU-based ``inv``, so the closed forms need no
+    scipy; on a triangular L it is as accurate as LAPACK's ``dtrtri``.
     """
-    inv, _ = dtrtri(chol, lower=1)
-    return 1.0 / np.einsum("ij,ij->j", inv, inv)
+    inv = np.linalg.inv(chol)
+    return 1.0 / np.square(inv, out=inv).sum(axis=-2)
 
 
 def _block_ratios(chol: np.ndarray) -> np.ndarray:
     """(det(M) / det(leading (n-k) block))^(1/k) for k = 1..n-1, from the
-    Cholesky factor L of M: the block's factor is L's leading block, so the
-    ratio is the geometric mean of the last k squared pivots of L."""
-    tails = 2.0 * np.cumsum(np.log(np.diagonal(chol))[::-1])[:-1]
-    return np.exp(tails / np.arange(1, chol.shape[0]))
+    Cholesky factor L of M (or from a stack of factors, a row each): the
+    block's factor is L's leading block, so the ratio is the geometric mean
+    of the last k squared pivots of L."""
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1)
+    tails = 2.0 * np.cumsum(np.log(pivots)[..., ::-1], axis=-1)[..., :-1]
+    return np.exp(tails / np.arange(1, chol.shape[-1]))
 
 
 def bergstrom_gap(a: SpdMatrix, b: SpdMatrix, i: int) -> float:
@@ -235,8 +242,8 @@ def bergstrom_gap(a: SpdMatrix, b: SpdMatrix, i: int) -> float:
 def bergstrom_gap_all(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     """Vector of row/column-deletion gaps for every index at once.
 
-    Each matrix's n ratios come from one triangular inverse of its Cholesky
-    factor; A+B is the only matrix factored, and no minor is.
+    Each matrix's n ratios come from one inverse of its Cholesky factor;
+    A+B is the only matrix factored, and no minor is.
     """
     _same_dim(a, b, 2)
     term_s, term_a, term_b = _sum_ratios(_deletion_ratios, a, b)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
 
 from .exceptions import DegenerateLawError, DimensionError
 from .matrices import SpdMatrix, _chol_logdet, _factored, _is_int
@@ -116,12 +115,22 @@ def _skip(rng: np.random.Generator, count: int) -> None:
         rng.random((rest - 1) % 4 + 1)
 
 
-def _whiten(chol: np.ndarray, pts: np.ndarray, mean: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _trsm():
+    """BLAS ``dtrsm``, bound by each call that solves, before its loops: scipy's
+    BLAS loads at the first Monte-Carlo draw, and a closed-form run never
+    loads scipy."""
+    from scipy.linalg.blas import dtrsm
+    return dtrsm
+
+
+def _whiten(trsm, chol: np.ndarray, pts: np.ndarray, mean: np.ndarray,
+            buf: np.ndarray) -> np.ndarray:
     """z = L^-1 (x - mu) for the rows x of ``pts`` (m, n), coordinate-major in
-    the C-ordered (n, m) ``buf``: one right-side BLAS solve Z L' = X - mu on
-    the Fortran-ordered (m, n) view of the buffer, done in place."""
+    the C-ordered (n, m) ``buf``: one right-side BLAS solve Z L' = X - mu
+    (``trsm``, from _trsm) on the Fortran-ordered (m, n) view of the buffer,
+    done in place."""
     np.subtract(pts.T, mean[:, None], out=buf)
-    return dtrsm(1.0, chol, buf.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
+    return trsm(1.0, chol, buf.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
 
 
 class GaussianComponent:
@@ -231,6 +240,7 @@ class GaussianMixture:
         squares = np.empty(n * min(m, BLOCK))
         logs = np.empty((len(lengths), m))
         score = np.empty((m, n)) if with_score else None
+        trsm = _trsm()
         for lo in range(0, m, BLOCK):
             block = pts[lo:lo + BLOCK]
             b = block.shape[0]
@@ -239,7 +249,7 @@ class GaussianMixture:
             quads = squares[:n * b].reshape(n, b)
             for c, comp in enumerate(self.components):
                 chol = comp.cov.chol
-                z = _whiten(chol, block, comp.mean, zs[c if with_score else 0])
+                z = _whiten(trsm, chol, block, comp.mean, zs[c if with_score else 0])
                 np.square(z, out=quads)
                 for i in range(1, n):  # quads[k - 1] = |z[:k]|^2
                     np.add(quads[i - 1], quads[i], out=quads[i])
@@ -247,7 +257,7 @@ class GaussianMixture:
                     np.multiply(quads[k - 1], -0.5, out=a[c, j])
                     a[c, j] += consts[c][j]
                 if with_score:  # L^-T z = Sigma^-1 (x - mu), minus the component's score, in place
-                    dtrsm(1.0, chol, z.T, side=1, lower=1, trans_a=0, overwrite_b=1)
+                    trsm(1.0, chol, z.T, side=1, lower=1, trans_a=0, overwrite_b=1)
             if with_score:
                 _logsumexp(a, logs[:, lo:lo + b], zs, score[lo:lo + b].T)
             else:
@@ -405,9 +415,10 @@ class GaussianMixture:
         log_w = np.empty((self.n_components, prefixes.shape[0]))
         means = np.empty_like(log_w)
         buf = np.empty((self.dim - 1, prefixes.shape[0]))
+        trsm = _trsm()
         for c, (w, comp) in enumerate(zip(self.weights, self.components)):
             a, t = comp.cov.chol[:-1, :-1], comp.cov.chol[-1, :-1]
-            y = _whiten(a, prefixes, comp.mean[:-1], buf)
+            y = _whiten(trsm, a, prefixes, comp.mean[:-1], buf)
             quad = np.einsum("ij,ij->j", y, y)
             log_w[c] = np.log(w) - 0.5 * (quad + t.size * LN_2PI + _chol_logdet(a))
             means[c] = comp.mean[-1] + t @ y

@@ -978,6 +978,20 @@ class TestChainAndSoundness:
             assert rep.verdict != VERDICT_VIOLATED
             assert rep.stderr == 0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 5), st.sampled_from([1e2, 1e4, 1e6, 1e8]))
+    def test_closed_form_pair_checks_are_swap_symmetric(self, seed, n, cap):
+        # A + B == B + A in floating point, so swapping x and y moves no bit
+        rng = rng_from_tokens(seed, "swap", n)
+        x = gauss(random_spd(n, rng, cap).entries, rng.standard_normal(n))
+        y = gauss(random_spd(n, rng, cap).entries, rng.standard_normal(n))
+        for check in (check_epi, check_blachman_stam, check_entropic_bergstrom,
+                      lambda a, b, cfg: check_projective_fisher(a, b, np.eye(n)[-1], cfg)):
+            xy, yx = check(x, y, CFG), check(y, x, CFG)
+            assert xy.stderr == 0.0
+            bits = lambda r: (r.lhs.hex(), r.rhs.hex(), r.gap.hex(), r.verdict)
+            assert bits(xy) == bits(yx)
+
 
 class TestReportShape:
     def test_serialization_fields(self):

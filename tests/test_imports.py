@@ -1,0 +1,93 @@
+"""Import footprint: the closed forms run on numpy alone.
+
+Each test runs in a fresh interpreter, since this one has loaded scipy
+through the other test modules.  scipy's BLAS loads at the first
+Monte-Carlo draw, ``scipy.special`` at the first multi-look record, and
+``scipy.spatial`` only in ``knn_entropy``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import epicheck
+
+PRELUDE = """
+import json, sys
+import numpy as np
+import epicheck as ec
+
+def loaded():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+cfg = ec.CheckConfig(m=20_000, seed=1)
+rng = np.random.default_rng(7)
+"""
+
+CLOSED_FORMS = """
+a, b = ec.random_spd(3, rng), ec.random_spd(3, rng)
+ec.bergstrom_gap_all(a, b)
+ec.kyfan_gap_all(a, b)
+records = [
+    ec.check_matrix_bergstrom(a, b, 0, cfg),
+    ec.check_matrix_kyfan(a, b, 1, cfg),
+    ec.check_equality_case_bonnesen(3, cfg, rng),
+]
+x = ec.GaussianMixture.gaussian(rng.standard_normal(3), a)
+y = ec.GaussianMixture.gaussian(rng.standard_normal(3), b)
+records += [
+    ec.check_entropic_bergstrom(x, y, cfg),
+    ec.check_isoperimetric_sharp(x, cfg),
+    ec.check_de_bruijn(x, cfg=cfg),
+    ec.check_epi(x, y, cfg),
+    ec.check_blachman_stam(x, y, cfg),
+    ec.check_tm_limit(x, cfg),
+    ec.check_entropic_bonnesen(*ec.shared_prefix_pair(3, rng), 0.5, cfg),
+]
+report, code = ec.run_suite(ec.config_from_dict({"seed": 1, "checks": [
+    "matrix_bergstrom", "matrix_kyfan", "equality_case_bonnesen",
+    "entropic_bonnesen", "conditional_epi",
+]}))
+assert code == 0, report["summary"]
+stderrs = [r.stderr for r in records] + [r["stderr"] for r in report["records"]]
+assert not any(stderrs), stderrs
+print(json.dumps(loaded()))
+"""
+
+
+def _fresh(code: str) -> list:
+    """The scipy modules a fresh interpreter holds after ``code``, which
+    prints them as its last line of output."""
+    src = str(Path(epicheck.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-W", "error", "-c", PRELUDE + code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+class TestScipyFootprint:
+    def test_closed_form_checks_load_no_scipy(self):
+        assert _fresh(CLOSED_FORMS) == []
+
+    def test_monte_carlo_draw_loads_blas_but_not_spatial(self):
+        loaded = _fresh(
+            "a, b = ec.random_spd(3, rng), ec.random_spd(3, rng)\n"
+            "x = ec.GaussianMixture([0.4, 0.6], [(np.zeros(3), a), (np.ones(3), b)])\n"
+            "rep = ec.check_epi(x, ec.GaussianMixture.gaussian(np.zeros(3), np.eye(3)), cfg)\n"
+            "assert rep.stderr > 0.0\n"
+            "print(json.dumps(loaded()))\n"
+        )
+        assert "scipy.linalg" in loaded
+        assert not any(name.startswith("scipy.spatial") for name in loaded)
+
+    def test_knn_entropy_in_a_fresh_process(self):
+        loaded = _fresh(
+            "pts = rng.standard_normal((2000, 2))\n"
+            "est = ec.knn_entropy(pts)\n"
+            "assert abs(est.value - np.log(2 * np.pi * np.e)) < 5 * est.std_error + 0.05, est\n"
+            "print(json.dumps(loaded()))\n"
+        )
+        assert "scipy.spatial" in loaded and "scipy.special" in loaded
