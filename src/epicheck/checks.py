@@ -691,39 +691,6 @@ def compression_map(n: int, m: float) -> np.ndarray:
     return t
 
 
-def _squeeze_group(x: GaussianMixture, mv: float):
-    """The draw group of I(T_m X) for the squeeze factor m (RNG role "tm-<m>")."""
-    if x.dim < 2:
-        raise DimensionError("needs dimension at least 2")
-    return x.linear_map(compression_map(x.dim, mv)), f"tm-{mv}", (FISHER,)
-
-
-def tm_sequence(
-    x: GaussianMixture,
-    m_values,
-    cfg: CheckConfig | None = None,
-    instance_id: str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """I(T_m X) / m^2 for each of at least two finite, positive, strictly
-    increasing squeeze factors m, with standard errors.
-
-    T_m squeezes the last axis by 1/m; as m grows the normalized Fisher
-    information decreases exactly like limit + (I(X) - limit)/m^2 toward
-    the directional Fisher information along the last axis.  The value at
-    m = TM_SQUEEZE has the draws of a ``check_tm_limit`` record's lhs on the
-    same instance that runs to m.
-    """
-    m_values = list(m_values)
-    if not (_numbers(m_values, 2) and m_values[0] > 0
-            and all(a < b for a, b in zip(m_values, m_values[1:]))):
-        raise ValueError(f"need at least two increasing positive squeeze factors, got {m_values!r}")
-    m_values = [float(mv) for mv in m_values]
-    groups = [_squeeze_group(x, mv) for mv in m_values]
-    ests, _ = _Run("tm_limit", cfg, instance_id, x).terms(*groups)
-    sq = np.square(m_values)
-    return np.array([e.value for e in ests]) / sq, np.array([e.std_error for e in ests]) / sq
-
-
 def check_tm_limit(
     x: GaussianMixture,
     cfg: CheckConfig | None = None,
@@ -741,8 +708,11 @@ def check_tm_limit(
     satisfy the identity sample by sample and test nothing.  Read look by
     look (``_Run.sides``).
     """
+    if x.dim < 2:
+        raise DimensionError("needs dimension at least 2")
     run = _Run("tm_limit", cfg, instance_id, x)
-    squeezed, sq = _squeeze_group(x, TM_SQUEEZE), TM_SQUEEZE**2
+    squeezed = (x.linear_map(compression_map(x.dim, TM_SQUEEZE)), f"tm-{TM_SQUEEZE}", (FISHER,))
+    sq = TM_SQUEEZE**2
     target = (x, "target", (("projective_fisher", np.eye(x.dim)[-1]), FISHER))
     read = _classified(lambda v: v[0] / sq, lambda v: v[1] + (v[2] - v[1]) / sq)
     return run.report(x.dim, None, *run.sides(read, squeezed, target))

@@ -5,7 +5,7 @@ Subcommands
 run
     execute a suite from a JSON config (or the built-in default suite)
     and emit a JSON/CSV report.  Exit code 0: all verdicts hold, 1: at
-    least one violation, 2: bad configuration.
+    least one violation, 2: bad configuration or an unwritable --out.
 check
     run a single named check on freshly generated instances.
 scan-lambda
@@ -137,9 +137,7 @@ def _cmd_scan(args) -> int:
     scan = lambda_concavity_scan(x, y, grid=args.grid, cfg=cfg)
     payload = scan.to_dict()
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        write_report(payload, out, "json")
         print(f"wrote scan to {out}")
     else:
         json.dump(payload, sys.stdout, indent=2)

@@ -44,8 +44,8 @@ class ScalarEstimate:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError(f"estimate must be finite, got {self.value}")
-        if self.std_error < 0.0:
-            raise ValueError("standard error cannot be negative")
+        if not 0.0 <= self.std_error < math.inf:  # NaN fails both
+            raise ValueError(f"standard error must be finite and nonnegative, got {self.std_error}")
         if self.method == METHOD_CLOSED and self.std_error != 0.0:
             raise ValueError("closed-form estimates carry zero standard error")
 
@@ -156,15 +156,13 @@ def _sampled(law, stats, looks, rng):
     new draws, from a cursor that ``rng`` has skipped past (``_skip``: Philox
     only, with several looks), then places and evaluates (``_kernel``) them and
     appends their per-sample rows, so with looks at multiples of BLOCK every
-    row is the one a single look at looks[-1] makes.  A component drawn once
-    so far has all the labels drawn at once, so that ``_place`` pairs its rows
-    as ``sample`` does.  A lone statistic keeps its estimator's CLT bar
-    ``_std_error`` (np.cov would differ from it in the last bit); several take
-    np.cov / m_j.  Bad counts (``_counts``) are refused before any draw."""
+    row is the one a single look at looks[-1] makes.  A lone statistic keeps
+    its estimator's CLT bar ``_std_error`` (np.cov would differ from it in the
+    last bit); several take np.cov / m_j.  The counts are ``_term_looks``'s,
+    checked there."""
     laws, stats = _shared(law, stats)
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
-    _counts(looks)
     gm = laws[0]
     if any(g.dim != gm.dim or not np.array_equal(g.weights, gm.weights) for g in laws):
         raise ValueError("the laws of a draw group share one dimension and one weight vector")
@@ -183,11 +181,10 @@ def _sampled(law, stats, looks, rng):
         _skip(rng, looks[-1] - looks[0])
     rows = [np.empty(0) for law_stats in stats for _ in law_stats]
     for lo, hi in zip([0, *looks], looks):
-        for upto in (hi, looks[-1]):  # the look's labels, then all once a component is lone
-            if idx.size < upto and (upto == hi or 1 in np.bincount(idx)):
-                normals, rng.bit_generator.state = rng.bit_generator.state, cursor
-                idx = np.concatenate((idx, _labels(rng, gm.weights, upto - idx.size)))
-                cursor, rng.bit_generator.state = rng.bit_generator.state, normals
+        if lo:  # the look's labels, from the cursor
+            normals, rng.bit_generator.state = rng.bit_generator.state, cursor
+            idx = np.concatenate((idx, _labels(rng, gm.weights, hi - lo)))
+            cursor, rng.bit_generator.state = rng.bit_generator.state, normals
         # grown before the look's scratch is made, so that the scratch, freed at the
         # end of the look, leaves no hole under the rows that keeps the heap large
         rows = [np.concatenate((row, np.empty(hi - lo))) for row in rows]
@@ -278,15 +275,6 @@ def entropy_power(h: ScalarEstimate, n: int) -> ScalarEstimate:
     return ScalarEstimate(value, se, h.n_samples, h.method)
 
 
-def mc_entropy(gm: GaussianMixture, m: int, rng: np.random.Generator) -> ScalarEstimate:
-    """Plug-in Monte-Carlo entropy: mean of -log f over its own samples.
-
-    Unbiased for E[-log f]; the reported error is the CLT standard error,
-    so m should be at least ~1e3 for the bar to be trustworthy.
-    """
-    return next(_sampled(gm, (ENTROPY,), (m,), rng))[0][0]
-
-
 def entropy(
     gm: GaussianMixture,
     m: int = DEFAULT_SAMPLES,
@@ -359,11 +347,6 @@ def conditional_entropy(
     """
     given = sorted(_coordinates(given, gm.dim, proper=True))
     return _estimate(gm, ("conditional_entropy", given), m, rng)
-
-
-def mc_fisher(gm: GaussianMixture, m: int, rng: np.random.Generator) -> ScalarEstimate:
-    """Fisher information as the mean squared norm of the exact score."""
-    return next(_sampled(gm, (FISHER,), (m,), rng))[0][0]
 
 
 def fisher(

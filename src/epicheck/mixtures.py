@@ -291,22 +291,18 @@ class GaussianMixture:
         """Map standard normal rows ``z``, those of the labels
         ``idx[first:first + len(z)]``, through the components they name into
         ``out`` (a fresh array by default, or ``z`` itself); laws with one
-        weight vector share the draws (a draw
-        group of ``estimators._sampled``).  BLOCK rows at a time, through
-        scratch made once per call, a stable counting sort groups the rows by
-        component, each group is placed as mean + rows @ chol.T by one product,
-        and the rows go back in draw order.  numpy makes a one-row product a
-        matrix-vector product, which rounds differently, so only a component
-        drawn once among all of ``idx`` gets one: any other lone row in a block
-        is multiplied along with the next row.  The rows are those of
-        ``sample`` when ``idx`` holds all its labels, or enough of them to
-        leave no component drawn once, as ``_sampled`` keeps it."""
+        weight vector share the draws (a draw group of
+        ``estimators._sampled``).  BLOCK rows at a time, through scratch made
+        once per call, a stable counting sort groups the rows by component,
+        each group is placed as mean + rows @ chol.T by one product, and the
+        rows go back in draw order.  numpy makes a one-row product a
+        matrix-vector product, which rounds differently, so none is made: a
+        lone row is multiplied along with the next row, whose result is redone
+        or unused.  A row's bits therefore do not depend on how many labels
+        the call holds, so a look may place its rows from its own labels."""
         m, n = z.shape
         out = np.empty((m, n)) if out is None else out
         k = self.n_components
-        totals = np.zeros(k, np.intp)
-        for lo in range(0, idx.size, BLOCK):
-            totals += np.bincount(idx[lo:lo + BLOCK], minlength=k)
         b = min(m, BLOCK)
         rows = np.zeros((b + 1, n))  # the row after a block stays finite: a lone last row's partner
         placed = np.empty((b + 1, n))
@@ -318,9 +314,9 @@ class GaussianMixture:
             order = np.argsort(key, kind="stable")
             np.take(z[lo:lo + key.size], order, axis=0, out=rows[:key.size])
             start = 0
-            for comp, count, total in zip(self.components, np.bincount(key, minlength=k), totals):
+            for comp, count in zip(self.components, np.bincount(key, minlength=k)):
                 if count:
-                    width = 2 if count == 1 < total else count  # the partner row: redone or unused
+                    width = max(count, 2)  # a lone row's partner: redone or unused
                     np.matmul(rows[start:start + width], comp.cov.chol.T,
                               out=placed[start:start + width])
                     placed[start:start + count] += comp.mean

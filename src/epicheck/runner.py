@@ -501,5 +501,8 @@ def write_report(report: dict, path: str, fmt: str = "json") -> None:
         text = report_to_csv(report)
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:  # a bad output path: exit 2, not the 1 that reads as a violation
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc

@@ -56,6 +56,7 @@ from epicheck import (
     check_stam_recovery,
     check_tm_limit,
     classify,
+    compression_map,
     conditional_entropy,
     delete_row_col,
     entropy,
@@ -67,10 +68,10 @@ from epicheck import (
     random_mixture,
     random_spd,
     rng_from_tokens,
-    tm_sequence,
 )
 from epicheck import checks, matrices, runner
 from epicheck.checks import REPORT_KEYS
+from epicheck.estimators import FISHER, _terms
 from epicheck.matrices import _factored, make_bonnesen_equality_pair
 from epicheck.mixtures import BLOCK
 
@@ -162,6 +163,23 @@ class TestClassify:
 
     def test_tiny_negative_gap_is_not_violated(self):
         assert classify(1.0 - 1e-10, 1.0, 0.0, CFG) != VERDICT_VIOLATED
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e8, 1e8), st.floats(-1e8, 1e8), st.floats(0.0, 0.2), st.floats(0.0, 2.0),
+           st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=10))
+    def test_raising_z_never_lowers_the_verdict(self, lhs, rhs, rel_stderr, rel_extra, zs):
+        # as z grows, _window's violation edge falls and its equality edge rises:
+        # violated -> holds -> equality_consistent, never back; inconclusive reads
+        # no z.  The stderr and extra_eq_tol are drawn on the scale of the sides
+        # and of the gap, where z decides the verdict
+        stderr, extra = rel_stderr * max(abs(lhs), abs(rhs)), rel_extra * abs(lhs - rhs)
+        rank = {VERDICT_VIOLATED: 0, VERDICT_HOLDS: 1, VERDICT_EQUALITY: 2}
+        verdicts = [classify(lhs, rhs, stderr, CheckConfig(z=z), extra) for z in sorted(zs)]
+        if VERDICT_INCONCLUSIVE in verdicts:
+            assert set(verdicts) == {VERDICT_INCONCLUSIVE}
+        else:
+            ranks = [rank[v] for v in verdicts]
+            assert ranks == sorted(ranks)
 
     @pytest.mark.parametrize(
         "lhs, rhs, stderr",
@@ -748,11 +766,10 @@ class TestProjectiveFisher:
 
 class TestTmLimit:
     def test_standard_gaussian_sequence_exact(self):
-        m_values = (2, 4, 8, 16, 32, 64)
-        values, errors = tm_sequence(gauss(np.eye(3)), m_values, CFG)
-        for v, mv in zip(values, m_values):
-            assert v == pytest.approx(1.0 + 2.0 / mv**2, rel=1e-12)
-        assert np.all(errors == 0.0)
+        for mv in (2, 4, 8, 16, 32, 64):
+            est = fisher(gauss(np.eye(3)).linear_map(compression_map(3, mv)))
+            assert est.value / mv**2 == pytest.approx(1.0 + 2.0 / mv**2, rel=1e-12)
+            assert est.std_error == 0.0
 
     def test_standard_gaussian_verdict(self):
         rep = check_tm_limit(gauss(np.eye(3)), cfg=CFG)
@@ -764,26 +781,7 @@ class TestTmLimit:
         rep = check_tm_limit(two_part(), cfg=CheckConfig(m=20_000, seed=1))
         assert rep.verdict == VERDICT_EQUALITY and rep.stderr > 0.0
 
-    @pytest.mark.parametrize(
-        "m_values", [[0.0, 2.0], [-2, 4], [2], [4, 2], [2, 2, 4], [2, math.nan], [True, 2]]
-    )
-    def test_sequence_refuses_bad_factors(self, m_values):
-        # [0.0, 2.0] used to raise ZeroDivisionError and [-2, 4] was accepted
-        with pytest.raises(ValueError, match="squeeze factors"):
-            tm_sequence(gauss(np.eye(2)), m_values, CFG)
-
-    def test_factors_read_once(self):
-        # an iterator of factors used to be validated on a copy and then read
-        # empty: two empty arrays
-        x, cfg = two_part(), CheckConfig(m=2_000, seed=5)
-        values, errors = tm_sequence(x, (mv for mv in (2, 4, 8)), cfg)
-        expected = tm_sequence(x, [2, 4, 8], cfg)
-        assert len(values) == 3
-        assert np.array_equal(values, expected[0]) and np.array_equal(errors, expected[1])
-
     def test_dimension_one_refused(self):
-        with pytest.raises(DimensionError):
-            tm_sequence(gauss([[1.0]]), (2, 4), CFG)
         with pytest.raises(DimensionError):
             check_tm_limit(gauss([[1.0]]), cfg=CFG)
 
@@ -807,7 +805,10 @@ class TestSqueezeIdentity:
         x, cfg = two_part(), CheckConfig(m=4 * BLOCK + 7, seed=2)
         rep = check_tm_limit(x, cfg)
         assert rep.verdict == VERDICT_EQUALITY  # the record ran to m
-        assert rep.lhs == tm_sequence(x, [2, 64], cfg)[0][-1]
+        squeezed = x.linear_map(compression_map(2, 64.0))
+        run = checks._Run("tm_limit", cfg, None, x)
+        ests, _ = _terms([(squeezed, "tm-64.0", (FISHER,))], cfg.m, run.rng)
+        assert rep.lhs == ests[0].value / 64.0**2
 
     def test_sides_draw_independently(self, monkeypatch):
         roles = []

@@ -34,8 +34,6 @@ from epicheck import (
     entropy_power,
     fisher,
     knn_entropy,
-    mc_entropy,
-    mc_fisher,
     projective_fisher,
     random_mixture,
     random_spd,
@@ -66,6 +64,12 @@ def gauss(cov, mean=None) -> GaussianMixture:
     return GaussianMixture.gaussian(mean, cov)
 
 
+def split(gm: GaussianMixture) -> GaussianMixture:
+    """A pure Gaussian as two equal halves, which take the Monte-Carlo route
+    while the answer is known; a mixture as it is."""
+    return GaussianMixture([0.5, 0.5], gm.components * 2) if gm.is_gaussian else gm
+
+
 class TestScalarEstimate:
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -74,6 +78,12 @@ class TestScalarEstimate:
             ScalarEstimate(1.0, -0.1, 10, "plug_in_mc")
         with pytest.raises(ValueError):
             ScalarEstimate(1.0, 0.5, 0, "closed_form")
+
+    @pytest.mark.parametrize("se", [math.nan, math.inf])
+    def test_non_finite_std_error_refused(self, se):
+        # a NaN passed the old `< 0` test, and entropy_power then gave a NaN stderr
+        with pytest.raises(ValueError, match="finite"):
+            ScalarEstimate(1.0, se, 10, "plug_in_mc")
 
 
 class TestGaussianEntropy:
@@ -166,8 +176,8 @@ class TestDelta:
 
 class TestMcEntropy:
     def test_gaussian_within_three_sigma(self):
-        gm = gauss(np.eye(3))
-        est = mc_entropy(gm, 50_000, rng_from_tokens(0, "mc-h"))
+        gm = split(gauss(np.eye(3)))
+        est = entropy(gm, 50_000, rng_from_tokens(0, "mc-h"))
         assert abs(est.value - H_STD_3D) <= 3.0 * est.std_error
         assert est.method == "plug_in_mc" and est.n_samples == 50_000
 
@@ -176,14 +186,14 @@ class TestMcEntropy:
             [0.5, 0.5],
             [([0.0, 0.0], np.eye(2)), ([12.0, 0.0], np.eye(2))],
         )
-        est = mc_entropy(gm, 100_000, rng_from_tokens(1, "mc-h"))
+        est = entropy(gm, 100_000, rng_from_tokens(1, "mc-h"))
         # far-separated equal modes: h = ln 2 + h(N(0,I2)) up to ~e^-18 overlap
         assert est.value == pytest.approx(math.log(2.0) + H_STD_2D, abs=0.02)
 
     def test_bit_identical_under_seed(self):
-        gm = gauss(COV_WORKED)
-        a = mc_entropy(gm, 5000, rng_from_tokens(2, "mc-h"))
-        b = mc_entropy(gm, 5000, rng_from_tokens(2, "mc-h"))
+        gm = split(gauss(COV_WORKED))
+        a = entropy(gm, 5000, rng_from_tokens(2, "mc-h"))
+        b = entropy(gm, 5000, rng_from_tokens(2, "mc-h"))
         assert a.value == b.value and a.std_error == b.std_error
 
     def test_entropy_dispatcher(self):
@@ -282,7 +292,7 @@ class TestConditionalEntropy:
         assert est.method == "plug_in_mc"
         # conditioning reduces entropy: h(X_n | rest) <= h(X_n)
         marg = mix.marginal([1])
-        upper = mc_entropy(marg, 40_000, rng_from_tokens(7, "cond"))
+        upper = entropy(marg, 40_000, rng_from_tokens(7, "cond"))
         assert est.value <= upper.value + 3.0 * (est.std_error + upper.std_error)
 
     def test_dim_validation(self):
@@ -320,24 +330,24 @@ class TestFisher:
         assert fisher(gauss(COV_WORKED)).value == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_mc_fisher_calibrated(self):
-        gm = gauss(np.diag([1.0, 4.0]))
-        est = mc_fisher(gm, 50_000, rng_from_tokens(8, "fisher"))
+        gm = split(gauss(np.diag([1.0, 4.0])))
+        est = fisher(gm, 50_000, rng_from_tokens(8, "fisher"))
         assert abs(est.value - 1.25) <= 3.0 * est.std_error
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.5, 2.0))
     def test_scaling_law(self, seed, t):
         # I(tX) = I(X) / t^2, exact when streams are shared
-        gm = random_mixture(2, rng_from_tokens(seed, "prop-fisher"))
-        a = mc_fisher(gm, 4000, rng_from_tokens(seed, "prop-fisher", "r"))
-        b = mc_fisher(gm.scale(t), 4000, rng_from_tokens(seed, "prop-fisher", "r"))
+        gm = split(random_mixture(2, rng_from_tokens(seed, "prop-fisher")))
+        a = fisher(gm, 4000, rng_from_tokens(seed, "prop-fisher", "r"))
+        b = fisher(gm.scale(t), 4000, rng_from_tokens(seed, "prop-fisher", "r"))
         assert b.value == pytest.approx(a.value / t**2, rel=1e-9)
 
     def test_nonnegative(self):
         gm = GaussianMixture(
             [0.5, 0.5], [([0.0, 0.0], COV_WORKED), ([2.0, -1.0], np.eye(2))]
         )
-        est = mc_fisher(gm, 2000, rng_from_tokens(9, "fisher"))
+        est = fisher(gm, 2000, rng_from_tokens(9, "fisher"))
         assert est.value >= 0.0
 
 
@@ -375,7 +385,7 @@ class TestProjectiveFisher:
         )
         u = np.array([3.0, 4.0]) / 5.0
         proj = projective_fisher(mix, u, 20_000, rng_from_tokens(10, "proj"))
-        full = mc_fisher(mix, 20_000, rng_from_tokens(11, "proj"))
+        full = fisher(mix, 20_000, rng_from_tokens(11, "proj"))
         assert proj.value <= full.value + 3.0 * (proj.std_error + full.std_error)
 
 
@@ -451,12 +461,12 @@ class TestScalingInvariant:
     def test_entropy_shift_under_linear_map(self, seed):
         # h(AX) - h(X) = ln |det A| within 3 sigma of independent estimates
         rng = rng_from_tokens(seed, "scale-h")
-        gm = random_mixture(2, rng)
+        gm = split(random_mixture(2, rng))
         a = rng.normal(size=(2, 2))
         while abs(np.linalg.det(a)) < 0.3:
             a = rng.normal(size=(2, 2))
-        h0 = mc_entropy(gm, 30_000, rng_from_tokens(seed, "scale-h", "h0"))
-        h1 = mc_entropy(gm.linear_map(a), 30_000, rng_from_tokens(seed, "scale-h", "h1"))
+        h0 = entropy(gm, 30_000, rng_from_tokens(seed, "scale-h", "h0"))
+        h1 = entropy(gm.linear_map(a), 30_000, rng_from_tokens(seed, "scale-h", "h1"))
         shift = math.log(abs(np.linalg.det(a)))
         tol = 3.0 * math.hypot(h0.std_error, h1.std_error)
         assert abs((h1.value - h0.value) - shift) <= tol
@@ -584,9 +594,9 @@ class TestTermEngine:
 
     def test_mc_route_needs_a_generator(self):
         with pytest.raises(ValueError, match="generator"):
-            mc_entropy(three_d_mixture(), 100, None)
+            entropy(three_d_mixture(), 100, None)
         with pytest.raises(ValueError, match="generator"):
-            mc_fisher(gauss(COV_3D), 100, None)
+            fisher(split(gauss(COV_3D)), 100, None)
 
 
 def nine_part_mixture() -> GaussianMixture:
@@ -752,11 +762,6 @@ class TestTooFewDraws:
         with pytest.raises(ValueError, match="at least 2 draws"):
             public(gauss(COV_3D), m, None)
 
-    @pytest.mark.parametrize("estimator", [mc_entropy, mc_fisher])
-    def test_forced_monte_carlo_refuses(self, estimator):
-        with pytest.raises(ValueError, match="at least 2 draws"):
-            estimator(gauss(COV_3D), 1, rng_from_tokens(24, "few"))
-
     def test_conditional_fisher_needs_two_outer_draws(self):
         mix = GaussianMixture([0.5, 0.5], [(np.zeros(2), np.eye(2)), ([2.0, 0.0], np.eye(2))])
         with pytest.raises(ValueError, match="at least 2 outer draws"):
@@ -775,8 +780,8 @@ class TestSampleCounts:
 
     @pytest.mark.parametrize("call", [
         lambda gm, rng: entropy(gm, 2.5, rng),
-        lambda gm, rng: mc_entropy(gm, 1e5, rng),
-        lambda gm, rng: mc_fisher(gm, True, rng),
+        lambda gm, rng: entropy(gm, 1e5, rng),
+        lambda gm, rng: fisher(gm, True, rng),
         lambda gm, rng: conditional_fisher_last(gm, 2.5, 5, rng),
         lambda gm, rng: conditional_fisher_last(gm, 3, True, rng),
     ])
@@ -857,10 +862,10 @@ class TestLookLabels:
 
     @pytest.mark.parametrize("again", [True, False], ids=["drawn-again", "lone-in-call"])
     def test_component_drawn_once_keeps_the_rows_of_sample(self, drawn, again):
-        # _place gives a component drawn once in the whole call a one-row
-        # product, so once the first look holds one, the rest are labelled;
-        # the seed is one whose lone row a one-row product rounds differently,
-        # where this BLAS has one
+        # _place multiplies a lone row with a partner row, never as a one-row
+        # product, so a component drawn once in a look's labels needs no later
+        # labels; the seed is one whose lone row a one-row product rounds
+        # differently, where this BLAS has one
         m = 4 * BLOCK + 7
         weight = 2.0 / BLOCK if again else 2.0 / m
 
@@ -880,7 +885,7 @@ class TestLookLabels:
         gm, rng = lone_mixture(seed, weight), rng_from_tokens(seed, "lone")
         for _ in _sampled(gm, (FISHER,), _looks(m), rng):
             pass
-        assert [len(idx) for idx in drawn["labels"]] == [BLOCK, m - BLOCK]
+        assert [len(idx) for idx in drawn["labels"]] == [BLOCK, 3 * BLOCK, m - 4 * BLOCK]
         expected = rng_from_tokens(seed, "lone")
         assert np.array_equal(np.concatenate(drawn["rows"]), gm.sample(expected, m))
         np.testing.assert_equal(rng.bit_generator.state, expected.bit_generator.state)

@@ -69,12 +69,18 @@ def ill_conditioned_mixture() -> GaussianMixture:
 
 def mask_placement(gm: GaussianMixture, idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Each component's rows of ``z``, picked by a boolean mask on ``idx``,
-    placed through its factor: the draws every pinned seed depends on."""
+    placed through its factor: the draws every pinned seed depends on.  A
+    component drawn once is one row of a two-row product, never a one-row
+    product, which numpy makes a matrix-vector product that rounds
+    differently."""
     out = np.empty(z.shape)
     for c, comp in enumerate(gm.components):
         sel = idx == c
-        if np.any(sel):
-            out[sel] = comp.mean + z[sel] @ comp.cov.chol.T
+        count = np.count_nonzero(sel)
+        if count:
+            rows = np.zeros((max(count, 2), z.shape[1]))
+            rows[:count] = z[sel]
+            out[sel] = comp.mean + (rows @ comp.cov.chol.T)[:count]
     return out
 
 

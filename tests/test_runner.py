@@ -650,6 +650,19 @@ class TestCli:
         assert orders[0] == orders[1]
         assert [name for name, _ in orders[0][::2]] == list(REGISTRY)
 
+    @pytest.mark.parametrize("command", ["run", "check", "scan-lambda"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        # a report or scan that cannot be written is a bad --out, not a violation
+        # (exit 1): it used to end in a FileNotFoundError traceback
+        argv = {
+            "run": ["run", "--config",
+                    self.write_config(tmp_path, {"dims": [2], "checks": ["matrix_bergstrom"]})],
+            "check": ["check", "matrix_bergstrom", "--dim", "2"],
+            "scan-lambda": ["scan-lambda", "--dim", "2", "--grid", "5", "--samples", "2000"],
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "missing" / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_check_unknown_name(self, capsys):
         assert main(["check", "bogus"]) == 2
         assert "known checks" in capsys.readouterr().err
