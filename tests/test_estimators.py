@@ -762,6 +762,12 @@ class TestTooFewDraws:
         with pytest.raises(ValueError, match="at least 2 draws"):
             public(gauss(COV_3D), m, None)
 
+    @pytest.mark.parametrize("estimator", [entropy, fisher])
+    def test_forced_monte_carlo_refuses(self, estimator):
+        # the split law is how a Gaussian is sent down the Monte-Carlo route
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            estimator(split(gauss(COV_3D)), 1, rng_from_tokens(24, "few"))
+
     def test_conditional_fisher_needs_two_outer_draws(self):
         mix = GaussianMixture([0.5, 0.5], [(np.zeros(2), np.eye(2)), ([2.0, 0.0], np.eye(2))])
         with pytest.raises(ValueError, match="at least 2 outer draws"):

@@ -1,4 +1,5 @@
-"""Import footprint: the closed forms run on numpy alone.
+"""Import footprint and public names: the closed forms run on numpy alone,
+and the package exports only names it defines.
 
 Each test runs in a fresh interpreter, since this one has loaded scipy
 through the other test modules.  scipy's BLAS loads at the first
@@ -12,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import epicheck
+from epicheck import checks, estimators
 
 PRELUDE = """
 import json, sys
@@ -57,6 +61,12 @@ print(json.dumps(loaded()))
 """
 
 
+# retired names and the module each lived in: ``entropy`` and ``fisher`` on
+# the split law replace the forced Monte-Carlo wrappers, and ``fisher`` of the
+# squeezed law over M**2 replaces the squeeze sequence
+RETIRED = {"mc_entropy": estimators, "mc_fisher": estimators, "tm_sequence": checks}
+
+
 def _fresh(code: str) -> list:
     """The scipy modules a fresh interpreter holds after ``code``, which
     prints them as its last line of output."""
@@ -91,3 +101,13 @@ class TestScipyFootprint:
             "print(json.dumps(loaded()))\n"
         )
         assert "scipy.spatial" in loaded and "scipy.special" in loaded
+
+
+class TestPublicNames:
+    def test_every_export_resolves(self):
+        assert [name for name in epicheck.__all__ if not hasattr(epicheck, name)] == []
+
+    @pytest.mark.parametrize("name", sorted(RETIRED))
+    def test_retired_name_is_gone(self, name):
+        assert name not in epicheck.__all__
+        assert not hasattr(epicheck, name) and not hasattr(RETIRED[name], name)
