@@ -22,6 +22,7 @@ under one error budget (``_Run.sides``).
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, replace
 
@@ -48,7 +49,7 @@ from .matrices import (
     _check_equal_minors,
     _check_index,
     _check_lambda,
-    _chol_logdet,
+    _chol_logdets,
     _cholesky,
     _deletion_ratios,
     _factored,
@@ -58,7 +59,16 @@ from .matrices import (
     _sum_ratios,
     make_bonnesen_equality_pair,
 )
-from .mixtures import BLOCK, GaussianComponent, GaussianMixture, MarkovTriple, _coordinates
+from .mixtures import (
+    BLOCK,
+    LN_2PI,
+    GaussianComponent,
+    GaussianMixture,
+    MarkovTriple,
+    _coordinates,
+    _covariances,
+    _trsm,
+)
 from .seeding import rng_from_tokens, stable_digest
 
 TWO_PI_E = math.exp(LN_2PIE)
@@ -69,12 +79,20 @@ VERDICT_VIOLATED = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 EQUALITY_GRID_POINTS = 21
+# the lambda grid of ``check_equality_case_bonnesen``
+_EQUALITY_LAMS = np.linspace(0.0, 1.0, EQUALITY_GRID_POINTS)
+_EQUALITY_LAMS.setflags(write=False)
 
 # the squeeze factor M of the ``tm_limit`` record
 TM_SQUEEZE = 64.0
 
 # the share of a record's one-sided alpha = Phi(-z) that its early looks spend, evenly
 EARLY_SPEND = 0.01
+
+# the normal tail of the look boundaries (``_log_tail``, ``_tail_quantile``)
+TAIL_SERIES_FROM = 37.0
+LOG_TINY = math.log(sys.float_info.min)
+TAIL_NEWTON_STEPS = 3
 
 # the keys of a report record, in order: the JSON record and the CSV columns
 REPORT_KEYS = (
@@ -159,25 +177,36 @@ def _window(lhs, rhs, stderr, cfg: CheckConfig, extra: float = 0.0) -> tuple[boo
     """(below, within) for lhs >= rhs, the one tolerance rule of every verdict,
     gate, precondition and scan flag.  With gap = lhs - rhs and scale =
     max(|lhs|, |rhs|, 1): below is gap < -(abs_tol * scale + z * stderr), within
-    is |gap| <= eq_tol * scale + extra + z * stderr.  Non-finite terms raise
+    is |gap| <= eq_tol * scale + extra + z * stderr.  Terms that are numpy
+    arrays are read elementwise, as boolean arrays.  Non-finite terms raise
     ``ValueError``: NaN fails both comparisons and would read as ``holds``."""
-    finite = math.isfinite
-    if not (finite(lhs) and finite(rhs) and finite(stderr) and finite(extra)):
+    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray) or isinstance(stderr, np.ndarray):
+        scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)  # NaN and inf carry through
+        finite = all(np.isfinite(t).all() for t in (scale, stderr, extra))
+    else:
+        isfinite = math.isfinite
+        finite = isfinite(lhs) and isfinite(rhs) and isfinite(stderr) and isfinite(extra)
+        scale = max(abs(lhs), abs(rhs), 1.0)
+    if not finite:
         raise ValueError(f"verdict window needs finite terms, got {(lhs, rhs, stderr, extra)!r}")
-    gap, scale, noise = lhs - rhs, max(abs(lhs), abs(rhs), 1.0), cfg.z * stderr
+    gap, noise = lhs - rhs, cfg.z * stderr
     return gap < -(cfg.abs_tol * scale + noise), abs(gap) <= cfg.eq_tol * scale + extra + noise
 
 
 def classify(
     lhs: float, rhs: float, stderr: float, cfg: CheckConfig, extra_eq_tol: float = 0.0
 ) -> str:
-    """Statistical verdict for lhs >= rhs.
+    """Statistical verdict for lhs >= rhs; for array terms, an array of verdicts.
 
     Order matters: noisy estimates are inconclusive before anything else,
     then a gap below the window (``_window``) is a violation, then a gap
     within it is equality-consistent.
     """
     below, within = _window(lhs, rhs, stderr, cfg, extra_eq_tol)
+    if isinstance(below, np.ndarray):
+        noisy = stderr > cfg.rel_stderr_cap * np.maximum(abs(lhs), abs(rhs))
+        return np.where(noisy, VERDICT_INCONCLUSIVE, np.where(
+            below, VERDICT_VIOLATED, np.where(within, VERDICT_EQUALITY, VERDICT_HOLDS)))
     if stderr > cfg.rel_stderr_cap * max(abs(lhs), abs(rhs)):
         return VERDICT_INCONCLUSIVE
     return VERDICT_VIOLATED if below else (VERDICT_EQUALITY if within else VERDICT_HOLDS)
@@ -200,11 +229,41 @@ def _look_zs(z: float, n_looks: int) -> tuple[float, ...]:
     keeps z.  The tails are in log space, so a large z stays finite."""
     if n_looks == 1:
         return (z,)
-    from scipy.special import log_ndtr, ndtri_exp  # only a multi-look record loads scipy
+    log_alpha = _log_tail(z)[0]
+    early = _tail_quantile(log_alpha + math.log(EARLY_SPEND / (n_looks - 1)))
+    return (early,) * (n_looks - 1) + (_tail_quantile(log_alpha + math.log1p(-EARLY_SPEND)),)
 
-    log_alpha = float(log_ndtr(-z))
-    early = -float(ndtri_exp(log_alpha + math.log(EARLY_SPEND / (n_looks - 1))))
-    return (early,) * (n_looks - 1) + (-float(ndtri_exp(log_alpha + math.log1p(-EARLY_SPEND))),)
+
+def _log_tail(z: float) -> tuple[float, float]:
+    """(log Phi(-z), Phi(-z) / phi(z)) for z > 0.  Below TAIL_SERIES_FROM the tail
+    is erfc(z / sqrt 2) / 2; beyond it, where that nears the bottom of the
+    doubles, the ratio is the asymptotic series (1 - 1/z^2 + 3/z^4 - ...) / z
+    (Abramowitz & Stegun 26.2.12), summed until its terms fall below 1e-17."""
+    if z < TAIL_SERIES_FROM:
+        tail = 0.5 * math.erfc(z * math.sqrt(0.5))
+        return math.log(tail), tail * math.exp(0.5 * (z * z + LN_2PI))
+    inv_sq, term, total, k = 1.0 / (z * z), 1.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * inv_sq
+        total += term
+        k += 1
+    return -0.5 * z * z - 0.5 * LN_2PI + math.log(total / z), total / z
+
+
+def _tail_quantile(log_p: float) -> float:
+    """The z > 0 with log Phi(-z) = log_p < log(1/2): the normal quantile of
+    exp(log_p), or where that is below the normal doubles the leading terms
+    of the tail's asymptote, then Newton steps on ``_log_tail``."""
+    from statistics import NormalDist  # only a multi-look record needs it
+
+    if log_p > LOG_TINY:
+        z = -NormalDist().inv_cdf(math.exp(log_p))
+    else:
+        z = math.sqrt(-2.0 * log_p - math.log(-2.0 * log_p) - LN_2PI)
+    for _ in range(TAIL_NEWTON_STEPS):
+        log_tail, ratio = _log_tail(z)
+        z += (log_tail - log_p) * ratio
+    return z
 
 
 def _mixture_arrays(gm: GaussianMixture) -> list:
@@ -262,9 +321,22 @@ class _Run:
         """The generator of ``role``, keyed by (seed, check name, instance id, role)."""
         return rng_from_tokens(self.cfg.seed, self.name, self.iid, role)
 
+    def samples(self, groups) -> bool:
+        """Whether a draw group (law, RNG role, statistics) of the plan samples.
+        If one does, scipy's BLAS (``_trsm``) is bound here, off the record's
+        clock: the first such record in a process would otherwise carry
+        scipy's import."""
+        if all(g.is_gaussian for law, _, stats in groups for g in _shared(law, stats)[0]):
+            return False
+        bind = time.perf_counter()
+        _trsm()
+        self.t0 += time.perf_counter() - bind
+        return True
+
     def terms(self, *groups) -> tuple[list, np.ndarray]:
         """Estimates and covariance of the draw groups (law, RNG role, statistics),
         through ``estimators._terms``."""
+        self.samples(groups)
         return _terms(groups, self.cfg.m, self.rng)
 
     def sides(self, read, *groups) -> tuple[float, float, float, str]:
@@ -278,8 +350,7 @@ class _Run:
         only read at the last look.  A plan with no Monte-Carlo group has one
         look, at cfg.z."""
         cfg = self.cfg
-        sampled = not all(g.is_gaussian for law, _, stats in groups for g in _shared(law, stats)[0])
-        looks = _looks(cfg.m) if sampled else [cfg.m]
+        looks = _looks(cfg.m) if self.samples(groups) else [cfg.m]
         zs = _look_zs(cfg.z, len(looks))
         for z, (ests, cov) in zip(zs, _term_looks(groups, looks, self.rng)):
             look_cfg = cfg if z == cfg.z else replace(cfg, z=z)
@@ -550,28 +621,24 @@ def check_equality_case_bonnesen(
 
     e1 = math.exp(n * LN_2PIE + s1.log_det)
     e2 = math.exp(n * LN_2PIE + s2.log_det)
-    worst = None
-    verdicts = []
-    lams = np.linspace(0.0, 1.0, EQUALITY_GRID_POINTS)
+    lams = _EQUALITY_LAMS
     grid = lams[:, None, None]
-    # one stacked factorization of the grid; each point's log-det is summed
-    # from its own factor exactly as _logdet_raw would
-    chols = _cholesky((1.0 - grid) * s1.entries + grid * s2.entries)
-    for lam, chol in zip(lams, chols):
-        lhs = math.exp(n * LN_2PIE + _chol_logdet(chol))
-        rhs = (1.0 - lam) * e1 + lam * e2
-        verdicts.append(classify(lhs, rhs, 0.0, run.cfg))
-        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-        if worst is None or rel > worst[0]:
-            worst = (rel, float(lam), lhs, rhs)
+    # one stacked factorization of the grid, whose log-dets are read by one
+    # reduction with the bits each point's own factor gives
+    log_dets = _chol_logdets(_cholesky((1.0 - grid) * s1.entries + grid * s2.entries))
+    lhs = np.array([math.exp(n * LN_2PIE + log_det) for log_det in log_dets.tolist()])
+    rhs = (1.0 - lams) * e1 + lams * e2
+    verdicts = classify(lhs, rhs, 0.0, run.cfg)
     if VERDICT_VIOLATED in verdicts:
         overall = VERDICT_VIOLATED
-    elif all(v == VERDICT_EQUALITY for v in verdicts):
+    elif (verdicts == VERDICT_EQUALITY).all():
         overall = VERDICT_EQUALITY
     else:
         overall = VERDICT_HOLDS
-    _, lam, lhs, rhs = worst
-    return run.report(n, lam, lhs, rhs, 0.0, verdict=overall)
+    # the first point of largest relative gap
+    worst = int(np.argmax(abs(lhs - rhs) / np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)))
+    return run.report(n, float(lams[worst]), float(lhs[worst]), float(rhs[worst]), 0.0,
+                      verdict=overall)
 
 
 # --------------------------------------------------------------------------
@@ -648,9 +715,13 @@ def check_de_bruijn(
     n = x.dim
     min_eig = min(float(np.linalg.eigvalsh(c.cov.entries)[0]) for c in x.components)
     extra = dt * dt * n / (min_eig + t - dt) ** 3
+    # the covariances + s I of every component at s = t - dt, t, t + dt, factored as one stack
+    shifts = np.multiply.outer((t - dt, t, t + dt), np.eye(n))[:, None]
+    covs = _factored((_covariances(x) + shifts).reshape(-1, n, n))
+    k = x.n_components
     laws = tuple(GaussianMixture(x.weights, [
-        GaussianComponent(c.mean, _factored(c.cov.entries + s * np.eye(n))) for c in x.components
-    ]) for s in (t - dt, t, t + dt))
+        GaussianComponent(c.mean, cov) for c, cov in zip(x.components, covs[j * k:(j + 1) * k])
+    ]) for j in range(3))
     read = _classified(lambda v: (v[2] - v[0]) / (2.0 * dt), lambda v: 0.5 * v[1], extra)
     return run.report(n, None, *run.sides(read, (laws, "mc", ((ENTROPY,), (FISHER,), (ENTROPY,)))))
 

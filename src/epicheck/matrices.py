@@ -79,20 +79,39 @@ def _chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
 
 
+def _chol_logdets(chols: np.ndarray) -> np.ndarray:
+    """``_chol_logdet`` of each factor of a stack, by one reduction over the
+    stack's pivots: each row is summed as that factor's own pivots are, so
+    every log-det has the same bits."""
+    return 2.0 * np.add.reduce(np.log(chols.diagonal(0, -2, -1)), axis=-1)
+
+
 def _logdet_raw(a: np.ndarray) -> float:
     return _chol_logdet(_cholesky(a))
 
 
-def _factored(a: np.ndarray) -> SpdMatrix:
+def _factored(a: np.ndarray):
     """SpdMatrix of ``a`` that is symmetric positive definite by construction
     (a principal block of one, a positive multiple of one, or a sum of two):
     it is factored but not checked again, except that entries which overflowed
-    to inf or NaN are refused as SpdMatrix refuses them."""
+    to inf or NaN are refused as SpdMatrix refuses them.  A (k, n, n) stack
+    gives the list of its k matrices, factored by one Cholesky call on the
+    stack: each has the entries, factor and log-det it would have alone."""
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    m = SpdMatrix.__new__(SpdMatrix)
-    m._factor(a)
-    return m
+    if a.ndim == 2:
+        m = SpdMatrix.__new__(SpdMatrix)
+        m._factor(a)
+        return m
+    chols = _cholesky(a)
+    a.setflags(write=False)  # the views of each matrix below inherit it
+    chols.setflags(write=False)
+    out = []
+    for entries, chol, log_det in zip(a, chols, _chol_logdets(chols).tolist()):
+        m = SpdMatrix.__new__(SpdMatrix)
+        m.entries, m.chol, m._log_det = entries, chol, log_det
+        out.append(m)
+    return out
 
 
 def _same_dim(a, b, min_dim: int = 1) -> int:

@@ -115,10 +115,17 @@ def _skip(rng: np.random.Generator, count: int) -> None:
         rng.random((rest - 1) % 4 + 1)
 
 
+def _covariances(gm: "GaussianMixture") -> np.ndarray:
+    """The (K, n, n) stack of the component covariances of ``gm``: a read-only
+    view of the one covariance of a Gaussian."""
+    comps = gm.components
+    return comps[0].cov.entries[None] if len(comps) == 1 else np.array([c.cov.entries for c in comps])
+
+
 def _trsm():
     """BLAS ``dtrsm``, bound by each call that solves, before its loops: scipy's
-    BLAS loads at the first Monte-Carlo draw, and a closed-form run never
-    loads scipy."""
+    BLAS loads when the first record that samples opens (``checks._Run.samples``),
+    and a closed-form run never loads scipy."""
     from scipy.linalg.blas import dtrsm
     return dtrsm
 
@@ -330,36 +337,29 @@ class GaussianMixture:
         """Law of the sum of independent draws: all pairwise components."""
         if other.dim != self.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        weights = []
-        comps = []
-        for wa, ca in zip(self.weights, self.components):
-            for wb, cb in zip(other.weights, other.components):
-                weights.append(wa * wb)
-                comps.append(GaussianComponent(
-                    ca.mean + cb.mean, _factored(ca.cov.entries + cb.cov.entries)
-                ))
-        w = np.array(weights)
-        return GaussianMixture(w / w.sum(), comps)
+        n = self.dim
+        covs = _factored((_covariances(self)[:, None] + _covariances(other)).reshape(-1, n, n))
+        means = [ca.mean + cb.mean for ca in self.components for cb in other.components]
+        w = (self.weights[:, None] * other.weights).reshape(-1)
+        return GaussianMixture(w / w.sum(), [GaussianComponent(*c) for c in zip(means, covs)])
 
     def scale(self, s: float) -> "GaussianMixture":
         """Law of s X; s = 0 has no density and is rejected."""
         if s == 0.0:
             raise DegenerateLawError("scaling by zero collapses the law to a point")
-        comps = [
-            GaussianComponent(s * c.mean, _factored(s * s * c.cov.entries))
-            for c in self.components
-        ]
-        return GaussianMixture(self.weights, comps)
+        covs = _factored(s * s * _covariances(self))
+        return GaussianMixture(self.weights, [
+            GaussianComponent(s * c.mean, cov) for c, cov in zip(self.components, covs)
+        ])
 
     def marginal(self, keep) -> "GaussianMixture":
         """Marginal over the listed coordinates, in the order given."""
         keep = _coordinates(keep, self.dim)
-        sel = np.ix_(keep, keep)
-        comps = [
-            GaussianComponent(c.mean[keep], _factored(c.cov.entries[sel]))
-            for c in self.components
-        ]
-        return GaussianMixture(self.weights, comps)
+        rows, cols = np.ix_(keep, keep)
+        covs = _factored(_covariances(self)[:, rows, cols])
+        return GaussianMixture(self.weights, [
+            GaussianComponent(c.mean[keep], cov) for c, cov in zip(self.components, covs)
+        ])
 
     def linear_map(self, a) -> "GaussianMixture":
         """Law of A X for invertible square A."""

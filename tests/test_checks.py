@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr, ndtri_exp
 
 from epicheck import (
     CheckConfig,
@@ -71,7 +71,7 @@ from epicheck import (
 )
 from epicheck import checks, matrices, runner
 from epicheck.checks import REPORT_KEYS
-from epicheck.estimators import FISHER, _terms
+from epicheck.estimators import FISHER, LN_2PIE, _terms
 from epicheck.matrices import _factored, make_bonnesen_equality_pair
 from epicheck.mixtures import BLOCK
 
@@ -204,6 +204,44 @@ class TestWindow:
         for gap, below in ((0.5, False), (-0.5, True)):
             assert checks._window(1.0 + gap, 1.0, 0.0, CFG) == (below, False)
             assert checks._window(1.0 + gap, 1.0, 0.0, CFG, extra=0.6) == (below, True)
+
+    # dyadic terms make exact ties at both edges of the window common
+    DYADIC = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, -0.5, -1.0, -2.0])
+    TERM = st.one_of(DYADIC, st.floats(-1e6, 1e6))
+    STDERR = st.one_of(st.sampled_from([0.0, 0.0625, 0.125, 0.25]), st.floats(0.0, 1e3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(TERM, TERM, STDERR), min_size=1, max_size=25),
+           st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([0.0, 0.25, 0.5, 1e-9]),
+           st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.sampled_from([0.0, 0.1, 0.25]),
+           st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1e3)), st.booleans())
+    def test_arrays_are_read_elementwise_by_the_scalar_rule(
+        self, terms, abs_tol, eq_tol, z, cap, extra, one_stderr
+    ):
+        cfg = CheckConfig(abs_tol=abs_tol, eq_tol=eq_tol, z=z, rel_stderr_cap=cap)
+        lhs, rhs, stderr = (np.array(col) for col in zip(*terms))
+        if one_stderr:  # one stderr for every point, as the Bonnesen grid passes
+            stderr = float(stderr[0])
+            terms = [(lo, hi, stderr) for lo, hi, _ in terms]
+        below, within = checks._window(lhs, rhs, stderr, cfg, extra)
+        assert list(zip(below.tolist(), within.tolist())) == [
+            checks._window(*t, cfg, extra) for t in terms
+        ]
+        assert classify(lhs, rhs, stderr, cfg, extra).tolist() == [
+            classify(*t, cfg, extra) for t in terms
+        ]
+
+    @pytest.mark.parametrize("term", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_arrays_with_a_non_finite_term_are_refused(self, term, bad):
+        terms = [np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.5, 3.5]), np.array([0.0, 0.1, 0.0])]
+        terms[term][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            checks._window(*terms, CFG)
+        with pytest.raises(ValueError, match="finite"):
+            classify(*terms, CFG)
+        with pytest.raises(ValueError, match="finite"):
+            classify(terms[0], terms[1], 0.0, CFG, math.nan)
 
     @staticmethod
     def answer(monkeypatch, below, within):
@@ -507,7 +545,63 @@ class TestEntropicBonnesen:
         assert rep.gap >= -3.0 * rep.stderr
 
 
+def equality_grid_by_points(s1, s2, cfg):
+    """(lambda, lhs, rhs, verdict) of the Bonnesen equality grid read point by
+    point: each point's own factor, log-det and scalar ``classify``, and the
+    first point of largest relative gap (a strict ``>``)."""
+    n = s1.dim
+    e1 = math.exp(n * LN_2PIE + s1.log_det)
+    e2 = math.exp(n * LN_2PIE + s2.log_det)
+    worst, verdicts = None, []
+    for lam in np.linspace(0.0, 1.0, checks.EQUALITY_GRID_POINTS):
+        chol = np.linalg.cholesky((1.0 - lam) * s1.entries + lam * s2.entries)
+        lhs = math.exp(n * LN_2PIE + 2.0 * float(np.sum(np.log(np.diagonal(chol)))))
+        rhs = (1.0 - lam) * e1 + lam * e2
+        verdicts.append(classify(lhs, rhs, 0.0, cfg))
+        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+        if worst is None or rel > worst[0]:
+            worst = (rel, float(lam), lhs, rhs)
+    if VERDICT_VIOLATED in verdicts:
+        verdict = VERDICT_VIOLATED
+    elif all(v == VERDICT_EQUALITY for v in verdicts):
+        verdict = VERDICT_EQUALITY
+    else:
+        verdict = VERDICT_HOLDS
+    return worst[1:] + (verdict,)
+
+
+def bumped(s1, s2):
+    """C06's pair outside the equality family: s2 with its (0, n-1) entry
+    raised by half its smallest eigenvalue, so the prefix minors still match."""
+    n = s2.dim
+    entries = s2.entries.copy()
+    delta = 0.5 * float(np.linalg.eigvalsh(entries)[0])
+    entries[0, n - 1] += delta
+    entries[n - 1, 0] += delta
+    return s1, SpdMatrix(entries)
+
+
 class TestEqualityCaseBonnesen:
+    @pytest.mark.parametrize("n", range(2, 9))  # n = 8 is where numpy's pairwise sum unrolls
+    @pytest.mark.parametrize("family", ["equality", "bumped"])
+    def test_grid_read_as_arrays_is_the_pointwise_reading(self, n, family):
+        for i in range(6):
+            pair = make_bonnesen_equality_pair(n, rng_from_tokens(26, "grid", n, i))
+            if family == "bumped":
+                pair = bumped(*pair)
+            rep = check_equality_case_bonnesen(n, CFG, pair=pair)
+            assert (rep.lam, rep.lhs, rep.rhs, rep.verdict) == equality_grid_by_points(*pair, CFG)
+            assert rep.verdict == (VERDICT_EQUALITY if family == "equality" else VERDICT_HOLDS)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_tied_worst_points_report_the_first(self, n):
+        # a pair of one scaled identity ties its relative gaps: all exactly 0
+        # (so lambda = 0 is reported), or two points of rounding noise apart
+        for c in (0.25, 0.5, 1.0, 2.0, 4.0):
+            pair = (SpdMatrix(c * np.eye(n)), SpdMatrix(c * np.eye(n)))
+            rep = check_equality_case_bonnesen(n, CFG, pair=pair)
+            assert (rep.lam, rep.lhs, rep.rhs, rep.verdict) == equality_grid_by_points(*pair, CFG)
+
     def test_generated_pair_is_equality_consistent(self):
         rep = check_equality_case_bonnesen(3, CFG)
         assert rep.verdict == VERDICT_EQUALITY
@@ -1191,6 +1285,18 @@ class TestLooks:
         assert [round(z, 2) for z in checks._look_zs(3.0, 3)] == [4.35, 4.35, 3.0]
         assert round(checks._look_zs(3.0, 3)[-1], 4) == 3.0031
         assert round(checks._look_zs(3.0, 2)[0], 2) == 4.20
+
+    def test_boundaries_match_scipy_within_two_ulps(self):
+        # the standard-library tail (erfc below z = 37, the asymptotic series
+        # from there) and its Newton inverse, against scipy's log-space pair
+        for z in range(1, 41):
+            log_alpha = float(log_ndtr(-z))
+            for n_looks in (2, 3, 6):
+                early = -float(ndtri_exp(log_alpha + math.log(0.01 / (n_looks - 1))))
+                last = -float(ndtri_exp(log_alpha + math.log1p(-0.01)))
+                for got, want in zip(checks._look_zs(float(z), n_looks),
+                                     (early,) * (n_looks - 1) + (last,)):
+                    assert abs(got - want) <= 2 * math.ulp(want), (z, n_looks, got, want)
 
     def test_large_z_stays_finite(self):
         zs = checks._look_zs(40.0, 3)

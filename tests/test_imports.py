@@ -2,9 +2,9 @@
 and the package exports only names it defines.
 
 Each test runs in a fresh interpreter, since this one has loaded scipy
-through the other test modules.  scipy's BLAS loads at the first
-Monte-Carlo draw, ``scipy.special`` at the first multi-look record, and
-``scipy.spatial`` only in ``knn_entropy``.
+through the other test modules.  scipy's BLAS loads when the first record
+that samples is opened, off that record's clock; ``scipy.spatial`` and
+``scipy.special`` load only in ``knn_entropy``.
 """
 
 import json
@@ -67,9 +67,9 @@ print(json.dumps(loaded()))
 RETIRED = {"mc_entropy": estimators, "mc_fisher": estimators, "tm_sequence": checks}
 
 
-def _fresh(code: str) -> list:
-    """The scipy modules a fresh interpreter holds after ``code``, which
-    prints them as its last line of output."""
+def _fresh(code: str):
+    """The JSON a fresh interpreter prints as its last line of output after
+    ``code``: the scipy modules it holds (``loaded()``), or other values."""
     src = str(Path(epicheck.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-W", "error", "-c", PRELUDE + code], env=env,
@@ -83,6 +83,7 @@ class TestScipyFootprint:
         assert _fresh(CLOSED_FORMS) == []
 
     def test_monte_carlo_draw_loads_blas_but_not_spatial(self):
+        # nor scipy.special: the look boundaries use the standard library
         loaded = _fresh(
             "a, b = ec.random_spd(3, rng), ec.random_spd(3, rng)\n"
             "x = ec.GaussianMixture([0.4, 0.6], [(np.zeros(3), a), (np.ones(3), b)])\n"
@@ -91,7 +92,29 @@ class TestScipyFootprint:
             "print(json.dumps(loaded()))\n"
         )
         assert "scipy.linalg" in loaded
-        assert not any(name.startswith("scipy.spatial") for name in loaded)
+        assert not any(name.startswith(("scipy.spatial", "scipy.special")) for name in loaded)
+
+    def test_first_sampled_record_does_not_carry_scipys_import(self):
+        # the split law reaches the last look, so each record costs its draws
+        # (tens of ms); scipy's import (0.1-0.2 s) inside the first record's
+        # clock made it several times the second.  A busy machine can slow one
+        # record alone, so a fresh interpreter is tried up to three times
+        code = (
+            "g = ec.GaussianMixture.gaussian(np.zeros(3), ec.random_spd(3, rng))\n"
+            "x = ec.GaussianMixture([0.5, 0.5], [g.components[0]] * 2)\n"
+            "wide = ec.CheckConfig(m=100_000, seed=1)\n"
+            "reps = [ec.check_epi(x, x, wide) for _ in range(2)]\n"
+            "assert reps[0].verdict == reps[1].verdict == ec.VERDICT_EQUALITY, reps\n"
+            "print(json.dumps([rep.wall_ms for rep in reps]))\n"
+        )
+        times = []
+        for _ in range(3):
+            first, second = _fresh(code)
+            times.append((first, second))
+            if first <= 3.0 * second:
+                break
+        else:
+            pytest.fail(f"first record's wall_ms above 3 times the second's: {times}")
 
     def test_knn_entropy_in_a_fresh_process(self):
         loaded = _fresh(

@@ -167,6 +167,28 @@ class TestFactored:
         with pytest.raises(ValueError, match="finite"):
             _factored(a)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_stack_is_factored_as_each_matrix_alone(self, n):
+        rng = rng_from_tokens(26, "factored-stack", n)
+        for k in range(1, 22):
+            stack = np.array([random_spd(n, rng, condition_cap=10.0 ** rng.uniform(1, 8)).entries
+                              * 10.0 ** rng.uniform(-3, 3) for _ in range(k)])
+            alone = [_factored(a.copy()) for a in stack]
+            together = _factored(stack.copy())
+            assert len(together) == k
+            for fast, one in zip(together, alone):
+                assert np.array_equal(fast.entries, one.entries)
+                assert np.array_equal(fast.chol, one.chol)
+                assert fast.log_det == one.log_det
+                assert not fast.entries.flags.writeable and not fast.chol.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_stack_refuses_non_finite_entries(self, bad):
+        stack = np.array([np.eye(3)] * 4)
+        stack[2, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _factored(stack)
+
     def test_submatrices_are_those_of_checked_construction(self):
         m = random_spd(5, rng_from_tokens(4, "factored-submatrices"))
         for out, entries in ((delete_row_col(m, 2), np.delete(np.delete(m.entries, 2, 0), 2, 1)),
