@@ -323,9 +323,9 @@ class _Run:
 
     def samples(self, groups) -> bool:
         """Whether a draw group (law, RNG role, statistics) of the plan samples.
-        If one does, scipy's BLAS (``_trsm``) is bound here, off the record's
-        clock: the first such record in a process would otherwise carry
-        scipy's import."""
+        If one does, BLAS ``dtrsm`` (``_trsm``) is bound here, off the record's
+        clock: the first such record in a process would otherwise carry the
+        load of scipy's BLAS wrapper module (about 12 ms)."""
         if all(g.is_gaussian for law, _, stats in groups for g in _shared(law, stats)[0]):
             return False
         bind = time.perf_counter()

@@ -15,7 +15,12 @@ check.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import json
+import os
+import sys
 
 import numpy as np
 
@@ -122,12 +127,34 @@ def _covariances(gm: "GaussianMixture") -> np.ndarray:
     return comps[0].cov.entries[None] if len(comps) == 1 else np.array([c.cov.entries for c in comps])
 
 
+@functools.cache
 def _trsm():
-    """BLAS ``dtrsm``, bound by each call that solves, before its loops: scipy's
-    BLAS loads when the first record that samples opens (``checks._Run.samples``),
-    and a closed-form run never loads scipy."""
-    from scipy.linalg.blas import dtrsm
-    return dtrsm
+    """BLAS ``dtrsm``, bound by each call that solves, before its loops.  It is
+    read from scipy's compiled wrapper module ``scipy.linalg._fblas`` alone, the
+    one ``scipy.linalg.blas.dtrsm`` comes from, without running the
+    ``scipy.linalg`` package: that costs about 12 ms and 4 MB where the
+    package import costs about 0.15 s and 24 MB.  The module loads when the
+    first record that samples opens (``checks._Run.samples``), and a
+    closed-form run never loads scipy.
+
+    ``import scipy`` (which on Windows sets up scipy's DLL directories) comes
+    first.  A wrapper module already imported is reused; otherwise it is
+    loaded by path and then taken out of ``sys.modules`` again, so a later
+    ``import scipy.linalg`` loads it as its own, with the same ``dtrsm``."""
+    import scipy
+
+    name = "scipy.linalg._fblas"
+    fblas = sys.modules.get(name)
+    if fblas is None:
+        where = [os.path.join(path, "linalg") for path in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        if spec is None:
+            raise ImportError(f"no {name} in {os.pathsep.join(where)} (scipy {scipy.__version__})",
+                              name=name)
+        fblas = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fblas)
+        sys.modules.pop(name, None)
+    return fblas.dtrsm
 
 
 def _whiten(trsm, chol: np.ndarray, pts: np.ndarray, mean: np.ndarray,

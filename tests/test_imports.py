@@ -2,9 +2,10 @@
 and the package exports only names it defines.
 
 Each test runs in a fresh interpreter, since this one has loaded scipy
-through the other test modules.  scipy's BLAS loads when the first record
-that samples is opened, off that record's clock; ``scipy.spatial`` and
-``scipy.special`` load only in ``knn_entropy``.
+through the other test modules.  scipy's BLAS wrapper module
+``scipy.linalg._fblas`` loads alone, without the ``scipy.linalg`` package,
+when the first record that samples is opened, off that record's clock;
+``scipy.spatial`` and ``scipy.special`` load only in ``knn_entropy``.
 """
 
 import json
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 import epicheck
 from epicheck import checks, estimators
@@ -83,7 +85,9 @@ class TestScipyFootprint:
         assert _fresh(CLOSED_FORMS) == []
 
     def test_monte_carlo_draw_loads_blas_but_not_spatial(self):
-        # nor scipy.special: the look boundaries use the standard library
+        # the BLAS wrapper module is loaded by path and does not stay in
+        # sys.modules, so no scipy.linalg module is left; nor scipy.special:
+        # the look boundaries use the standard library
         loaded = _fresh(
             "a, b = ec.random_spd(3, rng), ec.random_spd(3, rng)\n"
             "x = ec.GaussianMixture([0.4, 0.6], [(np.zeros(3), a), (np.ones(3), b)])\n"
@@ -91,15 +95,54 @@ class TestScipyFootprint:
             "assert rep.stderr > 0.0\n"
             "print(json.dumps(loaded()))\n"
         )
-        assert "scipy.linalg" in loaded
-        assert not any(name.startswith(("scipy.spatial", "scipy.special")) for name in loaded)
+        assert "scipy" in loaded
+        assert not any(name.startswith(("scipy.linalg", "scipy.spatial", "scipy.special")) for name in loaded)
+
+    @pytest.mark.parametrize("bind_first", [True, False])
+    def test_bind_is_scipys_dtrsm(self, bind_first):
+        # the same function object in either import order, so every solve and
+        # every record keeps its bits; the scipy.linalg package still works
+        # after the bind and holds the wrapper module as its attribute
+        bind = "dtrsm = _trsm()\n"
+        package = "import scipy.linalg, scipy.linalg.blas\n"
+        assert _fresh(
+            "from epicheck.mixtures import _trsm\n"
+            + (bind + package if bind_first else package + bind)
+            + "assert dtrsm is scipy.linalg.blas.dtrsm is scipy.linalg._fblas.dtrsm is _trsm()\n"
+            "tri = np.array([[2.0, 0.0], [1.0, 4.0]])\n"
+            "print(json.dumps(scipy.linalg.solve_triangular(tri, [2.0, 5.0], lower=True).tolist()))\n"
+        ) == [1.0, 1.0]
+
+    def test_bind_names_the_directory_it_searched(self, tmp_path):
+        # a scipy without the wrapper module where it is looked for fails with
+        # an ImportError that says where it looked and which scipy it found
+        error = _fresh(
+            "import scipy\n"
+            f"scipy.__path__ = [{str(tmp_path)!r}]\n"
+            "from epicheck.mixtures import _trsm\n"
+            "try:\n"
+            "    _trsm()\n"
+            "except ImportError as exc:\n"
+            "    print(json.dumps(str(exc)))\n"
+        )
+        assert str(tmp_path / "linalg") in error and f"scipy {scipy.__version__}" in error
 
     def test_first_sampled_record_does_not_carry_scipys_import(self):
         # the split law reaches the last look, so each record costs its draws
-        # (tens of ms); scipy's import (0.1-0.2 s) inside the first record's
-        # clock made it several times the second.  A busy machine can slow one
-        # record alone, so a fresh interpreter is tried up to three times
+        # (tens of ms).  The wrapper module loads in about 12 ms, inside the
+        # spread of one record, so the first bind is planted to take 0.3 s: on
+        # the first record's clock it would make that record several times the
+        # second.  A busy machine can slow one record alone, so a fresh
+        # interpreter is tried up to three times
         code = (
+            "import time\n"
+            "from epicheck import checks\n"
+            "bind = checks._trsm\n"
+            "def slow_first_bind():\n"
+            "    checks._trsm = bind\n"
+            "    time.sleep(0.3)\n"
+            "    return bind()\n"
+            "checks._trsm = slow_first_bind\n"
             "g = ec.GaussianMixture.gaussian(np.zeros(3), ec.random_spd(3, rng))\n"
             "x = ec.GaussianMixture([0.5, 0.5], [g.components[0]] * 2)\n"
             "wide = ec.CheckConfig(m=100_000, seed=1)\n"
