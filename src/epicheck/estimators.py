@@ -118,16 +118,22 @@ def _closed(stats, g: GaussianComponent) -> list[ScalarEstimate]:
     return ests
 
 
-def _row(stat, log_f, log_prefix, score) -> np.ndarray:
-    """The per-sample values whose mean estimates ``stat``."""
+def _row(stat, log_f, log_prefix, score, out=None) -> np.ndarray:
+    """The per-sample values whose mean estimates ``stat``, into ``out`` (a
+    fresh array by default)."""
     kind, arg = stat
     if kind.endswith("fisher"):  # |score|^2, or <score, u>^2
-        return np.einsum("ij,ij->i", score, score) if arg is None else (score @ arg) ** 2
+        if arg is None:
+            return np.einsum("ij,ij->i", score, score, out=out)
+        dots = np.matmul(score, arg, out=out)
+        return np.square(dots, out=dots)
     if kind == "score_moment":
-        return score[:, arg[0]] * score[:, arg[1]]
+        return np.multiply(score[:, arg[0]], score[:, arg[1]], out=out)
     if kind == "entropy":
-        return -log_f
-    return -log_f + log_prefix if kind == "conditional_entropy" else -log_prefix
+        return np.negative(log_f, out=out)
+    if kind == "conditional_entropy":  # log_prefix - log_f: the bits of -log_f + log_prefix
+        return np.subtract(log_prefix, log_f, out=out)
+    return np.negative(log_prefix, out=out)
 
 
 def _shared(law, stats):
@@ -154,12 +160,13 @@ def _sampled(law, stats, looks, rng):
     every law places the same labels and normals through its own components
     (``_place``), the last in place over the normals.  A look labels only its
     new draws, from a cursor that ``rng`` has skipped past (``_skip``: Philox
-    only, with several looks), then places and evaluates (``_kernel``) them and
-    appends their per-sample rows, so with looks at multiples of BLOCK every
-    row is the one a single look at looks[-1] makes.  A lone statistic keeps
-    its estimator's CLT bar ``_std_error`` (np.cov would differ from it in the
-    last bit); several take np.cov / m_j.  The counts are ``_term_looks``'s,
-    checked there."""
+    only, with several looks), then places and evaluates (``_kernel``) them,
+    the score written over the placed points, and writes their per-sample
+    rows into the look's slice of the rows, so with looks at multiples of
+    BLOCK every row is the one a single look at looks[-1] makes.  A lone
+    statistic keeps its estimator's CLT bar ``_std_error`` (np.cov would
+    differ from it in the last bit); several take np.cov / m_j.  The counts
+    are ``_term_looks``'s, checked there."""
     laws, stats = _shared(law, stats)
     if rng is None:
         raise ValueError("a generator is required for the Monte-Carlo route")
@@ -192,12 +199,13 @@ def _sampled(law, stats, looks, rng):
         looked = iter(rows)
         for j, (g, law_stats, order, law, k, scored) in enumerate(plans):
             pts = g._place(idx, z, out=z if j == len(laws) - 1 else None, first=lo)
-            log_f, log_prefix, score = law._kernel(pts if law is g else pts[:, order], k, scored)
+            x = pts if law is g else np.take(pts, order, axis=1)  # C-ordered: the score's bits
+            log_f, log_prefix, score = law._kernel(x, k, scored, out=x)  # no row reads the points
             if scored and law is not g:
                 score = score[:, np.argsort(order)]  # back to the coordinates of g
             for stat in law_stats:
-                next(looked)[lo:hi] = _row(stat, log_f, log_prefix, score)
-            del pts, log_f, log_prefix, score  # only the rows outlive a look
+                _row(stat, log_f, log_prefix, score, out=next(looked)[lo:hi])
+            del pts, x, log_f, log_prefix, score  # only the rows outlive a look
         del z
         if len(rows) == 1:
             est = _mean_and_se(rows[0], METHOD_MC)
@@ -386,7 +394,11 @@ def conditional_fisher_last(
     The error bar is the spread across outer draws, which also absorbs the
     inner noise.  The conditional laws of all prefixes come from one pass
     over the joint Cholesky factors; only the draws go prefix by prefix, in
-    the order a per-prefix loop makes them.
+    the order a per-prefix loop makes them (``_labels``, then the normals),
+    and they are made inside the loop over blocks of prefixes, into the
+    block's scratch: memory grows with a block (BLOCK points, or one
+    prefix's m_inner) and with K posterior columns per prefix, not with
+    m_outer * m_inner.
     """
     if gm.dim < 2:
         raise DimensionError("conditioning needs dimension at least 2")
@@ -398,23 +410,28 @@ def conditional_fisher_last(
     if m_outer < 2 or m_inner < 1:  # one outer draw has no error bar
         raise ValueError(f"sample counts must be positive, with at least 2 outer draws, "
                          f"got m_outer={m_outer!r}, m_inner={m_inner!r}")
-    prefixes = gm.marginal(range(gm.dim - 1)).sample(rng, m_outer)
-    log_w, means, sds = gm._condition_last(prefixes)
-    weights = np.exp(log_w)
-    weights /= weights.sum(axis=0)
-    pts = np.empty((m_outer, m_inner))
-    for j in range(m_outer):
-        idx = _labels(rng, weights[:, j], m_inner)
-        pts[j] = means[idx, j] + rng.standard_normal(m_inner) * sds[idx]
+    log_w, means, sds = gm._condition_last(gm.marginal(range(gm.dim - 1)).sample(rng, m_outer))
+    cdf = np.exp(log_w)
+    cdf /= cdf.sum(axis=0)  # the posterior weights
+    np.cumsum(cdf, axis=0, out=cdf)
+    cdf /= cdf[-1]  # each prefix's normalised cumulative weights, as _labels makes them
 
     # the prefixes' 1-D conditional mixtures, as many at once as fill BLOCK points
     step = max(1, BLOCK // m_inner)
     width = min(m_outer, step) * m_inner
     terms, scores = np.empty(gm.n_components * width), np.empty(gm.n_components * width)
-    total, mean_score = np.empty(width), np.empty(width)
+    total, mean_score, pts = np.empty(width), np.empty(width), np.empty(width)
+    uniform, key = np.empty(m_inner), np.empty(m_inner, np.min_scalar_type(gm.n_components - 1))
+    reached = np.empty((gm.n_components - 1, m_inner), bool)
     vals = np.empty(m_outer)
     for lo in range(0, m_outer, step):
-        block = pts[lo:lo + step]
+        block = pts[:min(step, m_outer - lo) * m_inner].reshape(-1, m_inner)
+        for j, row in enumerate(block, lo):  # the draws of _labels and standard_normal(m_inner)
+            hits = np.greater_equal(rng.random(out=uniform), cdf[:-1, j, None], out=reached)
+            np.add.reduce(hits, axis=0, dtype=key.dtype, out=key)
+            rng.standard_normal(out=row)
+            row *= sds[key]
+            row += means[key, j]
         b = block.size
         a = terms[:gm.n_components * b].reshape(-1, 1, b)
         g = scores[:gm.n_components * b].reshape(-1, 1, b)

@@ -253,14 +253,18 @@ class GaussianMixture:
             raise ValueError("points must be finite")
         return pts, single
 
-    def _kernel(self, pts: np.ndarray, prefix_len: int = 0, with_score: bool = False):
+    def _kernel(self, pts: np.ndarray, prefix_len: int = 0, with_score: bool = False,
+                out: np.ndarray | None = None):
         """(log f, log f_k of the first k = ``prefix_len`` coordinates or None,
         score or None) at finite (m, n) ``pts``, in blocks of BLOCK points.
         Each component is whitened once per block, z = L^-1 (x - mu): the
         first k rows of z whiten the prefix under the leading block L[:k, :k],
         and L^-T z = Sigma^-1 (x - mu).  The block's terms of all components
         are stacked and combined by one _logsumexp.  The scratch arrays are
-        made once per call, so only the outputs grow with m."""
+        made once per call, so only the outputs grow with m.  The score goes
+        into the C-ordered (m, n) ``out``, a fresh array by default; ``out``
+        may be ``pts`` itself, whose block is whitened into scratch before the
+        block's score is written over it."""
         m, n = pts.shape
         lengths = (prefix_len, n) if prefix_len else (n,)
         consts = [
@@ -273,7 +277,7 @@ class GaussianMixture:
         whitened = np.empty(n_res * n * min(m, BLOCK))
         squares = np.empty(n * min(m, BLOCK))
         logs = np.empty((len(lengths), m))
-        score = np.empty((m, n)) if with_score else None
+        score = (np.empty((m, n)) if out is None else out) if with_score else None
         trsm = _trsm()
         for lo in range(0, m, BLOCK):
             block = pts[lo:lo + BLOCK]

@@ -14,6 +14,7 @@ h = (n ln(2 pi e) + ln det) / 2 and I = tr(cov^-1)):
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,7 +45,7 @@ from epicheck.estimators import (
     ENTROPY, FISHER, LN_2PIE, PREFIXED, _closed, _delta, _mean_and_se, _row, _sampled,
     _term_looks, _terms,
 )
-from epicheck.mixtures import BLOCK, _labels
+from epicheck.mixtures import BLOCK, LN_2PI, _labels, _logsumexp
 from epicheck.seeding import rng_from_tokens
 
 H_STD_1D = 1.4189385332046727
@@ -430,9 +431,8 @@ class TestConditionalFisherLast:
         check_per_prefix_loop(3, m_outer, m_inner)
 
 
-def check_per_prefix_loop(dim: int, m_outer: int, m_inner: int) -> None:
-    """conditional_fisher_last on a K = 9 law against one conditional_slice
-    per prefix, drawn from and scored in turn."""
+def nine_part_law(dim: int) -> GaussianMixture:
+    """K = 9 components in dimension ``dim``, a 3 x 3 convolution."""
     rng = rng_from_tokens(16, "cf-law", dim)
     parts = []
     for _ in range(2):
@@ -440,7 +440,13 @@ def check_per_prefix_loop(dim: int, m_outer: int, m_inner: int) -> None:
         parts.append(GaussianMixture([0.2, 0.3, 0.5], comps))
     gm = parts[0].convolve(parts[1])
     assert gm.n_components == 9
+    return gm
 
+
+def check_per_prefix_loop(dim: int, m_outer: int, m_inner: int) -> None:
+    """conditional_fisher_last on a K = 9 law against one conditional_slice
+    per prefix, drawn from and scored in turn."""
+    gm = nine_part_law(dim)
     rng = rng_from_tokens(17, "cf", dim)
     prefixes = gm.marginal(range(dim - 1)).sample(rng, m_outer)
     vals = []
@@ -452,6 +458,93 @@ def check_per_prefix_loop(dim: int, m_outer: int, m_inner: int) -> None:
     assert est.value == pytest.approx(np.mean(vals), rel=1e-12)
     assert est.std_error == pytest.approx(np.std(vals, ddof=1) / np.sqrt(m_outer), rel=1e-12)
     assert est.n_samples == m_outer
+
+
+def all_inner_draws_first(gm, m_outer, m_inner, rng) -> ScalarEstimate:
+    """conditional_fisher_last as it was before its inner draws moved into the
+    block loop: every prefix's inner draws in one (m_outer, m_inner) array,
+    then the prefixes' 1-D conditional mixtures block by block."""
+    prefixes = gm.marginal(range(gm.dim - 1)).sample(rng, m_outer)
+    log_w, means, sds = gm._condition_last(prefixes)
+    weights = np.exp(log_w)
+    weights /= weights.sum(axis=0)
+    pts = np.empty((m_outer, m_inner))
+    for j in range(m_outer):
+        idx = _labels(rng, weights[:, j], m_inner)
+        pts[j] = means[idx, j] + rng.standard_normal(m_inner) * sds[idx]
+    step = max(1, BLOCK // m_inner)
+    width = min(m_outer, step) * m_inner
+    terms, scores = np.empty(gm.n_components * width), np.empty(gm.n_components * width)
+    total, mean_score = np.empty(width), np.empty(width)
+    vals = np.empty(m_outer)
+    for lo in range(0, m_outer, step):
+        block = pts[lo:lo + step]
+        b = block.size
+        a = terms[:gm.n_components * b].reshape(-1, 1, b)
+        g = scores[:gm.n_components * b].reshape(-1, 1, b)
+        for c, (lw, mu, sd) in enumerate(zip(log_w[:, lo:lo + step], means[:, lo:lo + step], sds)):
+            u, t = g[c].reshape(block.shape), a[c].reshape(block.shape)
+            np.subtract(block, mu[:, None], out=u)
+            u /= sd
+            np.multiply(u, u, out=t)
+            t *= -0.5
+            t += (lw - 0.5 * LN_2PI - np.log(sd))[:, None]
+            u /= sd
+        _logsumexp(a, total[None, :b], g, mean_score[None, :b])
+        np.square(mean_score[:b], out=mean_score[:b])
+        vals[lo:lo + step] = np.mean(mean_score[:b].reshape(block.shape), axis=1)
+    return _mean_and_se(vals, "plug_in_mc")
+
+
+def far_pair() -> GaussianMixture:
+    """Two components so far apart that a prefix near one leaves the other a
+    posterior weight of exactly 0."""
+    return GaussianMixture([0.4, 0.6], [([0.0, 0.0], 0.01 * np.eye(2)),
+                                        ([100.0, 3.0], [[1.0, 0.5], [0.5, 2.0]])])
+
+
+class TestConditionalFisherDraws:
+    """conditional_fisher_last draws each block's inner points inside its
+    block loop: the estimate and the generator's last state are bitwise those
+    of drawing every prefix's points first, and memory does not grow with
+    m_outer * m_inner."""
+
+    @pytest.mark.parametrize("m_outer, m_inner", [
+        (BLOCK + 5, 1), (25, 800), (3, BLOCK), (3, BLOCK + 1),
+    ])
+    @pytest.mark.parametrize("law", ["nine", "far"])
+    def test_bitwise_equal_to_drawing_every_prefix_first(self, law, m_outer, m_inner):
+        gm = nine_part_law(3) if law == "nine" else far_pair()
+        rng, expected = rng_from_tokens(30, "cf-draws"), rng_from_tokens(30, "cf-draws")
+        est = conditional_fisher_last(gm, m_outer, m_inner, rng)
+        assert est == all_inner_draws_first(gm, m_outer, m_inner, expected)
+        np.testing.assert_equal(rng.bit_generator.state, expected.bit_generator.state)
+
+    def test_far_pair_weights_underflow(self):
+        # the law above reaches the labels' zero-weight edges
+        gm = far_pair()
+        prefixes = gm.marginal([0]).sample(rng_from_tokens(30, "cf-draws"), 25)
+        weights = np.exp(gm._condition_last(prefixes)[0])
+        assert (weights == 0.0).any(axis=0).all()
+
+    def test_memory_does_not_grow_with_m_outer(self):
+        # past vals and each prefix's K posterior log-weights, means and label
+        # edges, m_outer adds less than one prefix's inner draws
+        gm = GaussianMixture([0.3, 0.7], [([0.0, 0.0], COV_WORKED),
+                                          ([1.5, -0.5], [[1.0, 0.0], [0.0, 0.5]])])
+        m_inner = 800
+        conditional_fisher_last(gm, 2, 2, rng_from_tokens(0, "cf-warm"))  # binds the BLAS
+
+        def held(m_outer):
+            tracemalloc.start()
+            try:
+                conditional_fisher_last(gm, m_outer, m_inner, rng_from_tokens(31, "cf-memory"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - m_outer * 8 * (3 * gm.n_components + 1)
+
+        assert held(6400) <= held(800) + 8 * m_inner
 
 
 class TestScalingInvariant:
@@ -591,6 +684,24 @@ class TestTermEngine:
         assert not cov.any() and all(e.method == "closed_form" for e in ests)
         with pytest.raises(AssertionError, match="role"):
             _terms([(three_d_mixture(), "x", (ENTROPY,))], 100, refuse)
+
+    def test_fisher_group_holds_no_second_point_array(self):
+        # the score is written over the placed points and each row into its
+        # slice: beyond an entropy group on the same law, a Fisher group
+        # holds only the K whitened blocks its score needs
+        gm, m = nine_part_mixture(), 100_000
+        _terms([(gm, "w", (FISHER,))], 10, streams(0))  # binds the BLAS
+
+        def peak(stat):
+            tracemalloc.start()
+            try:
+                _terms([(gm, "p", (stat,))], m, streams(44))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = peak(FISHER) - peak(ENTROPY)
+        assert extra <= gm.n_components * gm.dim * BLOCK * 8 < m * gm.dim * 8
 
     def test_mc_route_needs_a_generator(self):
         with pytest.raises(ValueError, match="generator"):
@@ -817,7 +928,8 @@ class TestSampleCounts:
 @pytest.fixture
 def drawn(monkeypatch):
     """The labels every ``_labels`` call of the term engine returns and the
-    rows every ``_place`` call places, in call order."""
+    rows every ``_place`` call places, in call order.  The rows are copied as
+    placed: the kernel writes a look's score over them."""
     seen = {"labels": [], "rows": []}
     labels, place = estimators._labels, GaussianMixture._place
 
@@ -826,8 +938,9 @@ def drawn(monkeypatch):
         return seen["labels"][-1]
 
     def spied_place(self, *args, **kwargs):
-        seen["rows"].append(place(self, *args, **kwargs))
-        return seen["rows"][-1]
+        rows = place(self, *args, **kwargs)
+        seen["rows"].append(rows.copy())
+        return rows
 
     monkeypatch.setattr(estimators, "_labels", spied_labels)
     monkeypatch.setattr(GaussianMixture, "_place", spied_place)

@@ -489,6 +489,17 @@ class TestScore:
         )
         assert np.array_equal(gm._kernel(pts, 2, True)[2], gm.score(pts))
 
+    def test_public_calls_leave_their_points_unchanged(self):
+        # a float64 C-ordered input is the kernel's own array: the score must
+        # not be written over it
+        gm = nine_part_mixture()
+        pts = gm.sample(rng_from_tokens(6, "score"), BLOCK + 7)
+        kept = pts.copy()
+        for x in (pts, pts[5]):
+            assert not np.shares_memory(gm.score(x), pts)
+            gm.log_density(x)
+        assert np.array_equal(pts, kept)
+
     def test_matches_central_difference_nine_parts(self):
         gm = nine_part_mixture()
         pts = gm.sample(rng_from_tokens(5, "score"), 20)
