@@ -49,7 +49,7 @@ from .matrices import (
     _check_equal_minors,
     _check_index,
     _check_lambda,
-    _chol_logdets,
+    _chol_logdet,
     _cholesky,
     _deletion_ratios,
     _factored,
@@ -625,7 +625,7 @@ def check_equality_case_bonnesen(
     grid = lams[:, None, None]
     # one stacked factorization of the grid, whose log-dets are read by one
     # reduction with the bits each point's own factor gives
-    log_dets = _chol_logdets(_cholesky((1.0 - grid) * s1.entries + grid * s2.entries))
+    log_dets = _chol_logdet(_cholesky((1.0 - grid) * s1.entries + grid * s2.entries))
     lhs = np.array([math.exp(n * LN_2PIE + log_det) for log_det in log_dets.tolist()])
     rhs = (1.0 - lams) * e1 + lams * e2
     verdicts = classify(lhs, rhs, 0.0, run.cfg)

@@ -44,13 +44,11 @@ class SpdMatrix:
         tol = SYMMETRY_RTOL * np.maximum(1.0, np.abs(a))
         if np.any(np.abs(a - a.T) > tol):
             raise ValueError("matrix is not symmetric to 1e-12 relative tolerance")
-        self._factor(0.5 * (a + a.T))
-
-    def _factor(self, a: np.ndarray) -> None:
+        a = 0.5 * (a + a.T)
         self.entries, self.chol = a, _cholesky(a)
         a.setflags(write=False)
         self.chol.setflags(write=False)
-        self._log_det = _chol_logdet(self.chol)
+        self._log_det = float(_chol_logdet(self.chol))
 
     @property
     def dim(self) -> int:
@@ -74,40 +72,28 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _chol_logdet(chol: np.ndarray) -> float:
-    """log det of L L' from its Cholesky factor L: twice the log-sum of the pivots."""
-    return 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+def _chol_logdet(chol: np.ndarray):
+    """log det of L L' from its Cholesky factor L, twice the log-sum of the
+    pivots; a (k, n, n) stack of factors gives its k log-dets by one reduction
+    over the stack's pivots.  Each row is summed as that factor's own pivots
+    are, so a factor's log-det has the same bits in a stack or alone."""
+    return 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
 
 
-def _chol_logdets(chols: np.ndarray) -> np.ndarray:
-    """``_chol_logdet`` of each factor of a stack, by one reduction over the
-    stack's pivots: each row is summed as that factor's own pivots are, so
-    every log-det has the same bits."""
-    return 2.0 * np.add.reduce(np.log(chols.diagonal(0, -2, -1)), axis=-1)
-
-
-def _logdet_raw(a: np.ndarray) -> float:
-    return _chol_logdet(_cholesky(a))
-
-
-def _factored(a: np.ndarray):
-    """SpdMatrix of ``a`` that is symmetric positive definite by construction
-    (a principal block of one, a positive multiple of one, or a sum of two):
-    it is factored but not checked again, except that entries which overflowed
-    to inf or NaN are refused as SpdMatrix refuses them.  A (k, n, n) stack
-    gives the list of its k matrices, factored by one Cholesky call on the
-    stack: each has the entries, factor and log-det it would have alone."""
+def _factored(a: np.ndarray) -> list[SpdMatrix]:
+    """SpdMatrix of each matrix of a (k, n, n) stack that is symmetric positive
+    definite by construction (principal blocks, positive multiples, sums or
+    symmetrized images A M A' of such matrices), factored by one Cholesky call
+    on the stack but not checked again, except that entries which overflowed
+    to inf or NaN are refused as SpdMatrix refuses them.  Each has the
+    entries, factor and log-det it would have alone."""
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if a.ndim == 2:
-        m = SpdMatrix.__new__(SpdMatrix)
-        m._factor(a)
-        return m
     chols = _cholesky(a)
     a.setflags(write=False)  # the views of each matrix below inherit it
     chols.setflags(write=False)
     out = []
-    for entries, chol, log_det in zip(a, chols, _chol_logdets(chols).tolist()):
+    for entries, chol, log_det in zip(a, chols, _chol_logdet(chols).tolist()):
         m = SpdMatrix.__new__(SpdMatrix)
         m.entries, m.chol, m._log_det = entries, chol, log_det
         out.append(m)
@@ -151,41 +137,14 @@ def _check_index(i, n: int) -> int:
     return int(i)
 
 
-def _check_block(k, n: int, proper: bool = True) -> int:
-    """A block size: an integer (ValueError otherwise) with 1 <= k <= n - 1, or
-    with ``proper`` false 1 <= k <= n (DimensionError otherwise)."""
+def _check_block(k, n: int) -> int:
+    """A block size: an integer (ValueError otherwise) with 1 <= k <= n - 1
+    (DimensionError otherwise)."""
     if not _is_int(k):
         raise ValueError(f"block size must be an integer, got {k!r}")
-    top, bound = (n - 1, "n-1") if proper else (n, "n")
-    if not 1 <= k <= top:
-        raise DimensionError(f"k must satisfy 1 <= k <= {bound}, got k={k}, n={n}")
+    if not 1 <= k <= n - 1:
+        raise DimensionError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     return int(k)
-
-
-def _as_spd(m) -> SpdMatrix:
-    return m if isinstance(m, SpdMatrix) else SpdMatrix(m)
-
-
-def log_det(m) -> float:
-    """log det M via the cached Cholesky factor."""
-    return _as_spd(m).log_det
-
-
-def delete_row_col(m, i: int) -> SpdMatrix:
-    """Principal minor that removes row and column ``i`` (0-based)."""
-    m = _as_spd(m)
-    n = m.dim
-    if n < 2:
-        raise DimensionError("cannot delete a row/column from a 1 x 1 matrix")
-    i = _check_index(i, n)
-    return _factored(np.delete(np.delete(m.entries, i, axis=0), i, axis=1))
-
-
-def leading_principal(m, size: int) -> SpdMatrix:
-    """Leading principal ``size`` x ``size`` block (first rows and columns)."""
-    m = _as_spd(m)
-    size = _check_block(size, m.dim, proper=False)
-    return _factored(m.entries[:size, :size].copy())
 
 
 def schur_complement_last(m) -> float:
@@ -193,7 +152,7 @@ def schur_complement_last(m) -> float:
 
     Equals det(M) / det(M with last row/column deleted).
     """
-    m = _as_spd(m)
+    m = m if isinstance(m, SpdMatrix) else SpdMatrix(m)
     n = m.dim
     if n < 2:
         raise DimensionError("Schur complement needs dimension at least 2")
@@ -210,8 +169,8 @@ def _principal_logdet(m: SpdMatrix, keep) -> float:
     log-det is summed from M's first pivots; any other block is factored."""
     k = len(keep)
     if list(keep) == list(range(k)):
-        return _chol_logdet(m.chol[:k, :k])
-    return _logdet_raw(m.entries[np.ix_(keep, keep)])
+        return float(_chol_logdet(m.chol[:k, :k]))
+    return float(_chol_logdet(_cholesky(m.entries[np.ix_(keep, keep)])))
 
 
 def _sum_ratios(ratios, a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
@@ -300,21 +259,24 @@ def bonnesen_linear_gap(a: SpdMatrix, b: SpdMatrix, lam: float, i: int) -> float
     lam = _check_lambda(lam)
     _check_equal_minors(a, b, i)
     mixed = lam * a.entries + (1.0 - lam) * b.entries
-    det_mixed = _det(_logdet_raw(mixed))
+    det_mixed = _det(_chol_logdet(_cholesky(mixed)))
     return det_mixed - lam * _det(a.log_det) - (1.0 - lam) * _det(b.log_det)
 
 
 def _check_equal_minors(a: SpdMatrix, b: SpdMatrix, i: int) -> None:
     """PreconditionError unless det(A_i) = det(B_i) to DET_MATCH_RTOL; NaN fails.
-    Each minor's log-det is read from its own pivots (``_principal_logdet``),
-    so equal minors give equal bits at any condition number; det(M) / (its
+    The test is read in log space: the relative difference of the two
+    determinants is 1 - exp(-|log det(A_i) - log det(B_i)|), so minors whose
+    determinants underflow or overflow a double are still told apart.  Each
+    minor's log-det is read from its own pivots (``_principal_logdet``), so
+    equal minors give equal bits at any condition number; det(M) / (its
     deletion ratio) would not (it misses by up to ~1e-8 relative at condition
     1e8, beyond DET_MATCH_RTOL)."""
     keep = [j for j in range(a.dim) if j != i]
-    det_ai, det_bi = (_det(_principal_logdet(m, keep)) for m in (a, b))
-    if not abs(det_ai - det_bi) <= DET_MATCH_RTOL * max(abs(det_ai), abs(det_bi)):
+    ld_ai, ld_bi = (_principal_logdet(m, keep) for m in (a, b))
+    if not -math.expm1(-abs(ld_ai - ld_bi)) <= DET_MATCH_RTOL:
         raise PreconditionError(
-            f"minor determinants differ: det(A_{i}) = {det_ai!r}, det(B_{i}) = {det_bi!r}"
+            f"minor determinants differ: log det(A_{i}) = {ld_ai!r}, log det(B_{i}) = {ld_bi!r}"
         )
 
 
@@ -335,14 +297,14 @@ def random_spd(n: int, rng: np.random.Generator, condition_cap: float = 1e3) -> 
     """
     if n < 1:
         raise DimensionError("dimension must be at least 1")
+    if not condition_cap > 1.0:  # NaN is refused too
+        raise ValueError(f"condition_cap must exceed 1, got {condition_cap!r}")
     m = rng.standard_normal((n, n))
     w = m.T @ m
     w = 0.5 * (w + w.T)
     eig = np.linalg.eigvalsh(w)
     lo, hi = float(eig[0]), float(eig[-1])
     if lo <= 0.0 or hi / lo > condition_cap:
-        if condition_cap <= 1.0:
-            raise ValueError("condition_cap must exceed 1 for a generic draw")
         eps = (hi - condition_cap * lo) / (condition_cap - 1.0)
         w = w + eps * np.eye(n)
     return SpdMatrix(w)

@@ -402,11 +402,11 @@ class GaussianMixture:
         sign, _ = np.linalg.slogdet(a)
         if sign == 0.0:
             raise ValueError("linear map must be invertible")
-        comps = []
-        for c in self.components:
-            cov = a @ c.cov.entries @ a.T
-            comps.append(GaussianComponent(a @ c.mean, 0.5 * (cov + cov.T)))
-        return GaussianMixture(self.weights, comps)
+        covs = a @ _covariances(self) @ a.T
+        covs = _factored(0.5 * (covs + covs.transpose(0, 2, 1)))
+        return GaussianMixture(self.weights, [
+            GaussianComponent(a @ c.mean, cov) for c, cov in zip(self.components, covs)
+        ])
 
     def conditional_slice(self, prefix) -> "GaussianMixture":
         """Exact 1-D conditional of the last coordinate given the first n-1.

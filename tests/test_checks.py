@@ -58,11 +58,9 @@ from epicheck import (
     classify,
     compression_map,
     conditional_entropy,
-    delete_row_col,
     entropy,
     fisher,
     kyfan_gap,
-    leading_principal,
     lambda_concavity_scan,
     proportional_markov_triple,
     random_mixture,
@@ -72,7 +70,7 @@ from epicheck import (
 from epicheck import checks, matrices, runner
 from epicheck.checks import REPORT_KEYS
 from epicheck.estimators import FISHER, LN_2PIE, _terms
-from epicheck.matrices import _factored, make_bonnesen_equality_pair
+from epicheck.matrices import make_bonnesen_equality_pair
 from epicheck.mixtures import BLOCK
 
 TWO_PI_E = 17.079468445347132
@@ -634,7 +632,7 @@ class TestEqualityCaseBonnesen:
 
     def test_nan_minor_determinant_is_refused(self, monkeypatch):
         # the shared equal-minor test is written so that NaN fails it
-        monkeypatch.setattr(matrices, "_det", lambda log_det: math.nan)
+        monkeypatch.setattr(matrices, "_principal_logdet", lambda m, keep: math.nan)
         pair = (SpdMatrix(np.eye(2)), SpdMatrix(np.diag([1.0, 4.0])))
         with pytest.raises(PreconditionError, match="minor determinants differ"):
             check_equality_case_bonnesen(2, CFG, pair=pair)
@@ -779,7 +777,7 @@ class TestDeBruijn:
         # closed-form Fisher information
         t, dt = 0.1, 1e-3
         g = gauss(cov).components[0]
-        smoothed = {s: GaussianMixture.gaussian(g.mean, _factored(g.cov.entries + s * np.eye(g.dim)))
+        smoothed = {s: GaussianMixture.gaussian(g.mean, SpdMatrix(g.cov.entries + s * np.eye(g.dim)))
                     for s in (t - dt, t, t + dt)}
         h_up, h_down = (entropy(smoothed[s]).value for s in (t + dt, t - dt))
         rep = check_de_bruijn(gauss(cov), t, dt, CFG)
@@ -1144,7 +1142,6 @@ class TestIndexRule:
     # a deleted index and a block size each have one rule, in one order: an
     # integer (a bool or a float raises ValueError), then in range
     INDEX_CALLERS = {
-        "delete_row_col": lambda a, b, i: delete_row_col(a, i),
         "bergstrom_gap": lambda a, b, i: bergstrom_gap(a, b, i),
         "bonnesen_linear_gap": lambda a, b, i: bonnesen_linear_gap(a, a, 0.5, i),
         "check_matrix_bergstrom": lambda a, b, i: check_matrix_bergstrom(a, b, i, CFG),
@@ -1152,7 +1149,6 @@ class TestIndexRule:
     BLOCK_CALLERS = {
         "kyfan_gap": lambda a, b, k: kyfan_gap(a, b, k),
         "check_matrix_kyfan": lambda a, b, k: check_matrix_kyfan(a, b, k, CFG),
-        "leading_principal": lambda a, b, k: leading_principal(a, k),
     }
     PAIR = (SpdMatrix(np.diag([1.0, 2.0, 3.0])), SpdMatrix(np.diag([2.0, 1.0, 4.0])))
 
@@ -1181,7 +1177,6 @@ class TestIndexRule:
             assert bergstrom_gap(a, b, i) == bergstrom_gap(a, b, 1)
             assert check_matrix_bergstrom(a, b, i, CFG).instance_id.endswith("-i1")
             assert kyfan_gap(a, b, i) == kyfan_gap(a, b, 1)
-            assert np.array_equal(leading_principal(a, i).entries, [[1.0]])
 
 
 class TestTermPlans:

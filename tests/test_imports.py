@@ -18,7 +18,7 @@ import pytest
 import scipy
 
 import epicheck
-from epicheck import checks, estimators
+from epicheck import checks, estimators, matrices
 
 PRELUDE = """
 import json, sys
@@ -66,7 +66,8 @@ print(json.dumps(loaded()))
 # retired names and the module each lived in: ``entropy`` and ``fisher`` on
 # the split law replace the forced Monte-Carlo wrappers, and ``fisher`` of the
 # squeezed law over M**2 replaces the squeeze sequence
-RETIRED = {"mc_entropy": estimators, "mc_fisher": estimators, "tm_sequence": checks}
+RETIRED = {"mc_entropy": estimators, "mc_fisher": estimators, "tm_sequence": checks,
+           "log_det": matrices, "delete_row_col": matrices, "leading_principal": matrices}
 
 
 def _fresh(code: str):

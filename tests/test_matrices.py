@@ -18,11 +18,8 @@ from epicheck import (
     bergstrom_gap_all,
     bonnesen_linear_gap,
     check_equality_case_bonnesen,
-    delete_row_col,
     kyfan_gap,
     kyfan_gap_all,
-    leading_principal,
-    log_det,
     make_bonnesen_equality_pair,
     random_spd,
 )
@@ -35,7 +32,6 @@ from epicheck.matrices import (
     _chol_logdet,
     _deletion_ratios,
     _factored,
-    _logdet_raw,
     _principal_logdet,
 )
 from epicheck.seeding import rng_from_tokens
@@ -103,7 +99,7 @@ class TestSpdMatrix:
     def test_log_det_worked_values(self):
         assert A.log_det == pytest.approx(math.log(3.0), rel=1e-13)
         assert B.log_det == pytest.approx(math.log(5.0), rel=1e-13)
-        assert log_det(np.eye(4)) == pytest.approx(0.0, abs=1e-13)
+        assert SpdMatrix(np.eye(4)).log_det == pytest.approx(0.0, abs=1e-13)
 
     def test_dim(self):
         assert A.dim == 2
@@ -154,18 +150,11 @@ class TestFactored:
     ])
     def test_matches_checked_construction(self, make):
         a = random_spd(4, rng_from_tokens(9, "factored")).entries
-        fast, checked = _factored(make(a)), SpdMatrix(make(a))
+        [fast], checked = _factored(make(a)[None]), SpdMatrix(make(a))
         assert np.array_equal(fast.entries, checked.entries)
         assert np.array_equal(fast.chol, checked.chol)
         assert fast.log_det == checked.log_det
         assert not fast.entries.flags.writeable and not fast.chol.flags.writeable
-
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_refuses_non_finite_entries(self, bad):
-        a = np.eye(3)
-        a[1, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            _factored(a)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_stack_is_factored_as_each_matrix_alone(self, n):
@@ -173,7 +162,7 @@ class TestFactored:
         for k in range(1, 22):
             stack = np.array([random_spd(n, rng, condition_cap=10.0 ** rng.uniform(1, 8)).entries
                               * 10.0 ** rng.uniform(-3, 3) for _ in range(k)])
-            alone = [_factored(a.copy()) for a in stack]
+            alone = [SpdMatrix(a) for a in stack]
             together = _factored(stack.copy())
             assert len(together) == k
             for fast, one in zip(together, alone):
@@ -189,36 +178,8 @@ class TestFactored:
         with pytest.raises(ValueError, match="finite"):
             _factored(stack)
 
-    def test_submatrices_are_those_of_checked_construction(self):
-        m = random_spd(5, rng_from_tokens(4, "factored-submatrices"))
-        for out, entries in ((delete_row_col(m, 2), np.delete(np.delete(m.entries, 2, 0), 2, 1)),
-                             (leading_principal(m, 3), m.entries[:3, :3])):
-            checked = SpdMatrix(entries)
-            assert np.array_equal(out.entries, checked.entries)
-            assert np.array_equal(out.chol, checked.chol)
-            assert out.entries.flags.c_contiguous and not out.entries.flags.writeable
-
 
 class TestSubmatrices:
-    M = SpdMatrix([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 2.0]])
-
-    def test_delete_row_col(self):
-        out = delete_row_col(self.M, 1)
-        assert np.array_equal(out.entries, [[4.0, 0.5], [0.5, 2.0]])
-
-    def test_delete_bounds(self):
-        with pytest.raises(IndexError):
-            delete_row_col(np.eye(3), 3)
-        with pytest.raises(DimensionError):
-            delete_row_col(SpdMatrix([[1.0]]), 0)
-
-    def test_leading_principal(self):
-        assert np.array_equal(leading_principal(self.M, 2).entries, self.M.entries[:2, :2])
-        with pytest.raises(DimensionError):
-            leading_principal(self.M, 0)
-        with pytest.raises(DimensionError):
-            leading_principal(self.M, 4)
-
     def test_schur_complement_last(self):
         assert A.dim == 2
         from epicheck import schur_complement_last
@@ -227,7 +188,7 @@ class TestSubmatrices:
         assert schur_complement_last(SpdMatrix(np.eye(3))) == pytest.approx(1.0)
         # det / det(minor) identity
         s = SpdMatrix([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 2.0]])
-        expected = math.exp(s.log_det - log_det(delete_row_col(s.entries, 2)))
+        expected = math.exp(s.log_det - SpdMatrix(s.entries[:2, :2]).log_det)
         assert schur_complement_last(s) == pytest.approx(expected, rel=1e-12)
 
 
@@ -384,11 +345,11 @@ class TestFactorIdentity:
         grid = lams[:, None, None]
         chols = _cholesky((1.0 - grid) * s1.entries + grid * s2.entries)
         worst = None
-        for lam, chol in zip(lams, chols):
-            mixed = (1.0 - lam) * s1.entries + lam * s2.entries
-            assert np.array_equal(chol, _cholesky(mixed))
-            assert _chol_logdet(chol) == _logdet_raw(mixed)
-            lhs = math.exp(n * LN_2PIE + _logdet_raw(mixed))
+        for lam, chol, log_det in zip(lams, chols, _chol_logdet(chols).tolist()):
+            mixed = SpdMatrix((1.0 - lam) * s1.entries + lam * s2.entries)
+            assert np.array_equal(chol, mixed.chol)
+            assert log_det == mixed.log_det
+            lhs = math.exp(n * LN_2PIE + mixed.log_det)
             rhs = ((1.0 - lam) * math.exp(n * LN_2PIE + s1.log_det)
                    + lam * math.exp(n * LN_2PIE + s2.log_det))
             rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
@@ -461,6 +422,23 @@ class TestBonnesenLinearGap:
             with pytest.raises(OverflowError, match="overflows a double"):
                 bonnesen_linear_gap(a, b, 0.5, n - 1)
 
+    def test_minors_that_underflow_are_told_apart(self):
+        # det(A_199) = 1e-597 and det(B_199) = 2^199 det(A_199) both underflow
+        # to 0.0; their log-dets differ by 199 log 2
+        a, b = SpdMatrix(1e-3 * np.eye(200)), SpdMatrix(2e-3 * np.eye(200))
+        with pytest.raises(PreconditionError, match="minor determinants differ"):
+            bonnesen_linear_gap(a, b, 0.5, 199)
+        with pytest.raises(PreconditionError, match="minor determinants differ"):
+            check_equality_case_bonnesen(200, CheckConfig(seed=0), pair=(a, b))
+
+    def test_scaled_equality_pair_keeps_the_precondition(self):
+        a, b = make_bonnesen_equality_pair(200, rng_from_tokens(30, "scaled-pair"))
+        a, b = SpdMatrix(1e-3 * a.entries), SpdMatrix(1e-3 * b.entries)
+        _check_equal_minors(a, b, 199)
+        bonnesen_linear_gap(a, b, 0.5, 199)
+        rep = check_equality_case_bonnesen(200, CheckConfig(seed=0), pair=(a, b))
+        assert rep.verdict == "equality_consistent"
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_finite_determinants_give_the_linear_formula_bit_for_bit(self, n):
         rng = rng_from_tokens(n, "test-bonnesen-linear-formula")
@@ -474,7 +452,7 @@ class TestBonnesenLinearGap:
             b = SpdMatrix(b)
             lam = float(rng.uniform())
             mixed = lam * a.entries + (1.0 - lam) * b.entries
-            expected = float(np.exp(_logdet_raw(mixed)) - lam * np.exp(a.log_det)
+            expected = float(np.exp(SpdMatrix(mixed).log_det) - lam * np.exp(a.log_det)
                              - (1.0 - lam) * np.exp(b.log_det))
             assert bonnesen_linear_gap(a, b, lam, n - 1) == expected
 
@@ -502,9 +480,27 @@ class TestGenerators:
         b = random_spd(4, rng_from_tokens(9, "spd"))
         assert np.array_equal(a.entries, b.entries)
 
-    def test_condition_cap_validation(self):
-        with pytest.raises(ValueError):
-            random_spd(3, rng_from_tokens(0, "spd"), condition_cap=0.5)
+    @pytest.mark.parametrize("cap", [math.nan, 1.0, 0.5, -math.inf])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_condition_cap_validation(self, cap, n):
+        # refused before the draw: a NaN cap once let a draw of condition
+        # 4,871 through uncapped
+        with pytest.raises(ValueError, match="condition_cap"):
+            random_spd(n, rng_from_tokens(2, "c"), condition_cap=cap)
+
+    @pytest.mark.parametrize("cap", [1.5, 10.0, 100.0, 1e3, 1e8])
+    def test_valid_caps_keep_their_bits(self, cap):
+        # the draw, shift and factor of the cap-after-the-draw rule, for caps above 1
+        for n in range(1, 9):
+            rng = rng_from_tokens(n, "cap-bits", cap)
+            w = rng.standard_normal((n, n))
+            w = w.T @ w
+            w = 0.5 * (w + w.T)
+            eig = np.linalg.eigvalsh(w)
+            lo, hi = float(eig[0]), float(eig[-1])
+            if lo <= 0.0 or hi / lo > cap:
+                w = w + (hi - cap * lo) / (cap - 1.0) * np.eye(n)
+            assert np.array_equal(random_spd(n, rng_from_tokens(n, "cap-bits", cap), cap).entries, w)
 
     def test_equality_pair_differs_only_in_last_diagonal(self):
         rng = rng_from_tokens(23, "test-pair")

@@ -27,6 +27,7 @@ from epicheck import (
     GaussianMixture,
     MarkovTriple,
     SpdMatrix,
+    entropy,
     random_mixture,
     random_spd,
 )
@@ -778,6 +779,45 @@ class TestClosureOps:
         assert np.allclose(mapped.components[1].mean, a @ gm.components[1].mean)
         with pytest.raises(ValueError, match="invertible"):
             gm.linear_map(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    def test_linear_map_is_the_per_component_construction_bit_for_bit(self, k, cond):
+        # one stacked factorization gives each component the entries, factor
+        # and log-det of SpdMatrix on its own symmetrized A C A'
+        for n in (1, 2, 3, 5):
+            rng = rng_from_tokens(30, "map-bits", k, cond, n)
+            gm = conditioned_mixture(n, k, cond, rng)
+            a = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+            mapped = gm.linear_map(a)
+            for comp, got in zip(gm.components, mapped.components):
+                cov = a @ comp.cov.entries @ a.T
+                ref = SpdMatrix(0.5 * (cov + cov.T))
+                assert np.array_equal(got.cov.entries, ref.entries)
+                assert np.array_equal(got.cov.chol, ref.chol)
+                assert got.cov.log_det == ref.log_det
+                assert np.array_equal(got.mean, a @ comp.mean)
+                assert not got.cov.entries.flags.writeable and not got.cov.chol.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 8.0), st.floats(0.0, 1.0),
+           st.floats(-3.0, 3.0))
+    def test_linear_map_shifts_closed_form_entropy_by_log_det(self, n, seed, log_cond, share, log_scale):
+        # covariances of condition up to 1e8 before and after the map; the
+        # bound is the first-order rounding of each log-det, 16 n cond eps
+        rng = rng_from_tokens(seed, "map-entropy", n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        cov = (q * np.geomspace(1.0, 10.0 ** log_cond, n)) @ q.T
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (u * np.geomspace(1.0, 10.0 ** (share * (8.0 - log_cond) / 2.0), n)) @ v.T
+        a *= 10.0 ** log_scale
+        g = GaussianMixture.gaussian(np.zeros(n), 0.5 * (cov + cov.T))
+        mapped = g.linear_map(a)
+        shift = entropy(mapped).value - entropy(g).value
+        bound = 16 * n * np.finfo(float).eps * sum(
+            np.linalg.cond(law.components[0].cov.entries) for law in (g, mapped))
+        assert abs(shift - np.linalg.slogdet(a)[1]) <= bound
 
     def test_linear_map_density_change_of_variables(self):
         gm = two_part_mixture()
