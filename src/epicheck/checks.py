@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .estimators import (
     _std_error,
     _term_looks,
     _terms,
-    entropy_power,
 )
 from .exceptions import ConfigError, DimensionError, PreconditionError
 from .matrices import (
@@ -175,7 +174,7 @@ class InequalityReport:
 
 def _window(lhs, rhs, stderr, cfg: CheckConfig, extra: float = 0.0) -> tuple[bool, bool]:
     """(below, within) for lhs >= rhs, the one tolerance rule of every verdict,
-    gate, precondition and scan flag.  With gap = lhs - rhs and scale =
+    gate and precondition.  With gap = lhs - rhs and scale =
     max(|lhs|, |rhs|, 1): below is gap < -(abs_tol * scale + z * stderr), within
     is |gap| <= eq_tol * scale + extra + z * stderr.  Terms that are numpy
     arrays are read elementwise, as boolean arrays.  Non-finite terms raise
@@ -372,15 +371,6 @@ class _Run:
         )
 
 
-def _combine(x: GaussianMixture, y: GaussianMixture, sx: float, sy: float) -> GaussianMixture:
-    """Law of sx * X + sy * Y, skipping a factor when its scale is zero."""
-    if sx == 0.0:
-        return y.scale(sy)
-    if sy == 0.0:
-        return x.scale(sx)
-    return x.scale(sx).convolve(y.scale(sy))
-
-
 def _sides(lhs_fn, rhs_fn, mu, cov) -> tuple[float, float, float]:
     """lhs_fn(mu), rhs_fn(mu) and the delta-method stderr of their gap.  A side that
     is not a finite double leaves the gap non-finite, so ``_delta`` raises OverflowError."""
@@ -489,7 +479,7 @@ def _convex_split_report(
         # one estimate on both sides (weights 1 and 0): the gap and its stderr are exactly zero
         laws, ix, iy = [(x if wx == 1.0 else y, "endpoint")], 0, 0
     else:
-        sum_law = _combine(x, y, math.sqrt(wx), math.sqrt(wy))
+        sum_law = x.scale(math.sqrt(wx)).convolve(y.scale(math.sqrt(wy)))
         laws, ix, iy = [(sum_law, "sum"), (x, "x"), (y, "y")], 1, 2
     read = _classified(lambda v: _npow(v[0], k),
                        lambda v: wx * _npow(v[ix], k) + wy * _npow(v[iy], k))
@@ -903,63 +893,3 @@ def check_matrix_kyfan(
     run = _Run("matrix_kyfan", cfg, instance_id, a, b, f"k{k}")
     term_s, term_a, term_b = _sum_ratios(_block_ratios, a, b)
     return run.report(n, None, float(term_s[k - 1]), float(term_a[k - 1] + term_b[k - 1]), 0.0)
-
-
-# --------------------------------------------------------------------------
-# exploratory scan
-
-
-@dataclass
-class ConcavityScan:
-    """Grid scan of f(lam) = exp(2 h(last | rest)) of sqrt(lam) X +
-    sqrt(1-lam) Y.  The chord bound f(lam) >= lam f(1) + (1-lam) f(0) is a
-    theorem; whether f is concave is open, so the scan only records
-    significantly negative second differences and renders no verdict."""
-
-    lambdas: list
-    values: list
-    stderrs: list
-    second_diffs: list  # concavity margins 2 f(mid) - f(left) - f(right)
-    flagged: list
-    dim: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def lambda_concavity_scan(
-    x: GaussianMixture,
-    y: GaussianMixture,
-    grid: int = 21,
-    cfg: CheckConfig | None = None,
-    instance_id: str | None = None,
-) -> ConcavityScan:
-    """Evaluate the ratio curve on a uniform lambda grid and flag interior
-    points whose second difference is negative beyond noise."""
-    n = _same_dim(x, y, 2)
-    if not _is_int(grid) or grid < 5:
-        raise ValueError(f"grid must be an integer of at least 5 points, got {grid!r}")
-    run = _Run("lambda_scan", cfg, instance_id, x, y)  # for its streams: a scan has no report
-    lambdas = np.linspace(0.0, 1.0, grid)
-    laws = [_combine(x, y, math.sqrt(lam), math.sqrt(1.0 - lam)) for lam in lambdas]
-    hs, _ = run.terms(*((w, f"lam-{j}", (_last_given_rest(x),)) for j, w in enumerate(laws)))
-    ests = [entropy_power(h, 1) for h in hs]
-    values, errors = np.array([e.value for e in ests]), np.array([e.std_error for e in ests])
-    # concave curves keep the margin nonnegative; a significantly negative
-    # margin is a concavity counterexample worth reporting
-    second = 2.0 * values[1:-1] - values[2:] - values[:-2]
-    flagged = [
-        j for j in range(1, grid - 1)
-        if _window(*_sides(lambda v: 2.0 * v[1], lambda v: v[0] + v[2],
-                           values[j - 1:j + 2], np.diag(errors[j - 1:j + 2]) ** 2), run.cfg)[0]
-    ]
-    return ConcavityScan(
-        [float(v) for v in lambdas],
-        [float(v) for v in values],
-        [float(v) for v in errors],
-        [float(v) for v in second],
-        flagged,
-        n,
-        run.cfg.seed,
-    )

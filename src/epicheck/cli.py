@@ -8,9 +8,6 @@ run
     least one violation, 2: bad configuration or an unwritable --out.
 check
     run a single named check on freshly generated instances.
-scan-lambda
-    exploratory second-difference scan of the conditional ratio curve
-    along the interpolation path; no verdict, exit code 0.
 """
 
 from __future__ import annotations
@@ -19,16 +16,8 @@ import argparse
 import json
 import sys
 
-from .checks import CheckConfig, lambda_concavity_scan
 from .exceptions import ConfigError
-from .runner import (
-    _as_path,
-    _expect_mapping,
-    config_from_dict,
-    generate_instance,
-    run_suite,
-    write_report,
-)
+from .runner import _expect_mapping, config_from_dict, run_suite, write_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,14 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--seed", type=int, default=0)
     check_p.add_argument("--out", help="also write a JSON report here")
 
-    scan_p = sub.add_parser(
-        "scan-lambda", help="second-difference scan of the conditional ratio curve"
-    )
-    scan_p.add_argument("--dim", type=int, default=3)
-    scan_p.add_argument("--grid", type=int, default=21)
-    scan_p.add_argument("--samples", type=int, default=20_000)
-    scan_p.add_argument("--seed", type=int, default=0)
-    scan_p.add_argument("--out", help="scan destination (default: stdout)")
     return parser
 
 
@@ -126,39 +107,12 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _cmd_scan(args) -> int:
-    if args.dim < 2:
-        raise ConfigError("scan-lambda needs --dim >= 2")
-    if args.grid < 5:
-        raise ConfigError("scan-lambda needs --grid >= 5")
-    out = None if args.out is None else _as_path(args.out)
-    cfg = CheckConfig(m=args.samples, seed=args.seed)
-    x, y = generate_instance("mixture_pair", args.dim, 0, args.seed)
-    scan = lambda_concavity_scan(x, y, grid=args.grid, cfg=cfg)
-    payload = scan.to_dict()
-    if out:
-        write_report(payload, out, "json")
-        print(f"wrote scan to {out}")
-    else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    if scan.flagged:
-        print(
-            f"flagged {len(scan.flagged)} grid point(s) with significantly "
-            f"negative second differences",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return _cmd_scan(args)
+        return _cmd_check(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -206,17 +206,6 @@ def _block_ratios(chol: np.ndarray) -> np.ndarray:
     return np.exp(tails / np.arange(1, chol.shape[-1]))
 
 
-def bergstrom_gap(a: SpdMatrix, b: SpdMatrix, i: int) -> float:
-    """Superadditivity slack of det ratios with row/column ``i`` deleted.
-
-    Returns det(A+B)/det((A+B)_i) - det(A)/det(A_i) - det(B)/det(B_i),
-    which is nonnegative for SPD inputs.
-    """
-    i = _check_index(i, _same_dim(a, b, 2))
-    term_s, term_a, term_b = _sum_ratios(_deletion_ratios, a, b)
-    return float(term_s[i] - term_a[i] - term_b[i])
-
-
 def bergstrom_gap_all(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     """Vector of row/column-deletion gaps for every index at once.
 
@@ -226,18 +215,6 @@ def bergstrom_gap_all(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     _same_dim(a, b, 2)
     term_s, term_a, term_b = _sum_ratios(_deletion_ratios, a, b)
     return term_s - term_a - term_b
-
-
-def kyfan_gap(a: SpdMatrix, b: SpdMatrix, k: int) -> float:
-    """Slack of the k-th-root determinant-ratio inequality.
-
-    Ratios are det(M) / det(leading (n-k) block), raised to 1/k; the sum
-    ratio dominates the sum of the individual ratios.  k = 1 coincides with
-    the row/column-deletion gap at the last index.
-    """
-    k = _check_block(k, _same_dim(a, b))
-    term_s, term_a, term_b = _sum_ratios(_block_ratios, a, b)
-    return float(term_s[k - 1] - term_a[k - 1] - term_b[k - 1])
 
 
 def kyfan_gap_all(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:

@@ -27,7 +27,6 @@ from epicheck import (
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
-    bergstrom_gap,
     bergstrom_gap_all,
     bonnesen_linear_gap,
     check_conditional_epi,
@@ -45,7 +44,6 @@ from epicheck import (
     default_config,
     entropy,
     fisher,
-    kyfan_gap,
     kyfan_gap_all,
     make_bonnesen_equality_pair,
     knn_entropy,
@@ -122,7 +120,7 @@ def test_c02_matrix_kyfan_bulk(spd_corpus):
         for a, b in pairs:
             gaps = kyfan_gap_all(a, b)
             worst = min(worst, float(gaps.min()))
-            anchor = bergstrom_gap(a, b, n - 1)
+            anchor = bergstrom_gap_all(a, b)[n - 1]
             scale = max(1.0, abs(anchor))
             worst_match = max(worst_match, abs(gaps[0] - anchor) / scale)
     ok = worst >= -1e-9 and worst_match <= 1e-12
@@ -141,13 +139,11 @@ def test_c03_gaussian_reduction():
         rng = rng_from_tokens(2, "accept-reduction", i)
         a, b = random_spd(n, rng), random_spd(n, rng)
         rep = check_entropic_bergstrom(gauss(a.entries), gauss(b.entries), cfg)
-        matrix = bergstrom_gap(a, b, n - 1)
+        matrix = bergstrom_gap_all(a, b)[n - 1]
         worst = max(worst, abs(rep.gap - TWO_PI_E * matrix) / max(1e-30, TWO_PI_E * abs(matrix)))
     a, b = SpdMatrix(COV_A), SpdMatrix(COV_B)
-    worked_ok = (
-        abs(bergstrom_gap(a, b, 1) - 5.0 / 6.0) <= 1e-12
-        and abs(bergstrom_gap(a, b, 0) - 1.0) <= 1e-12
-    )
+    worked = bergstrom_gap_all(a, b)
+    worked_ok = abs(worked[1] - 5.0 / 6.0) <= 1e-12 and abs(worked[0] - 1.0) <= 1e-12
     ok = worst <= 1e-10 and worked_ok
     conclude(
         "C03", ok,

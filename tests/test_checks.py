@@ -35,7 +35,7 @@ from epicheck import (
     VERDICT_HOLDS,
     VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
-    bergstrom_gap,
+    bergstrom_gap_all,
     bonnesen_linear_gap,
     check_blachman_stam,
     check_conditional_epi,
@@ -60,8 +60,7 @@ from epicheck import (
     conditional_entropy,
     entropy,
     fisher,
-    kyfan_gap,
-    lambda_concavity_scan,
+    kyfan_gap_all,
     proportional_markov_triple,
     random_mixture,
     random_spd,
@@ -80,6 +79,7 @@ COV_B = np.array([[3.0, -1.0], [-1.0, 2.0]])
 
 CFG = CheckConfig()
 CFG_MC = CheckConfig(m=20_000, seed=0)
+EPS = np.finfo(float).eps
 
 
 def gauss(cov, mean=None):
@@ -259,20 +259,16 @@ class TestWindow:
                 prefix = "accepted"
             except PreconditionError:
                 prefix = "refused"
-            return (
-                prefix,
-                check_stam_recovery(*pair, cfg=CFG).verdict,
-                lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=5, cfg=CFG).flagged,
-            )
+            return prefix, check_stam_recovery(*pair, cfg=CFG).verdict
 
         self.answer(monkeypatch, below=False, within=True)
-        assert gates() == ("accepted", VERDICT_HOLDS, [])
-        # the stam upper link and the scan flags test `below`
+        assert gates() == ("accepted", VERDICT_HOLDS)
+        # the stam upper link tests `below`
         self.answer(monkeypatch, below=True, within=True)
-        assert gates() == ("accepted", VERDICT_VIOLATED, [1, 2, 3])
+        assert gates() == ("accepted", VERDICT_VIOLATED)
         # the Bonnesen prefix precondition and the stam identity gate test `within`
         self.answer(monkeypatch, below=False, within=False)
-        assert gates() == ("refused", VERDICT_INCONCLUSIVE, [])
+        assert gates() == ("refused", VERDICT_INCONCLUSIVE)
 
 
 class TestEpi:
@@ -346,7 +342,7 @@ class TestEntropicBergstrom:
         a, b = random_spd(n, rng), random_spd(n, rng)
         rep = check_entropic_bergstrom(gauss(a.entries), gauss(b.entries), CFG)
         assert rep.gap == pytest.approx(
-            TWO_PI_E * bergstrom_gap(a, b, n - 1), rel=1e-10, abs=1e-12
+            TWO_PI_E * bergstrom_gap_all(a, b)[n - 1], rel=1e-10, abs=1e-12
         )
 
     def test_sides_are_twice_the_half_conditional_form(self):
@@ -456,9 +452,7 @@ class TestEntropicKyfan:
         rng = rng_from_tokens(seed, "red-kyfan")
         a, b = random_spd(3, rng), random_spd(3, rng)
         rep = check_entropic_kyfan(gauss(a.entries), gauss(b.entries), [1, 2], lam, CFG)
-        matrix = kyfan_gap(
-            SpdMatrix((1.0 - lam) * a.entries), SpdMatrix(lam * b.entries), 2
-        )
+        matrix = kyfan_gap_all(SpdMatrix((1.0 - lam) * a.entries), SpdMatrix(lam * b.entries))[1]
         assert rep.gap == pytest.approx(TWO_PI_E * matrix, rel=1e-10, abs=1e-12)
 
     def test_endpoint_equality(self):
@@ -733,6 +727,25 @@ class TestIsoperimetricDominance:
         rep = check_isoperimetric_dominance(two_part(), CFG_MC)
         assert rep.verdict in (VERDICT_HOLDS, VERDICT_EQUALITY)
 
+    # The bound 2 pi e (a^(n-1) + (n-1)/a) is at least 2 pi e n for every
+    # a > 0 (AM-GM), with equality at a = 1: the dominance record's claim,
+    # checked with no draws.  Bounds fixed before the first run: 8 n eps
+    # relative covers the pow, divide, add and multiply roundings.
+    @pytest.mark.parametrize("n", range(2, 13))
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-10.0, 10.0), st.floats(math.log(1e-3), math.log(1e3)))
+    def test_iso_bound_is_at_least_two_pi_e_n(self, n, h, log_a):
+        # h(X^{n-1}) placed so that a = N_{n-1} / N = exp(log_a)
+        v = np.array([h, 0.5 * (n - 1) * (log_a + 2.0 * h / n)])
+        assert checks._iso_bound(n, v) >= TWO_PI_E * n * (1.0 - 8 * n * EPS)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(-10.0, 10.0))
+    def test_iso_bound_is_two_pi_e_n_at_balance(self, n, h):
+        v = np.array([h, (n - 1) * h / n])  # N_{n-1} = N, so a = 1
+        assert abs(checks._iso_bound(n, v) / (TWO_PI_E * n) - 1.0) <= 8 * n * EPS
+
 
 class TestDeBruijn:
     def test_scalar_gaussian_heat_derivative(self):
@@ -995,45 +1008,6 @@ class TestMatrixWrappers:
             check_matrix_bergstrom(a, SpdMatrix(np.eye(3)), 0, CFG)
 
 
-class TestConcavityScan:
-    def test_gaussian_curve_is_concave(self):
-        scan = lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=21, cfg=CFG)
-        assert scan.flagged == []
-        # concavity margins stay nonnegative up to roundoff on the exact route
-        scale = max(abs(v) for v in scan.values)
-        assert all(d >= -1e-9 * scale for d in scan.second_diffs)
-
-    def test_endpoints_and_chord(self):
-        scan = lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=21, cfg=CFG)
-        # f(0) is pure Y, f(1) pure X; chord bound at the midpoint
-        assert scan.values[0] == pytest.approx(TWO_PI_E * 5.0 / 3.0, rel=1e-10)
-        assert scan.values[-1] == pytest.approx(TWO_PI_E * 3.0 / 2.0, rel=1e-10)
-        mid = scan.values[10]
-        chord = 0.5 * (scan.values[0] + scan.values[-1])
-        assert mid >= chord - 1e-9 * abs(chord)
-
-    def test_mixture_scan_unflagged(self):
-        cfg = CheckConfig(m=10_000, seed=2)
-        scan = lambda_concavity_scan(two_part(), two_part(1.0), grid=7, cfg=cfg)
-        assert scan.flagged == []
-        assert len(scan.values) == 7
-
-    def test_to_dict_schema(self):
-        scan = lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=5, cfg=CFG)
-        d = scan.to_dict()
-        assert list(d) == ["lambdas", "values", "stderrs", "second_diffs", "flagged", "dim", "seed"]
-        assert d == {key: getattr(scan, key) for key in d}
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=4, cfg=CFG)
-
-    @pytest.mark.parametrize("grid", [5.0, True, "21"])
-    def test_non_integer_grid_refused(self, grid):
-        with pytest.raises(ValueError, match="integer"):
-            lambda_concavity_scan(gauss(COV_A), gauss(COV_B), grid=grid, cfg=CFG)
-
-
 class TestChainAndSoundness:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 5))
@@ -1084,6 +1058,39 @@ class TestChainAndSoundness:
             assert xy.stderr == 0.0
             bits = lambda r: (r.lhs.hex(), r.rhs.hex(), r.gap.hex(), r.verdict)
             assert bits(xy) == bits(yx)
+
+    @pytest.mark.parametrize("check, lam", [
+        (check_epi, None), (check_blachman_stam, None), (check_entropic_bergstrom, None),
+        (check_conditional_form, 0.25), (check_conditional_form, 0.5),
+    ], ids=["epi", "blachman_stam", "entropic_bergstrom", "conditional_form-0.25",
+            "conditional_form-0.5"])
+    def test_monte_carlo_pair_checks_are_swap_consistent(self, check, lam):
+        # (x, y) and (y, x) state the same inequality.  With no instance id the
+        # two calls are tagged apart, so they draw independent streams.  Bounds
+        # fixed before the first run: a sampled pair's gaps agree within 4 joint
+        # standard errors; a closed-form pair (stderr 0) agrees to 1e-12
+        # relative to its larger term.
+        cfg = CheckConfig(m=20_000, seed=3)
+        pairs = [(gauss(COV_A), gauss(COV_B))]  # the closed-form route
+        for n in (2, 3):
+            for j in range(4):
+                rng = rng_from_tokens(31, "swap", n, j)
+                pairs.append((random_mixture(n, rng), random_mixture(n, rng)))
+        sampled = 0
+        for x, y in pairs:
+            if lam is None:
+                xy, yx = check(x, y, cfg), check(y, x, cfg)
+            else:  # (y, x, 1 - lam) weights each law as (x, y, lam) does
+                xy, yx = check(x, y, lam, cfg), check(y, x, 1.0 - lam, cfg)
+            assert xy.instance_id != yx.instance_id
+            assert (xy.stderr == 0.0) == (yx.stderr == 0.0)
+            if xy.stderr == 0.0:
+                assert abs(xy.gap - yx.gap) <= 1e-12 * max(abs(xy.lhs), abs(xy.rhs))
+            else:
+                sampled += 1
+                assert abs(xy.gap - yx.gap) <= 4.0 * math.hypot(xy.stderr, yx.stderr), (
+                    xy.instance_id, xy.gap, yx.gap)
+        assert sampled == 8  # every pinned mixture pair samples
 
 
 class TestReportShape:
@@ -1142,12 +1149,10 @@ class TestIndexRule:
     # a deleted index and a block size each have one rule, in one order: an
     # integer (a bool or a float raises ValueError), then in range
     INDEX_CALLERS = {
-        "bergstrom_gap": lambda a, b, i: bergstrom_gap(a, b, i),
         "bonnesen_linear_gap": lambda a, b, i: bonnesen_linear_gap(a, a, 0.5, i),
         "check_matrix_bergstrom": lambda a, b, i: check_matrix_bergstrom(a, b, i, CFG),
     }
     BLOCK_CALLERS = {
-        "kyfan_gap": lambda a, b, k: kyfan_gap(a, b, k),
         "check_matrix_kyfan": lambda a, b, k: check_matrix_kyfan(a, b, k, CFG),
     }
     PAIR = (SpdMatrix(np.diag([1.0, 2.0, 3.0])), SpdMatrix(np.diag([2.0, 1.0, 4.0])))
@@ -1174,9 +1179,8 @@ class TestIndexRule:
     def test_numpy_integers_pass(self):
         a, b = self.PAIR
         for i in (np.int64(1), np.int32(1)):
-            assert bergstrom_gap(a, b, i) == bergstrom_gap(a, b, 1)
             assert check_matrix_bergstrom(a, b, i, CFG).instance_id.endswith("-i1")
-            assert kyfan_gap(a, b, i) == kyfan_gap(a, b, 1)
+            assert check_matrix_kyfan(a, b, i, CFG).instance_id.endswith("-k1")
 
 
 class TestTermPlans:
@@ -1203,7 +1207,6 @@ class TestTermPlans:
             check_de_bruijn(x3, cfg=CFG),
         ]
         assert all(r.stderr == 0.0 for r in reports)
-        assert lambda_concavity_scan(x, y, grid=5, cfg=CFG).stderrs == [0.0] * 5
         with pytest.raises(AssertionError, match="generator"):
             check_epi(two_part(), y, CFG)
 

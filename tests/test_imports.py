@@ -67,7 +67,9 @@ print(json.dumps(loaded()))
 # the split law replace the forced Monte-Carlo wrappers, and ``fisher`` of the
 # squeezed law over M**2 replaces the squeeze sequence
 RETIRED = {"mc_entropy": estimators, "mc_fisher": estimators, "tm_sequence": checks,
-           "log_det": matrices, "delete_row_col": matrices, "leading_principal": matrices}
+           "log_det": matrices, "delete_row_col": matrices, "leading_principal": matrices,
+           "ConcavityScan": checks, "lambda_concavity_scan": checks,
+           "bergstrom_gap": matrices, "kyfan_gap": matrices}
 
 
 def _fresh(code: str):

@@ -14,11 +14,9 @@ from epicheck import (
     NotPositiveDefiniteError,
     PreconditionError,
     SpdMatrix,
-    bergstrom_gap,
     bergstrom_gap_all,
     bonnesen_linear_gap,
     check_equality_case_bonnesen,
-    kyfan_gap,
     kyfan_gap_all,
     make_bonnesen_equality_pair,
     random_spd,
@@ -195,29 +193,20 @@ class TestSubmatrices:
 class TestBergstromGap:
     def test_worked_pair(self):
         # 20/4 - 3/2 - 5/2 = 1 and 20/5 - 3/2 - 5/3 = 5/6
-        assert bergstrom_gap(A, B, 0) == pytest.approx(1.0, abs=1e-12)
-        assert bergstrom_gap(A, B, 1) == pytest.approx(5.0 / 6.0, abs=1e-12)
+        gaps = bergstrom_gap_all(A, B)
+        assert gaps[0] == pytest.approx(1.0, abs=1e-12)
+        assert gaps[1] == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_diagonal_pair_equality(self):
         a = SpdMatrix(np.diag([1.0, 2.0, 3.0]))
         b = SpdMatrix(np.diag([0.5, 4.0, 1.5]))
-        for i in range(3):
-            assert abs(bergstrom_gap(a, b, i)) < 1e-12
+        assert np.abs(bergstrom_gap_all(a, b)).max() < 1e-12
 
-    def test_gap_all_matches_per_index(self):
-        rng = rng_from_tokens(3, "test-bergstrom")
-        a = random_spd(4, rng)
-        b = random_spd(4, rng)
-        gaps = bergstrom_gap_all(a, b)
-        assert gaps.shape == (4,)
-        for i in range(4):
-            assert gaps[i] == pytest.approx(bergstrom_gap(a, b, i), rel=1e-12)
-
-    def test_index_validation(self):
-        with pytest.raises(IndexError):
-            bergstrom_gap(A, B, 2)
+    def test_dimension_validation(self):
         with pytest.raises(DimensionError):
-            bergstrom_gap(A, SpdMatrix(np.eye(3)), 0)
+            bergstrom_gap_all(A, SpdMatrix(np.eye(3)))
+        with pytest.raises(DimensionError):
+            bergstrom_gap_all(SpdMatrix([[1.0]]), SpdMatrix([[2.0]]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 7), st.integers(0, 2**32 - 1))
@@ -230,22 +219,11 @@ class TestBergstromGap:
 
 class TestKyFanGap:
     def test_k1_equals_last_index_bergstrom(self):
-        assert kyfan_gap(A, B, 1) == pytest.approx(bergstrom_gap(A, B, 1), abs=1e-12)
+        assert kyfan_gap_all(A, B)[0] == pytest.approx(bergstrom_gap_all(A, B)[1], abs=1e-12)
 
-    def test_gap_all(self):
-        rng = rng_from_tokens(11, "test-kyfan")
-        a = random_spd(5, rng)
-        b = random_spd(5, rng)
-        gaps = kyfan_gap_all(a, b)
-        assert gaps.shape == (4,)
-        for k in range(1, 5):
-            assert gaps[k - 1] == pytest.approx(kyfan_gap(a, b, k), rel=1e-12)
-
-    def test_k_validation(self):
+    def test_dimension_validation(self):
         with pytest.raises(DimensionError):
-            kyfan_gap(A, B, 0)
-        with pytest.raises(DimensionError):
-            kyfan_gap(A, B, 2)
+            kyfan_gap_all(A, SpdMatrix(np.eye(3)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 7), st.integers(0, 2**32 - 1))
@@ -263,8 +241,7 @@ class TestKyFanGap:
         c = 0.37
         ca = SpdMatrix(c * a.entries)
         cb = SpdMatrix(c * b.entries)
-        for k in range(1, 4):
-            assert kyfan_gap(ca, cb, k) == pytest.approx(c * kyfan_gap(a, b, k), rel=1e-11)
+        assert kyfan_gap_all(ca, cb) == pytest.approx(c * kyfan_gap_all(a, b), rel=1e-11)
 
 
 class TestFactorRoutes:
@@ -373,14 +350,6 @@ class TestFactorIdentity:
             b[i, i] *= 3.0
             keep = [j for j in range(n) if j != i]
             assert _principal_logdet(a, keep) == _principal_logdet(SpdMatrix(b), keep)
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_single_index_ratios_are_the_sweep(self, n):
-        rng = rng_from_tokens(n, "sweep-identity")
-        a, b = random_spd(n, rng), random_spd(n, rng)
-        sweep, blocks = bergstrom_gap_all(a, b), kyfan_gap_all(a, b)
-        assert [bergstrom_gap(a, b, i) for i in range(n)] == list(sweep)
-        assert [kyfan_gap(a, b, k) for k in range(1, n)] == list(blocks)
 
 
 class TestBonnesenLinearGap:

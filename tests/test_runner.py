@@ -546,9 +546,7 @@ REFUSED_ARGUMENTS = [
     ["check", "matrix_bergstrom", "--dim", "0"],
     ["check", "epi", "--instances", "0"],
     ["check", "epi", "--seed", "-3"],
-    ["scan-lambda", "--seed", "-3"],
     ["check", "matrix_bergstrom", "--out", ""],
-    ["scan-lambda", "--out", ""],
 ]
 
 
@@ -650,15 +648,14 @@ class TestCli:
         assert orders[0] == orders[1]
         assert [name for name, _ in orders[0][::2]] == list(REGISTRY)
 
-    @pytest.mark.parametrize("command", ["run", "check", "scan-lambda"])
+    @pytest.mark.parametrize("command", ["run", "check"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
-        # a report or scan that cannot be written is a bad --out, not a violation
+        # a report that cannot be written is a bad --out, not a violation
         # (exit 1): it used to end in a FileNotFoundError traceback
         argv = {
             "run": ["run", "--config",
                     self.write_config(tmp_path, {"dims": [2], "checks": ["matrix_bergstrom"]})],
             "check": ["check", "matrix_bergstrom", "--dim", "2"],
-            "scan-lambda": ["scan-lambda", "--dim", "2", "--grid", "5", "--samples", "2000"],
         }[command]
         assert main(argv + ["--out", str(tmp_path / "missing" / "r.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -667,9 +664,8 @@ class TestCli:
         assert main(["check", "bogus"]) == 2
         assert "known checks" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["check", "sphere_identity"], ["scan-lambda"]])
-    def test_one_sample_is_a_config_error(self, command, capsys):
-        assert main(command + ["--samples", "1"]) == 2
+    def test_one_sample_is_a_config_error(self, capsys):
+        assert main(["check", "sphere_identity", "--samples", "1"]) == 2
         assert "samples" in capsys.readouterr().err
 
     def test_check_writes_report(self, tmp_path, capsys):
@@ -681,17 +677,9 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report["records"][0]["check_name"] == "matrix_kyfan"
 
-    def test_scan_lambda(self, tmp_path, capsys):
-        out = tmp_path / "scan.json"
-        code = main(
-            ["scan-lambda", "--dim", "2", "--grid", "5", "--samples", "2000",
-             "--out", str(out)]
-        )
-        assert code == 0
-        scan = json.loads(out.read_text())
-        assert set(scan) >= {"lambdas", "values", "second_diffs", "flagged"}
-        assert len(scan["values"]) == 5
-
-    def test_scan_lambda_validation(self, capsys):
-        assert main(["scan-lambda", "--grid", "3"]) == 2
-        assert main(["scan-lambda", "--dim", "1"]) == 2
+    def test_scan_lambda_is_retired(self, capsys):
+        # argparse refuses a subcommand it does not know before any check runs
+        with pytest.raises(SystemExit) as info:
+            main(["scan-lambda"])
+        assert info.value.code == 2
+        assert "invalid choice: 'scan-lambda'" in capsys.readouterr().err
