@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -216,6 +219,44 @@ def _sampled(law, stats, looks, rng):
                for row, var in zip(rows, cov.diagonal())], cov
 
 
+# the draw memo of the running ``_draw_memo`` scope, or None outside one
+_MEMO = ContextVar("epicheck_draw_memo", default=None)
+
+
+@contextmanager
+def _draw_memo():
+    """A scope in which ``_term_looks`` draws each sampled draw group once.  A
+    later plan's group with the same RNG role, the same law objects, the same
+    statistics and the same looks replays the looks already drawn, and reads
+    any later look from the same ``_sampled`` draws, whose label cursor lives
+    in their frame, so every estimate is bitwise the one a fresh generator
+    gives.  A role must therefore key one stream for the whole scope: it
+    covers the records of one check on one instance.  The memo holds the
+    laws, so their ids are not reused while it lives, and it is dropped when
+    the scope ends, by return or by raise."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _stats_key(law_stats) -> tuple:
+    """The statistics of a draw group's laws as a hashable value: a direction
+    by its bytes, any other argument by its repr."""
+    return tuple(tuple((kind, arg.tobytes() if isinstance(arg, np.ndarray) else repr(arg))
+                       for kind, arg in s) for s in law_stats)
+
+
+def _replayed(draws, seen):
+    """The looks of a memoised draw group: those in ``seen``, then the next of
+    ``draws``, each kept in ``seen`` for the next reader."""
+    for j in count():
+        if j == len(seen):
+            seen.append(next(draws))
+        yield seen[j]
+
+
 def _term_looks(groups, looks, rng_for):
     """Estimates of the statistics of the draw groups (law, RNG role, stats), in
     order, and their block-diagonal covariance, at each look m_j of the
@@ -223,17 +264,24 @@ def _term_looks(groups, looks, rng_for):
     Gaussians takes the closed forms, once, and no generator; any other group
     draws from ``rng_for(role)``, one generator per group, and extends its
     draws from look to look (``_sampled``), so a caller that stops at a look
-    has drawn nothing beyond it.  The counts are checked (``_counts``) before
-    a route is chosen."""
+    has drawn nothing beyond it.  Within a ``_draw_memo`` scope a group drawn
+    before is replayed, and ``rng_for`` is not called for it.  The counts are
+    checked (``_counts``) before a route is chosen."""
     _counts(looks)
+    memo = _MEMO.get()
     parts = []
     for law, role, stats in groups:
         laws, law_stats = _shared(law, stats)
-        parts.append(
-            [est for g, s in zip(laws, law_stats) for est in _closed(s, g.components[0])]
-            if all(g.is_gaussian for g in laws)
-            else _sampled(law, stats, looks, rng_for(role))
-        )
+        if all(g.is_gaussian for g in laws):
+            parts.append([est for g, s in zip(laws, law_stats)
+                          for est in _closed(s, g.components[0])])
+        elif memo is None:
+            parts.append(_sampled(law, stats, looks, rng_for(role)))
+        else:
+            key = (role, tuple(map(id, laws)), _stats_key(law_stats), tuple(looks))
+            if key not in memo:  # the laws are kept so that no other law takes their ids
+                memo[key] = (laws, _sampled(law, stats, looks, rng_for(role)), [])
+            parts.append(_replayed(*memo[key][1:]))
     for _ in looks:
         ests, blocks = [], []
         for part in parts:

@@ -64,6 +64,7 @@ from .checks import (
     _heat_steps_ok,
     _numbers,
 )
+from .estimators import _draw_memo
 from .exceptions import ConfigError
 from .matrices import _is_finite, _is_int, random_spd
 from .mixtures import GaussianMixture, MarkovTriple
@@ -209,7 +210,9 @@ def _runner(check, translate=None):
     """Adapter from a registry entry to ``check``.
 
     A tuple instance is unpacked into the leading arguments, and ``lambdas``
-    gives one call per lambda, placed after them.  The other params pass
+    gives one call per lambda, placed after them, all in one
+    ``estimators._draw_memo`` scope: the records share the draws of the
+    groups they have in common (the X and Y terms).  The other params pass
     straight through as the check's keywords of the same name, unless
     ``translate(args, params, cfg, iid)`` is given: it then returns the
     leading arguments and keywords built from the instance and the params.
@@ -223,9 +226,10 @@ def _runner(check, translate=None):
             args, kwargs = translate(args, params, cfg, iid)
         if "lambdas" not in params:
             return [check(*args, cfg=cfg, instance_id=iid, **kwargs)]
-        return [
-            check(*args, lam, cfg=cfg, instance_id=iid, **kwargs) for lam in params["lambdas"]
-        ]
+        with _draw_memo():
+            return [
+                check(*args, lam, cfg=cfg, instance_id=iid, **kwargs) for lam in params["lambdas"]
+            ]
 
     return run
 

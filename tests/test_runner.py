@@ -19,12 +19,14 @@ from epicheck import (
     check_de_bruijn,
     check_entropic_kyfan,
     check_equality_case_bonnesen,
+    check_lambda_form,
     check_matrix_bergstrom,
     check_matrix_kyfan,
     check_projective_fisher,
     check_stam_recovery,
     config_from_dict,
     default_config,
+    entropy,
     generate_instance,
     random_markov_triple,
     random_mixture,
@@ -35,7 +37,7 @@ from epicheck import (
     shared_prefix_pair,
     write_report,
 )
-from epicheck import checks
+from epicheck import checks, estimators
 from epicheck.checks import InequalityReport
 from epicheck.cli import main
 from epicheck.runner import CSV_COLUMNS, REGISTRY, RegistryEntry
@@ -472,6 +474,91 @@ class TestStreamKeys:
             "conditional_epi", "entropic_bonnesen", "equality_case_bonnesen",
             "matrix_bergstrom", "matrix_kyfan",
         }
+
+
+def record_bits(report):
+    """A record's fields, floats as their hex digits, without wall_ms."""
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in report.to_dict().items() if key != "wall_ms"}
+
+
+class TestGridDrawMemo:
+    """The records of one registry lambda grid share the draws of their X and Y
+    groups (``estimators._draw_memo``) and are bitwise the per-lambda calls."""
+
+    GRID = [0.5, 0.02, 0.98]  # a wide gap first, then two narrow ones that read more looks
+    DIRECT = {
+        "conditional_form": lambda x, y, lam, **kw: check_conditional_form(x, y, lam, **kw),
+        "lambda_form": lambda x, y, lam, **kw: check_lambda_form(x, y, lam, **kw),
+        "entropic_kyfan": lambda x, y, lam, **kw: check_entropic_kyfan(
+            x, y, range(x.dim - min(2, x.dim - 1), x.dim), lam, **kw),
+    }
+
+    def test_grid_records_are_per_lambda_calls(self, monkeypatch):
+        real_rng, real_looks = checks.rng_from_tokens, checks._term_looks
+        roles, reads = [], []
+
+        def record(*tokens):
+            roles.append(tokens[3])
+            return real_rng(*tokens)
+
+        def spy(groups, looks, rng_for):
+            reads.append(0)
+            for terms in real_looks(groups, looks, rng_for):
+                reads[-1] += 1
+                yield terms
+
+        cfg = CheckConfig(m=40_000, seed=0)
+        assert len(checks._looks(cfg.m)) == 3
+        resumed = 0
+        for dim, idx in ((2, 3), (3, 0)):
+            x, y = generate_instance("mixture_pair", dim, idx, cfg.seed)
+            assert not (x.is_gaussian or y.is_gaussian)
+            for name, direct in self.DIRECT.items():
+                entry, iid = REGISTRY[name], f"grid-{dim}-{idx}"
+                monkeypatch.setattr(checks, "rng_from_tokens", record)
+                monkeypatch.setattr(checks, "_term_looks", spy)
+                roles.clear()
+                reads.clear()
+                grid = entry.run((x, y), {**entry.defaults, "lambdas": self.GRID}, cfg, iid)
+                assert estimators._MEMO.get() is None
+                # every record samples X and Y, each from one generator for the grid
+                assert roles.count("x") == roles.count("y") == 1
+                assert roles.count("sum") == len(self.GRID)
+                # a later lambda reads a look that no earlier one reached
+                resumed += any(reads[j] > max(reads[:j]) for j in range(1, len(reads)))
+                monkeypatch.undo()
+                for lam, rec in zip(self.GRID, grid):
+                    alone = direct(x, y, lam, cfg=cfg, instance_id=iid)
+                    assert record_bits(rec) == record_bits(alone), (name, dim, lam)
+        assert resumed >= 2
+
+    def test_scope_is_released_on_return_and_on_raise(self, monkeypatch):
+        cfg = CheckConfig(m=20_000, seed=0)
+        x, y = generate_instance("mixture_pair", 2, 3, cfg.seed)
+
+        def outside():
+            rep = check_conditional_form(x, y, 0.5, cfg=cfg, instance_id="direct")
+            return record_bits(rep), entropy(x, 20_000, rng_from_tokens(cfg.seed, "public")).value
+
+        before = outside()
+        entry = REGISTRY["conditional_form"]
+        entry.run((x, y), {"lambdas": [0.25, 0.5]}, cfg, "grid")
+        assert estimators._MEMO.get() is None
+
+        memos, real = [], checks._term_looks
+
+        def spy(groups, looks, rng_for):
+            memos.append(estimators._MEMO.get())
+            return real(groups, looks, rng_for)
+
+        monkeypatch.setattr(checks, "_term_looks", spy)
+        with pytest.raises(ValueError, match="lambda"):
+            entry.run((x, y), {"lambdas": [0.5, 2.0]}, cfg, "grid")
+        monkeypatch.undo()
+        assert len(memos) == 1 and memos[0]  # lambda = 0.5 drew before 2.0 raised
+        assert estimators._MEMO.get() is None
+        assert outside() == before
 
 
 class TestReportWriting:
